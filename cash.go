@@ -40,7 +40,7 @@
 //
 // Serve many requests through one Engine — compiled artifacts are
 // cached under a content hash, deterministic executions are served
-// from a run cache, machines are pooled, and admission control bounds
+// from a run cache, machines are recycled, and admission control bounds
 // in-flight work:
 //
 //	eng := cash.NewEngine(cash.EngineConfig{})
@@ -192,16 +192,6 @@ func CompareStrategies(name, source string, cfg CompareConfig) (*Comparison, err
 	return core.CompareStrategies(name, source, cfg)
 }
 
-// Compare builds and runs source under GCC, BCC and Cash and reports
-// cycles, check counts and code sizes. It fails if the program output
-// differs between modes or a bound violation occurs.
-//
-// Deprecated: Use CompareStrategies, which accepts any registered
-// strategy set. This wrapper keeps working and compares gcc, bcc, cash.
-func Compare(name, source string, opts Options) (*Comparison, error) {
-	return core.Compare(name, source, opts)
-}
-
 // Characterize computes the static loop/array statistics of a program
 // under the given segment-register budget.
 func Characterize(source string, segRegBudget int) (LoopCharacteristics, error) {
@@ -215,25 +205,25 @@ func MeasureOverheadConstants() (OverheadConstants, error) {
 }
 
 // EngineConfig tunes a serving Engine. The zero value gives the
-// defaults: a 64 MiB artifact/run cache, an 8-machine pool, in-flight
-// admission bounded by the parallelism budget, and the process-wide
-// parallelism and event-trace settings.
+// defaults: a 64 MiB artifact/run cache, in-flight admission bounded by
+// the parallelism budget, GOMAXPROCS parallelism, and the process-wide
+// event trace.
 type EngineConfig = serve.EngineConfig
 
 // Engine is the serving runtime: it owns every piece of cross-request
 // state — a content-addressed artifact cache (builds of identical
 // source/mode/options are compiled once, concurrent duplicates
-// coalesced), a run cache for deterministic executions, a pool of
-// reusable simulated machines (reset on reuse, indistinguishable from
-// fresh), and admission control bounding in-flight work with a FIFO
+// coalesced), a run cache for deterministic executions, and admission
+// control bounding in-flight work with a FIFO
 // waiter queue. All methods are safe for concurrent use; every
 // operation takes a context and honors cancellation between simulated
 // basic blocks.
 //
-// Engines are independent: each owns its own cache, pool and admission
-// state, so a misbehaving tenant cannot evict another Engine's
-// artifacts. Package-level helpers (Build, Compare, Table, AllTables)
-// serve through a shared process-default Engine.
+// Simulated machines are recycled process-wide (reset on reuse,
+// indistinguishable from fresh). Engines are otherwise independent: each
+// owns its own cache and admission state, so a misbehaving tenant cannot
+// evict another Engine's artifacts. Package-level helpers (Build, Table,
+// AllTables) serve through a shared process-default Engine.
 type Engine struct {
 	eng *serve.Engine
 }
@@ -289,7 +279,7 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode Mode, opt
 	return e.runtime().BuildContext(ctx, source, mode, opts)
 }
 
-// RunContext executes an artifact on a pooled machine under admission
+// RunContext executes an artifact on a recycled machine under admission
 // control. Deterministic executions are served from the run cache;
 // ctx cancels a queued request and interrupts a running simulation
 // between basic blocks, returning ctx.Err().
@@ -298,21 +288,10 @@ func (e *Engine) RunContext(ctx context.Context, art *Artifact) (*RunResult, err
 }
 
 // CompareStrategiesContext is CompareStrategies through the Engine:
-// every strategy's build and run is cached, pooled and
-// admission-controlled like any other request.
+// every strategy's build and run is cached and admission-controlled
+// like any other request.
 func (e *Engine) CompareStrategiesContext(ctx context.Context, name, source string, cfg CompareConfig) (*Comparison, error) {
 	return e.runtime().CompareStrategiesContext(ctx, name, source, cfg)
-}
-
-// CompareContext is Compare through the Engine: the three builds and
-// runs are cached, pooled and admission-controlled like any other
-// request.
-//
-// Deprecated: Use CompareStrategiesContext, which accepts any
-// registered strategy set. This wrapper keeps working and compares
-// gcc, bcc, cash.
-func (e *Engine) CompareContext(ctx context.Context, name, source string, opts Options) (*Comparison, error) {
-	return e.runtime().CompareContext(ctx, name, source, opts)
 }
 
 // Table regenerates one registered table by id (see Tables). requests
@@ -344,6 +323,14 @@ func (e *Engine) MeasureNetworkApp(ctx context.Context, w Workload, requests int
 func (e *Engine) MeasureResilience(ctx context.Context, w Workload, requests int, opts Options, cfg ResilienceConfig) (*ResilienceReport, error) {
 	return netsim.MeasureResilienceContext(ctx, e.runtime(), w, requests, opts,
 		chaos.NewPlan(chaos.Config{Seed: cfg.Seed, Rate: cfg.Rate}))
+}
+
+// ResilienceTable renders the resilience experiment for every network
+// application under cfg's chaos parameters, with this Engine's worker
+// budget. The measurement itself runs on a fresh private Engine, so
+// the metrics it publishes depend only on (requests, cfg).
+func (e *Engine) ResilienceTable(ctx context.Context, requests int, cfg ResilienceConfig) (*ResultTable, error) {
+	return bench.ResilienceTableContext(ctx, e.runtime(), requests, cfg.Seed, cfg.Rate)
 }
 
 // Figure1Trace renders the Figure 1 address-translation pipeline
@@ -397,16 +384,6 @@ func DefaultResilienceConfig() ResilienceConfig {
 func MeasureResilienceWith(w Workload, requests int, opts Options, cfg ResilienceConfig) (*ResilienceReport, error) {
 	return netsim.MeasureResilience(w, requests, opts,
 		chaos.NewPlan(chaos.Config{Seed: cfg.Seed, Rate: cfg.Rate}))
-}
-
-// MeasureResilience is MeasureResilienceWith with the chaos parameters
-// spelled positionally.
-//
-// Deprecated: Use MeasureResilienceWith (or Engine.MeasureResilience
-// for cancellation), which names the chaos parameters in a
-// ResilienceConfig instead of a positional (seed, rate) tail.
-func MeasureResilience(w Workload, requests int, opts Options, seed uint64, rate float64) (*ResilienceReport, error) {
-	return MeasureResilienceWith(w, requests, opts, ResilienceConfig{Seed: seed, Rate: rate})
 }
 
 // ResilienceTable renders the resilience experiment for every network
@@ -473,7 +450,8 @@ func TableIDs() []string { return bench.TableIDs() }
 // AllTables regenerates every table with the given request count for the
 // network experiment. Tables are produced one at a time, but the
 // independent experiments inside each (its rows) run concurrently up to
-// the SetParallelism budget; results are identical at any setting.
+// GOMAXPROCS (use an Engine with EngineConfig.Parallelism to choose the
+// budget); results are identical at any setting.
 func AllTables(requests int) ([]*ResultTable, error) { return bench.AllTables(requests) }
 
 // TableTiming is the host-side cost of producing one table: wall-clock
@@ -517,14 +495,6 @@ type KernelTiming = bench.KernelTiming
 // `cashbench -json` emits for BENCH_*.json records.
 func KernelHostTimings(runs int) ([]KernelTiming, error) { return bench.KernelHostTimings(runs) }
 
-// SetParallelism bounds how many experiments the benchmark harness runs
-// concurrently (default: GOMAXPROCS). 1 forces sequential execution.
-//
-// Deprecated: Use EngineConfig.Parallelism to give each Engine its own
-// budget instead of mutating process-wide state. This setting keeps
-// working: an Engine whose config leaves Parallelism zero honors it.
-func SetParallelism(n int) { bench.SetParallelism(n) }
-
 // Figure1Trace renders the Figure 1 address-translation pipeline
 // (segmentation then paging) for a small traced program.
 func Figure1Trace() (string, error) { return bench.Figure1Trace() }
@@ -539,7 +509,7 @@ type MetricsSnapshot = obs.Snapshot
 // simulator's layers (vm, paging, ldt, core, netsim) publish into. Take
 // a snapshot before and after an experiment and Delta them; because
 // every published metric is commutative across goroutines, the delta is
-// identical at any SetParallelism budget.
+// identical at any parallelism budget.
 func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
 
 // EventTrace is a bounded ring buffer of structured machine events:
@@ -554,15 +524,6 @@ type TraceEvent = obs.Event
 
 // NewEventTrace returns a trace retaining up to capacity events
 // (0 means the default capacity). Attach it to machine runs with
-// Options.EventTrace, or install it process-wide with
-// SetDefaultEventTrace for producers without an options path.
+// Options.EventTrace, or to an Engine's serving decisions with
+// EngineConfig.EventTrace.
 func NewEventTrace(capacity int) *EventTrace { return obs.NewTrace(capacity) }
-
-// SetDefaultEventTrace installs (or, with nil, removes) the process-wide
-// event trace — the one the netsim resilient server emits into — and
-// returns the previous one.
-//
-// Deprecated: Use EngineConfig.EventTrace to scope a trace to one
-// Engine instead of mutating process-wide state. This setting keeps
-// working: an Engine whose config leaves EventTrace nil emits into it.
-func SetDefaultEventTrace(tr *EventTrace) *EventTrace { return obs.SetDefaultTrace(tr) }

@@ -44,7 +44,7 @@ func TestPublicBuildRunCatchesOverflow(t *testing.T) {
 }
 
 func TestPublicCompare(t *testing.T) {
-	cmp, err := Compare("demo", demoSafe, Options{})
+	cmp, err := CompareStrategies("demo", demoSafe, CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPublicEngineServes(t *testing.T) {
 	if res1.Cycles != res2.Cycles || len(res1.Output) != len(res2.Output) {
 		t.Fatal("cached run differs from real run")
 	}
-	cmp, err := eng.CompareContext(ctx, "demo", demoSafe, Options{})
+	cmp, err := eng.CompareStrategiesContext(ctx, "demo", demoSafe, CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

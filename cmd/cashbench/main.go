@@ -10,19 +10,16 @@
 //
 // All work is served through one cash.Engine: compiled artifacts are
 // cached under a content hash, deterministic executions come from a
-// run cache, simulated machines are pooled, and admission control
+// run cache, simulated machines are recycled, and admission control
 // bounds in-flight work. The serving knobs:
 //
 //	-repeat N    with -all, serve the suite N times through the same
 //	             Engine; pass 1 is printed, later (cache-warm) passes
 //	             must be byte-identical or the run fails
 //	-no-cache    disable the artifact/run cache
-//	-no-pool     disable machine pooling
 //	-store DIR   persist compiled artifacts and deterministic run
 //	             outcomes under DIR; a later process pointed at the same
 //	             DIR warm-starts from them (tables stay byte-identical)
-//	-snapshots   clone pre-warmed machines from copy-on-write snapshots
-//	             instead of building each machine from scratch
 //
 // The resilience experiment (fault injection against the network
 // servers) takes two extra knobs; the same seed and rate always
@@ -33,8 +30,7 @@
 // The strategy-matrix table sweeps every registered checking strategy
 // (cashc -list-strategies) against every pass pipeline; -strategy
 // restricts the sweep to a comma-separated subset. An unknown name
-// fails with an error listing the valid ones. -mode is the deprecated
-// spelling of -strategy:
+// fails with an error listing the valid ones:
 //
 //	cashbench -table strategy-matrix -strategy mpx,bcc
 //
@@ -136,23 +132,17 @@ func run() (err error) {
 		metricsJSON = flag.String("metrics-json", "", "write the observability-registry delta to this file as JSON")
 		repeat      = flag.Int("repeat", 1, "with -all, serve the suite this many times through one Engine (later passes must match pass 1)")
 		noCache     = flag.Bool("no-cache", false, "disable the Engine's artifact/run cache")
-		noPool      = flag.Bool("no-pool", false, "disable the Engine's machine pool")
 		passesFlag  = flag.String("passes", "", "comma-separated IR optimization passes (rce,hoist,affine,chop) applied to every experiment")
 		tier2       = flag.Bool("tier2", false, "execute every experiment through the tier-2 superblock engine (tables stay byte-identical)")
 		strategy    = flag.String("strategy", "", "comma-separated checking strategies restricting -table strategy-matrix (default: every registered strategy)")
-		modeFlag    = flag.String("mode", "", "deprecated alias for -strategy")
 		storeDir    = flag.String("store", "", "root a persistent on-disk artifact/run store at this directory (survives the process; a second run warm-starts from it)")
 		storeBudget = flag.Int64("store-budget", 0, "on-disk store byte budget (0 = 1 GiB default, negative = unlimited); only with -store")
-		snapshots   = flag.Bool("snapshots", false, "clone pre-warmed machines from copy-on-write snapshots instead of building each from scratch")
 	)
 	flag.Parse()
 
-	if sel := *strategy; sel != "" || *modeFlag != "" {
-		if sel == "" {
-			sel = *modeFlag
-		}
+	if *strategy != "" {
 		var names []string
-		for _, n := range strings.Split(sel, ",") {
+		for _, n := range strings.Split(*strategy, ",") {
 			if n = strings.TrimSpace(n); n != "" {
 				names = append(names, n)
 			}
@@ -173,22 +163,13 @@ func run() (err error) {
 	}
 	cash.SetBenchTier2(*tier2)
 
-	// The deprecated global still steers code without an Engine in hand
-	// (and Engines built with a zero Parallelism, like the resilience
-	// table's private one).
-	cash.SetParallelism(*parallel)
-
 	cfg := cash.EngineConfig{
 		Parallelism: *parallel,
 		StoreDir:    *storeDir,
 		StoreBytes:  *storeBudget,
-		Snapshots:   *snapshots,
 	}
 	if *noCache {
 		cfg.CacheBytes = -1
-	}
-	if *noPool {
-		cfg.PoolSize = -1
 	}
 	eng, err := cash.OpenEngine(cfg)
 	if err != nil {
@@ -258,7 +239,8 @@ func run() (err error) {
 			err error
 		)
 		if *table == "resilience" {
-			tab, err = cash.ResilienceTable(*requests, *chaosSeed, *chaosRate)
+			tab, err = eng.ResilienceTable(ctx, *requests,
+				cash.ResilienceConfig{Seed: *chaosSeed, Rate: *chaosRate})
 		} else {
 			tab, err = eng.Table(ctx, *table, *requests)
 		}

@@ -8,8 +8,6 @@
 //	cashc [-strategy gcc|bcc|cash|mpx] [-segregs 2|3|4] [-size] file.c
 //	cashc -workload matmul40 -strategy cash
 //	cashc -list-strategies
-//
-// -mode is a deprecated alias for -strategy.
 package main
 
 import (
@@ -32,7 +30,6 @@ func main() {
 func run() error {
 	var (
 		strategy = flag.String("strategy", "", "checking strategy (see -list-strategies); default cash")
-		modeName = flag.String("mode", "", "deprecated alias for -strategy")
 		segRegs  = flag.Int("segregs", 3, "segment register budget for cash mode (2, 3 or 4)")
 		sizeOnly = flag.Bool("size", false, "print only the code-size estimate")
 		wlName   = flag.String("workload", "", "compile a built-in workload instead of a file")
@@ -46,7 +43,7 @@ func run() error {
 		}
 		return nil
 	}
-	mode, err := pickStrategy(*strategy, *modeName)
+	mode, err := pickStrategy(*strategy)
 	if err != nil {
 		return err
 	}
@@ -76,13 +73,9 @@ func run() error {
 	return nil
 }
 
-// pickStrategy resolves the -strategy flag (with -mode as a deprecated
-// alias) against the strategy registry; empty means cash.
-func pickStrategy(strategy, mode string) (cash.Mode, error) {
-	s := strategy
-	if s == "" {
-		s = mode
-	}
+// pickStrategy resolves the -strategy flag against the strategy
+// registry; empty means cash.
+func pickStrategy(s string) (cash.Mode, error) {
 	if s == "" {
 		s = "cash"
 	}

@@ -8,8 +8,6 @@
 //	cashrun [-strategy gcc|bcc|cash|mpx] [-segregs N] [-passes rce,hoist,affine,chop] [-compare] [-trace] file.c
 //	cashrun -workload toast -compare
 //
-// -mode is a deprecated alias for -strategy.
-//
 // -passes enables IR optimization passes (-stats prints the static
 // codegen counters they affect; -dump-ir prints the optimized IR to
 // stderr before running).
@@ -58,7 +56,6 @@ func main() {
 func run() (err error) {
 	var (
 		strategy = flag.String("strategy", "", "checking strategy: gcc, bcc, cash or mpx; default cash")
-		modeName = flag.String("mode", "", "deprecated alias for -strategy")
 		segRegs  = flag.Int("segregs", 3, "segment register budget for cash mode")
 		compare  = flag.Bool("compare", false, "run all three modes and compare")
 		trace    = flag.Bool("trace", false, "print the Figure-1 translation pipeline demo")
@@ -81,9 +78,7 @@ func run() (err error) {
 	var tr *cash.EventTrace
 	if *events || *eventsJS != "" {
 		tr = cash.NewEventTrace(0)
-		cash.SetDefaultEventTrace(tr)
 		defer func() {
-			cash.SetDefaultEventTrace(nil)
 			if *events {
 				fmt.Fprint(os.Stderr, tr.Format())
 			}
@@ -115,7 +110,7 @@ func run() (err error) {
 	opts := cash.Options{SegRegs: *segRegs, EventTrace: tr, Passes: splitPasses(*passes), Tier2: *tier2}
 
 	if *compare {
-		cmp, err := cash.Compare(name, source, opts)
+		cmp, err := cash.CompareStrategies(name, source, cash.CompareConfig{Options: opts})
 		if err != nil {
 			return err
 		}
@@ -130,7 +125,7 @@ func run() (err error) {
 		return nil
 	}
 
-	mode, err := pickStrategy(*strategy, *modeName)
+	mode, err := pickStrategy(*strategy)
 	if err != nil {
 		return err
 	}
@@ -200,13 +195,9 @@ func splitPasses(s string) []string {
 	return out
 }
 
-// pickStrategy resolves the -strategy flag (with -mode as a deprecated
-// alias) against the strategy registry; empty means cash.
-func pickStrategy(strategy, mode string) (cash.Mode, error) {
-	s := strategy
-	if s == "" {
-		s = mode
-	}
+// pickStrategy resolves the -strategy flag against the strategy
+// registry; empty means cash.
+func pickStrategy(s string) (cash.Mode, error) {
 	if s == "" {
 		s = "cash"
 	}

@@ -33,7 +33,8 @@ func run() error {
 		seed     = 1
 		rate     = 0.10
 	)
-	rep, err := cash.MeasureResilience(w, requests, cash.Options{}, seed, rate)
+	rep, err := cash.MeasureResilienceWith(w, requests, cash.Options{},
+		cash.ResilienceConfig{Seed: seed, Rate: rate})
 	if err != nil {
 		return err
 	}
@@ -49,7 +50,8 @@ func run() error {
 	}
 
 	// Determinism: the same seed replays the exact same faults.
-	again, err := cash.MeasureResilience(w, requests, cash.Options{}, seed, rate)
+	again, err := cash.MeasureResilienceWith(w, requests, cash.Options{},
+		cash.ResilienceConfig{Seed: seed, Rate: rate})
 	if err != nil {
 		return err
 	}
@@ -59,7 +61,8 @@ func run() error {
 	fmt.Println("\nsecond run with the same seed: identical report (deterministic replay)")
 
 	// A different seed injects a different fault schedule.
-	other, err := cash.MeasureResilience(w, requests, cash.Options{}, seed+1, rate)
+	other, err := cash.MeasureResilienceWith(w, requests, cash.Options{},
+		cash.ResilienceConfig{Seed: seed + 1, Rate: rate})
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,7 @@
 // watch the serving layers work — the artifact cache compiles each
 // distinct program once (concurrent duplicates coalesce onto one
 // compile), the run cache replays deterministic executions without
-// re-simulating, machines are recycled through the pool, and a request
+// re-simulating, machines are built on recycled parts, and a request
 // canceled mid-simulation returns promptly without leaking anything.
 package main
 
@@ -109,9 +109,8 @@ func run() error {
 		return err
 	}
 	total := cash.Metrics().Delta(before)
-	fmt.Printf("pool: %d fresh machine(s), %d recycled; run cache hits: %d\n",
-		total.Counters["serve.pool.fresh"],
-		total.Counters["serve.pool.recycled"],
+	fmt.Printf("builds compiled: %d; run cache hits: %d\n",
+		total.Counters["serve.build.compiles"],
 		total.Counters["serve.cache.run_hits"])
 	return nil
 }

@@ -23,7 +23,7 @@ func run() error {
 		return fmt.Errorf("matmul40 workload missing")
 	}
 	fmt.Println("== three compilers on 40x40 matrix multiplication ==")
-	cmp, err := cash.Compare(w.Name, w.Source, cash.Options{SegRegs: 4})
+	cmp, err := cash.CompareStrategies(w.Name, w.Source, cash.CompareConfig{Options: cash.Options{SegRegs: 4}})
 	if err != nil {
 		return err
 	}
@@ -36,7 +36,7 @@ func run() error {
 
 	fmt.Println("== segment-register budget sweep (3 arrays in the loop) ==")
 	for _, regs := range []int{2, 3, 4} {
-		cmp, err := cash.Compare(w.Name, w.Source, cash.Options{SegRegs: regs})
+		cmp, err := cash.CompareStrategies(w.Name, w.Source, cash.CompareConfig{Options: cash.Options{SegRegs: regs}})
 		if err != nil {
 			return err
 		}

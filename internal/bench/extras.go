@@ -36,7 +36,7 @@ func ablationSegRegs(ctx context.Context, eng *serve.Engine) (*Table, error) {
 		w := ws[i]
 		row := []string{w.Paper}
 		for _, regs := range []int{2, 3, 4} {
-			cmp, err := eng.CompareContext(ctx, w.Name, w.Source, opt(core.Options{SegRegs: regs}))
+			cmp, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{SegRegs: regs})})
 			if err != nil {
 				return err
 			}
@@ -218,11 +218,11 @@ func boundInstrTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	t.Rows = make([][]string, len(ws))
 	err := eng.Do(len(ws), func(i int) error {
 		w := ws[i]
-		seq, err := eng.CompareContext(ctx, w.Name, w.Source, opt(core.Options{}))
+		seq, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{})})
 		if err != nil {
 			return err
 		}
-		bnd, err := eng.CompareContext(ctx, w.Name, w.Source, opt(core.Options{UseBoundInstr: true}))
+		bnd, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{UseBoundInstr: true})})
 		if err != nil {
 			return err
 		}
@@ -320,6 +320,7 @@ void main() {
 	if err != nil {
 		return "", err
 	}
+	defer m.Release()
 	if _, err := m.Run(); err != nil {
 		return "", err
 	}

@@ -16,17 +16,18 @@ import (
 // AllTables: the paper's tables are chaos-free, and keeping this table
 // separate keeps their goldens byte-identical.
 func ResilienceTable(requests int, seed uint64, rate float64) (*Table, error) {
-	return ResilienceTableContext(context.Background(), requests, seed, rate)
+	return ResilienceTableContext(context.Background(), serve.Default(), requests, seed, rate)
 }
 
-// ResilienceTableContext is ResilienceTable with cancellation. It
-// deliberately measures on a fresh private Engine rather than a
-// caller-supplied one, so the serve-layer metrics it publishes are a
-// pure function of (requests, seed, rate) — the property the metrics
-// golden checks.
-func ResilienceTableContext(ctx context.Context, requests int, seed uint64, rate float64) (*Table, error) {
+// ResilienceTableContext is ResilienceTable with cancellation and the
+// worker budget of eng. It deliberately measures on a fresh private
+// Engine rather than on eng itself, so the serve-layer metrics it
+// publishes are a pure function of (requests, seed, rate) — the
+// property the metrics golden checks.
+func ResilienceTableContext(ctx context.Context, eng *serve.Engine, requests int, seed uint64, rate float64) (*Table, error) {
 	plan := chaos.NewPlan(chaos.Config{Seed: seed, Rate: rate})
-	reps, err := netsim.MeasureAllResilienceContext(ctx, serve.NewEngine(serve.EngineConfig{}), requests, opt(core.Options{}), plan)
+	private := serve.NewEngine(serve.EngineConfig{Parallelism: eng.Parallelism()})
+	reps, err := netsim.MeasureAllResilienceContext(ctx, private, requests, opt(core.Options{}), plan)
 	if err != nil {
 		return nil, err
 	}

@@ -119,13 +119,13 @@ func Specs() []Spec {
 			Generate: func(ctx context.Context, eng *serve.Engine, _ int) (*Table, error) {
 				return strategyMatrix(ctx, eng)
 			}},
-		// The resilience generator deliberately ignores the caller's
-		// Engine: it measures on a fresh private one so its published
+		// The resilience generator takes only the caller's worker
+		// budget: it measures on a fresh private Engine so its published
 		// metrics delta is a pure function of (requests, seed, rate) —
 		// see netsim.MeasureResilience.
 		{ID: "resilience", Caption: "server resilience under deterministic fault injection", InAll: false,
-			Generate: func(ctx context.Context, _ *serve.Engine, requests int) (*Table, error) {
-				return ResilienceTableContext(ctx, requests, chaos.DefaultSeed, chaos.DefaultRate)
+			Generate: func(ctx context.Context, eng *serve.Engine, requests int) (*Table, error) {
+				return ResilienceTableContext(ctx, eng, requests, chaos.DefaultSeed, chaos.DefaultRate)
 			}},
 	}
 }

@@ -6,23 +6,9 @@ import (
 
 	"cash/internal/core"
 	"cash/internal/netsim"
-	"cash/internal/par"
 	"cash/internal/serve"
 	"cash/internal/workload"
 )
-
-// SetParallelism bounds how many experiments (table rows) run
-// concurrently; 1 forces fully sequential execution. Every table's
-// content is independent of the setting — rows are independent
-// deterministic simulations assembled in index order.
-//
-// Deprecated: the knob is process-wide. Give each serving Engine its
-// own budget with serve.EngineConfig.Parallelism instead; Engines with
-// no explicit budget keep honoring this setting.
-func SetParallelism(n int) { par.SetParallelism(n) }
-
-// Parallelism returns the current worker budget.
-func Parallelism() int { return par.Parallelism() }
 
 // Table1 reproduces the micro-benchmark comparison: per-kernel dynamic
 // hardware/software check counts and the execution-time overheads of Cash
@@ -51,7 +37,7 @@ func table1(ctx context.Context, eng *serve.Engine, segRegs int) (*Table, error)
 	t.Rows = make([][]string, len(ws))
 	err := eng.Do(len(ws), func(i int) error {
 		w := ws[i]
-		cmp, err := eng.CompareContext(ctx, w.Name, w.Source, opt(core.Options{SegRegs: segRegs}))
+		cmp, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{SegRegs: segRegs})})
 		if err != nil {
 			return err
 		}
@@ -173,7 +159,7 @@ func table3(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	err := eng.Do(len(cells), func(i int) error {
 		s := sweeps[i/perRow]
 		w := s.mk(s.sizes[i%perRow])
-		cmp, err := eng.CompareContext(ctx, w.Name, w.Source, opt(core.Options{SegRegs: 4}))
+		cmp, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{SegRegs: 4})})
 		if err != nil {
 			return err
 		}
@@ -262,7 +248,7 @@ func table5(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	t.Rows = make([][]string, len(ws))
 	err := eng.Do(len(ws), func(i int) error {
 		w := ws[i]
-		cmp, err := eng.CompareContext(ctx, w.Name, w.Source, opt(core.Options{}))
+		cmp, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{})})
 		if err != nil {
 			return err
 		}

@@ -92,6 +92,7 @@ func measure(emit func(b *vm.Builder)) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer m.Release()
 	res, err := m.Run()
 	if err != nil {
 		return 0, err

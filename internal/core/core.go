@@ -14,7 +14,6 @@ import (
 	"cash/internal/codegen"
 	"cash/internal/ir"
 	"cash/internal/ldt"
-	"cash/internal/mem"
 	"cash/internal/minic"
 	"cash/internal/obs"
 	"cash/internal/vm"
@@ -301,7 +300,8 @@ func (a *Artifact) DumpSuperblocks() string { return a.Program.DumpSuperblocks()
 // Disassemble renders the generated code.
 func (a *Artifact) Disassemble() string { return a.Program.Disassemble() }
 
-// NewMachine prepares a fresh machine for the artifact.
+// NewMachine prepares a machine for the artifact; release it with
+// Machine.Release after its last use.
 func (a *Artifact) NewMachine(extra ...vm.Option) (*vm.Machine, error) {
 	opts := make([]vm.Option, 0, 4+len(extra))
 	if a.opts.StepLimit > 0 {
@@ -334,42 +334,23 @@ type RunResult struct {
 	HeapSpan uint32
 }
 
-// partsPools recycles machine parts (memory arenas, MMU, LDT) between
-// runs, keyed by arena geometry so a pooled part set always fits the
-// program it is handed to. Arena zeroing dominates machine construction;
-// reusing reset parts removes it from the per-run cost.
-var partsPools sync.Map // mem.Geometry -> *sync.Pool
-
-func partsPoolFor(g mem.Geometry) *sync.Pool {
-	if p, ok := partsPools.Load(g); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := partsPools.LoadOrStore(g, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// Run executes the artifact on a fresh machine. Detected bound violations
+// Run executes the artifact on a new machine. Detected bound violations
 // are reported in the result, not as an error; any other fault is an
-// error. Machine parts are drawn from and returned to a geometry-keyed
-// pool; WithParts resets them before use, so each run still observes
-// fresh-machine semantics.
+// error. The machine is released after the run, so its parts are
+// recycled into the next one (reset first, so each run still observes
+// fresh-machine semantics).
 func (a *Artifact) Run(extra ...vm.Option) (*RunResult, error) {
-	pool := partsPoolFor(vm.GeometryFor(a.Program))
-	if p, ok := pool.Get().(vm.Parts); ok {
-		extra = append(extra[:len(extra):len(extra)], vm.WithParts(p))
-	}
 	m, err := a.NewMachine(extra...)
 	if err != nil {
 		return nil, err
 	}
-	res, runErr := a.RunOn(m)
-	pool.Put(m.Parts())
-	return res, runErr
+	defer m.Release()
+	return a.RunOn(m)
 }
 
 // RunOn executes the artifact on a machine the caller already prepared
-// (via NewMachine, possibly with recycled pooled parts) and classifies
-// the outcome exactly as Run does.
+// (via NewMachine) and classifies the outcome exactly as Run does. The
+// caller keeps ownership of the machine and releases it.
 func (a *Artifact) RunOn(m *vm.Machine) (*RunResult, error) {
 	res, runErr := m.Run()
 	out := &RunResult{Result: res, HeapSpan: m.HeapSpan()}
@@ -577,14 +558,6 @@ func CompareStrategiesUsing(r Runner, name, source string, cfg CompareConfig) (*
 // strategy set. This wrapper keeps working and compares gcc, bcc, cash.
 func Compare(name, source string, opts Options) (*Comparison, error) {
 	return CompareStrategies(name, source, CompareConfig{Options: opts})
-}
-
-// CompareUsing is Compare with the build/run steps delegated to r.
-//
-// Deprecated: Use CompareStrategiesUsing. This wrapper keeps working and
-// compares gcc, bcc, cash.
-func CompareUsing(r Runner, name, source string, opts Options) (*Comparison, error) {
-	return CompareStrategiesUsing(r, name, source, CompareConfig{Options: opts})
 }
 
 func sameOutput(a, b []int32) error {

@@ -66,7 +66,7 @@ func Measure(w workload.Workload, requests int, opts core.Options) (*AppReport, 
 }
 
 // MeasureContext is Measure through an explicit Engine: builds are
-// served from the artifact cache, handler executions from pooled
+// served from the artifact cache, handler executions from recycled
 // machines and the run cache, and ctx cancels between (and inside)
 // runs.
 func MeasureContext(ctx context.Context, eng *serve.Engine, w workload.Workload, requests int, opts core.Options) (*AppReport, error) {

@@ -182,16 +182,14 @@ type cleanRun struct {
 // quantities every subsequent clean request reuses (the machine is
 // deterministic, so one execution is exact for all of them). It runs
 // the machine directly — not through the Engine's run cache — so the
-// core.runs accounting counts this execution exactly once, and recycles
-// the machine's parts through the server's local pool.
-func runClean(art *core.Artifact, budget uint64, pool *serve.LocalPool) (*cleanRun, error) {
-	opts := append(pool.Options(art.Program), vm.WithStepLimit(budget))
-	m, err := art.NewMachine(opts...)
+// core.runs accounting counts this execution exactly once.
+func runClean(art *core.Artifact, budget uint64) (*cleanRun, error) {
+	m, err := art.NewMachine(vm.WithStepLimit(budget))
 	if err != nil {
 		return nil, err
 	}
 	res, runErr := m.Run()
-	pool.Put(m)
+	m.Release()
 	cr := &cleanRun{cycles: res.Cycles, instrs: res.Stats.Instructions, output: res.Output}
 	if runErr != nil {
 		var f *vm.Fault
@@ -225,9 +223,8 @@ type modeServer struct {
 	window      []bool // ring of recent outcome.bad() flags
 	windowBad   int
 	mr          *ModeResilience
-	lat         *obs.Histogram   // served-request latencies, in cycles
-	tr          *obs.Trace       // resilience decision trace (nil when off)
-	pool        *serve.LocalPool // per-server machine recycler (nil = pooling off)
+	lat         *obs.Histogram // served-request latencies, in cycles
+	tr          *obs.Trace     // resilience decision trace (nil when off)
 	shedArmed   bool
 	sinceDegron int // requests since entering degraded mode, for probing
 }
@@ -340,7 +337,7 @@ func (s *modeServer) ensureFlat(ctx context.Context, eng *serve.Engine, source s
 		return
 	}
 	s.flatArt = art
-	cr, err := runClean(art, s.budget, s.pool)
+	cr, err := runClean(art, s.budget)
 	if err != nil {
 		s.flatErr = err
 		return
@@ -366,19 +363,19 @@ func (s *modeServer) serveInjected(req int, inj chaos.Injection) (requestOutcome
 			// served by the flat handler.
 			return outcomeDegraded, s.flatClean.cycles + backoff
 		}
-		m, err := s.art.NewMachine(append(s.pool.Options(s.art.Program), opts...)...)
+		m, err := s.art.NewMachine(opts...)
 		if err != nil {
 			return outcomeDetected, 0
 		}
 		res, runErr := m.Run()
 		// The machine's last use is the post-run invariant check; after it
-		// the parts go back to the local pool no matter how the run ended
-		// (reset-on-reuse erases any injected damage).
+		// the parts are released no matter how the run ended (reset-on-
+		// reuse erases any injected damage).
 		var invErr error
 		if runErr == nil {
 			invErr = m.LDTManager().CheckInvariants()
 		}
-		s.pool.Put(m)
+		m.Release()
 		latency := res.Cycles + backoff
 		if runErr != nil {
 			var f *vm.Fault
@@ -541,8 +538,7 @@ func measureModeResilience(ctx context.Context, eng *serve.Engine, w workload.Wo
 	if budget == 0 {
 		budget = DefaultCleanBudget
 	}
-	pool := eng.NewLocalPool()
-	clean, err := runClean(art, budget, pool)
+	clean, err := runClean(art, budget)
 	if err != nil {
 		return ModeResilience{}, err
 	}
@@ -556,7 +552,6 @@ func measureModeResilience(ctx context.Context, eng *serve.Engine, w workload.Wo
 		mr:     &mr,
 		lat:    obs.NewCycleHistogram(),
 		tr:     eng.EventTrace(),
-		pool:   pool,
 	}
 	if mode == core.ModeCash {
 		s.sites = chaos.AllSites()

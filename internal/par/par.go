@@ -49,7 +49,7 @@ func Do(n int, f func(i int) error) error {
 
 // DoN is Do with an explicit worker budget instead of the process-wide
 // one. The serving engine uses it to give each Engine its own
-// parallelism, independent of the deprecated global knob.
+// parallelism, independent of the process-wide default.
 func DoN(budget, n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil

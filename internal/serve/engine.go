@@ -1,16 +1,16 @@
 // Package serve is the serving runtime of the reproduction: an Engine
 // that owns every piece of cross-request state the per-call API
 // (core.Build, Artifact.Run) rebuilds from scratch — a content-addressed
-// artifact cache with singleflight build deduplication, a pool of
-// recyclable machine parts (memory arenas, MMU descriptor tables, LDT
-// manager free lists), and admission control bounding concurrent
-// requests. The paper amortizes Cash's fixed costs (§4.1 per-program and
-// per-array setup) across many references; the Engine amortizes the
-// host-side analogues — compilation and arena allocation — across many
-// requests.
+// artifact cache with singleflight build deduplication, a run cache for
+// deterministic executions, and admission control bounding concurrent
+// requests. Machines come from the vm package's parts recycler, which
+// every caller shares. The paper amortizes Cash's fixed costs (§4.1
+// per-program and per-array setup) across many references; the Engine
+// amortizes the host-side analogues — compilation and arena allocation
+// — across many requests.
 //
 // Everything the Engine does is observable through the shared
-// internal/obs registry (serve.cache.*, serve.build.*, serve.pool.*,
+// internal/obs registry (serve.cache.*, serve.build.*,
 // serve.admission.*) and none of it changes any simulated number: a
 // cache-hit artifact is the same artifact, a recycled machine is reset
 // to exactly the fresh-build state (pinned by equivalence tests), and
@@ -21,7 +21,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"cash/internal/core"
 	"cash/internal/obs"
@@ -40,11 +39,6 @@ var (
 	mBuildCompiles  = obs.Default().Counter("serve.build.compiles")
 	mBuildCoalesced = obs.Default().Counter("serve.build.coalesced")
 
-	mPoolRecycled = obs.Default().Counter("serve.pool.recycled")
-	mPoolFresh    = obs.Default().Counter("serve.pool.fresh")
-	mPoolReturned = obs.Default().Counter("serve.pool.returned")
-	mPoolDropped  = obs.Default().Counter("serve.pool.dropped")
-
 	mAdmWaits    = obs.Default().Counter("serve.admission.waits")
 	mAdmCanceled = obs.Default().Counter("serve.admission.canceled")
 )
@@ -59,10 +53,6 @@ var ErrEngineClosed = errors.New("serve: engine closed")
 // EngineConfig.CacheBytes is zero.
 const DefaultCacheBytes = 64 << 20
 
-// DefaultPoolSize is the machine-parts pool capacity when
-// EngineConfig.PoolSize is zero.
-const DefaultPoolSize = 8
-
 // DefaultStoreBytes is the on-disk store budget when
 // EngineConfig.StoreBytes is zero and a StoreDir is configured.
 const DefaultStoreBytes = 1 << 30
@@ -75,20 +65,15 @@ type EngineConfig struct {
 	// CacheBytes bounds the artifact + run-result cache. 0 means
 	// DefaultCacheBytes; negative disables caching entirely.
 	CacheBytes int64
-	// PoolSize bounds how many machine part sets are kept for recycling.
-	// 0 means DefaultPoolSize; negative disables pooling.
-	PoolSize int
 	// MaxInFlight bounds concurrently admitted requests. 0 derives the
 	// bound from Parallelism.
 	MaxInFlight int
-	// Parallelism is the worker budget for this Engine's table fan-outs,
-	// replacing the deprecated process-wide bench.SetParallelism. 0
-	// inherits the global setting (dynamically — later SetParallelism
-	// calls are honored).
+	// Parallelism is the worker budget for this Engine's table fan-outs.
+	// 0 inherits the process-wide default (GOMAXPROCS).
 	Parallelism int
 	// EventTrace receives the Engine's consumers' structured events
 	// (netsim serving decisions). Nil inherits the process default trace
-	// (obs.DefaultTrace), again dynamically.
+	// (obs.DefaultTrace), dynamically.
 	EventTrace *obs.Trace
 	// StoreDir, when non-empty, roots a content-addressed on-disk store
 	// layered under the in-memory cache: compiled artifacts and
@@ -101,13 +86,6 @@ type EngineConfig struct {
 	// StoreBytes bounds the on-disk store. 0 means DefaultStoreBytes;
 	// negative means unlimited.
 	StoreBytes int64
-	// Snapshots enables copy-on-write machine snapshots: the first
-	// machine built for an artifact is snapshotted after construction
-	// and later machines are cloned from the snapshot with lazy page
-	// copying instead of re-zeroing arenas and replaying setup. Clones
-	// are pinned byte-identical to fresh machines (equivalence tests at
-	// the vm and serve layers). Off by default.
-	Snapshots bool
 }
 
 // Engine owns all cross-request serving state. Engines are safe for
@@ -115,13 +93,7 @@ type EngineConfig struct {
 type Engine struct {
 	cfg   EngineConfig
 	cache *cache
-	pool  *pool
 	adm   admission
-	// snaps memoises one machine snapshot per compiled program (lazily,
-	// on first NewMachine with Snapshots enabled). Keyed by the Program
-	// pointer so canonical artifacts and their trace-bearing clones —
-	// which share the Program — share the snapshot.
-	snaps sync.Map // *vm.Program -> *snapEntry
 }
 
 // NewEngine returns an Engine for the given configuration. A StoreDir
@@ -162,13 +134,6 @@ func Open(cfg EngineConfig) (*Engine, error) {
 			e.cache = newCache(budget)
 		}
 	}
-	if cfg.PoolSize >= 0 {
-		size := cfg.PoolSize
-		if size == 0 {
-			size = DefaultPoolSize
-		}
-		e.pool = newPool(size)
-	}
 	return e, nil
 }
 
@@ -177,7 +142,7 @@ func Open(cfg EngineConfig) (*Engine, error) {
 // the same error immediately, and Close blocks until every admitted
 // request has finished and released its slot (the drain). Close is
 // idempotent and safe to call concurrently; every call returns only
-// once the engine is drained. The caches and pool are left intact so
+// once the engine is drained. The caches are left intact so
 // in-flight requests finish normally; they are simply unreachable once
 // the last reference to the Engine drops.
 func (e *Engine) Close() error {
@@ -201,8 +166,8 @@ var defaultEngine = NewEngine(EngineConfig{})
 // (cash.Build, bench.Table1, …) share.
 func Default() *Engine { return defaultEngine }
 
-// parallelism resolves this Engine's worker budget.
-func (e *Engine) parallelism() int {
+// Parallelism resolves this Engine's worker budget.
+func (e *Engine) Parallelism() int {
 	if e.cfg.Parallelism > 0 {
 		return e.cfg.Parallelism
 	}
@@ -214,7 +179,7 @@ func (e *Engine) limit() int {
 	if e.cfg.MaxInFlight > 0 {
 		return e.cfg.MaxInFlight
 	}
-	if p := e.parallelism(); p > 1 {
+	if p := e.Parallelism(); p > 1 {
 		return p
 	}
 	return 1
@@ -225,7 +190,7 @@ func (e *Engine) limit() int {
 // themselves — internal waits would make the serve.admission.waits
 // counter scheduling-dependent.
 func (e *Engine) workers() int {
-	p := e.parallelism()
+	p := e.Parallelism()
 	if l := e.limit(); l < p {
 		p = l
 	}
@@ -321,95 +286,16 @@ func withTrace(art *core.Artifact, tr *obs.Trace) *core.Artifact {
 	return art.WithEventTrace(tr)
 }
 
-// NewMachine prepares a machine for the artifact, recycling pooled
-// parts when available. The returned release func hands the machine's
-// parts back to the pool; it is idempotent, but must not be called
-// before the machine's last use.
+// NewMachine prepares a machine for the artifact; its parts come from
+// the vm recycler when a released set fits. The returned release func
+// is the machine's Release: idempotent, and not to be called before
+// the machine's last use.
 func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine, func(), error) {
-	var opts []vm.Option
-	g := vm.GeometryFor(art.Program)
-	if e.pool != nil {
-		if parts, ok := e.pool.get(g); ok {
-			mPoolRecycled.Inc()
-			opts = []vm.Option{vm.WithParts(parts)}
-		} else {
-			mPoolFresh.Inc()
-		}
-	}
-	m, err := e.newMachine(art, opts, extra)
+	m, err := art.NewMachine(extra...)
 	if err != nil {
 		return nil, nil, err
 	}
-	released := false
-	release := func() {
-		if released || e.pool == nil {
-			released = true
-			return
-		}
-		released = true
-		if e.pool.put(g, m.Parts()) {
-			mPoolReturned.Inc()
-		} else {
-			mPoolDropped.Inc()
-		}
-	}
-	return m, release, nil
-}
-
-// newMachine constructs the machine for an artifact — from the
-// artifact's warmed snapshot when snapshots are enabled and the
-// artifact supports them, else the ordinary fresh-build path. Both
-// paths accept pooled parts and produce machines pinned byte-identical
-// to each other.
-func (e *Engine) newMachine(art *core.Artifact, opts, extra []vm.Option) (*vm.Machine, error) {
-	if e.cfg.Snapshots {
-		if snap := e.snapshotFor(art); snap != nil {
-			sopts := make([]vm.Option, 0, len(opts)+len(extra)+1)
-			if tr := art.Options().EventTrace; tr != nil {
-				// The snapshot source is trace-free (traces observe a
-				// machine's life from construction, so a snapshot cannot
-				// carry one); a trace-bearing clone attaches its trace here.
-				sopts = append(sopts, vm.WithEventTrace(tr))
-			}
-			sopts = append(sopts, opts...)
-			sopts = append(sopts, extra...)
-			if m, err := snap.NewMachine(sopts...); err == nil {
-				return m, nil
-			}
-			// An option the snapshot cannot honor (paging, chaos, …):
-			// fall through to the fresh-build path. Option validation
-			// happens before any pooled part is touched, so the parts in
-			// opts are still clean.
-		}
-	}
-	return art.NewMachine(append(opts[:len(opts):len(opts)], extra...)...)
-}
-
-// snapEntry memoises one program's snapshot; the once makes the first
-// requester build it while concurrent requesters wait.
-type snapEntry struct {
-	once sync.Once
-	snap *vm.Snapshot
-}
-
-// snapshotFor returns the warmed snapshot for the artifact's program,
-// building it on first use. A nil return means the artifact cannot be
-// snapshotted (paging, electric fence, …) — that verdict is memoised
-// too, so the probe costs one machine build ever.
-func (e *Engine) snapshotFor(art *core.Artifact) *vm.Snapshot {
-	v, _ := e.snaps.LoadOrStore(art.Program, &snapEntry{})
-	ent := v.(*snapEntry)
-	ent.once.Do(func() {
-		// Snapshot a trace-free machine even when the triggering request
-		// carries a trace: the snapshot is shared by every future
-		// request for this program, traced or not.
-		m, err := art.WithEventTrace(nil).NewMachine()
-		if err != nil {
-			return
-		}
-		ent.snap, _ = m.Snapshot()
-	})
-	return ent.snap
+	return m, m.Release, nil
 }
 
 // RunContext executes the artifact once, honoring ctx between simulated
@@ -444,12 +330,12 @@ func (e *Engine) runNoAdmission(ctx context.Context, art *core.Artifact) (*core.
 			return res, err
 		}
 	}
-	m, release, err := e.NewMachine(art, vm.WithCancel(ctx))
+	m, err := art.NewMachine(vm.WithCancel(ctx))
 	if err != nil {
 		return nil, err
 	}
 	res, runErr := art.RunOn(m)
-	release()
+	m.Release()
 	if f := (*vm.Fault)(nil); errors.As(runErr, &f) && f.Kind == vm.FaultCanceled {
 		return nil, ctx.Err()
 	}
@@ -462,9 +348,9 @@ func (e *Engine) runNoAdmission(ctx context.Context, art *core.Artifact) (*core.
 	return res, runErr
 }
 
-// engineRunner adapts the Engine to core.Runner for CompareContext.
-// The comparison holds one admission slot for its whole six-step
-// build/run sequence, so the internal steps never queue.
+// engineRunner adapts the Engine to core.Runner for
+// CompareStrategiesContext. The comparison holds one admission slot for
+// its whole build/run sequence, so the internal steps never queue.
 type engineRunner struct {
 	ctx context.Context
 	e   *Engine
@@ -480,22 +366,11 @@ func (r engineRunner) RunArtifact(art *core.Artifact) (*core.RunResult, error) {
 
 // CompareStrategiesContext is core.CompareStrategies through the
 // Engine: every strategy's build and run is served from the caches and
-// pooled machines, under one admission slot.
+// recycled machines, under one admission slot.
 func (e *Engine) CompareStrategiesContext(ctx context.Context, name, source string, cfg core.CompareConfig) (*core.Comparison, error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, err
 	}
 	defer e.release()
 	return core.CompareStrategiesUsing(engineRunner{ctx: ctx, e: e}, name, source, cfg)
-}
-
-// CompareContext is core.Compare through the Engine: the three classic
-// modes' builds and runs are served from the caches and pooled
-// machines, under one admission slot.
-//
-// Deprecated: Use CompareStrategiesContext, which accepts any
-// registered strategy set. This wrapper keeps working and compares
-// gcc, bcc, cash.
-func (e *Engine) CompareContext(ctx context.Context, name, source string, opts core.Options) (*core.Comparison, error) {
-	return e.CompareStrategiesContext(ctx, name, source, core.CompareConfig{Options: opts})
 }

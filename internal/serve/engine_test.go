@@ -10,10 +10,12 @@ import (
 	"time"
 
 	"cash/internal/core"
+	"cash/internal/mem"
 	"cash/internal/obs"
+	"cash/internal/vm"
 )
 
-// Small deterministic kernels for cache/pool tests. Each test that
+// Small deterministic kernels for cache and admission tests. Each test that
 // counts global metrics snapshots them before and after, so the tests
 // compose with anything else the package (or a cached engine) did.
 const sumKernel = `
@@ -68,10 +70,10 @@ func mustRun(t *testing.T, e *Engine, art *core.Artifact) *core.RunResult {
 
 // TestCacheHitIsByteIdentical pins the core cache contract: a cached
 // build is the same artifact, a cached run is indistinguishable from a
-// real one, and both match an engine with caching and pooling disabled.
+// real one, and both match an engine with caching disabled.
 func TestCacheHitIsByteIdentical(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
-	cold := NewEngine(EngineConfig{CacheBytes: -1, PoolSize: -1})
+	cold := NewEngine(EngineConfig{CacheBytes: -1})
 	for _, mode := range []core.Mode{core.ModeGCC, core.ModeBCC, core.ModeCash} {
 		art1 := mustBuild(t, eng, heapKernel, mode, core.Options{})
 		art2 := mustBuild(t, eng, heapKernel, mode, core.Options{})
@@ -157,7 +159,7 @@ func TestCacheErrorOutcomesAreCached(t *testing.T) {
 // checks the LRU actually evicts (while always retaining the newest
 // entry, so a hot artifact larger than the whole budget still serves).
 func TestCacheEvictionUnderTinyBudget(t *testing.T) {
-	eng := NewEngine(EngineConfig{CacheBytes: 1, PoolSize: -1})
+	eng := NewEngine(EngineConfig{CacheBytes: 1})
 	evictions := counter("serve.cache.evictions")
 	compiles := counter("serve.build.compiles")
 	sources := make([]string, 4)
@@ -252,64 +254,71 @@ func TestBuildErrorsPropagateToWaiters(t *testing.T) {
 	}
 }
 
-// TestPooledMachineEquivalence pins the pool's core guarantee: a run on
-// recycled machine parts is indistinguishable from a run on fresh ones,
-// for all three modes and across programs of different geometry sharing
-// one pool. The run cache is disabled so every run really simulates.
+// TestPooledMachineEquivalence pins reuse at the Engine layer: a machine
+// from Engine.NewMachine that runs on parts another program dirtied and
+// released is indistinguishable from one built fresh, for all three
+// modes, with each of two programs as the earlier tenant.
 func TestPooledMachineEquivalence(t *testing.T) {
-	eng := NewEngine(EngineConfig{CacheBytes: -1, PoolSize: 2})
+	eng := NewEngine(EngineConfig{CacheBytes: -1})
 	for _, mode := range []core.Mode{core.ModeGCC, core.ModeBCC, core.ModeCash} {
 		artA := mustBuild(t, eng, heapKernel, mode, core.Options{})
 		artB := mustBuild(t, eng, sumKernel, mode, core.Options{})
-		recycled := counter("serve.pool.recycled")
-		freshA := mustRun(t, eng, artA) // fresh parts, returned to pool
-		freshB := mustRun(t, eng, artB)
-		for i := 0; i < 3; i++ {
-			if got := mustRun(t, eng, artA); !reflect.DeepEqual(freshA, got) {
-				t.Fatalf("[%v] recycled run %d differs from fresh run:\n%+v\nvs\n%+v", mode, i, freshA, got)
+		for _, pair := range [][2]*core.Artifact{{artA, artB}, {artB, artA}} {
+			tenant, reader := pair[0], pair[1]
+			want, _ := runHeld(t, eng, reader, mode)
+			_, dirtied := runHeld(t, eng, tenant, mode)
+			for i := 0; i < 3; i++ {
+				m, release, err := eng.NewMachine(reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !dirtied[m.Memory()] {
+					t.Fatalf("[%v] machine %d did not reuse the tenant's parts; the equivalence was tested against nothing", mode, i)
+				}
+				got, err := m.Run()
+				release()
+				if err != nil {
+					t.Fatalf("[%v] recycled machine %d: %v", mode, i, err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("[%v] recycled run %d differs from fresh run:\n%+v\nvs\n%+v", mode, i, want, got)
+				}
 			}
-			if got := mustRun(t, eng, artB); !reflect.DeepEqual(freshB, got) {
-				t.Fatalf("[%v] recycled run %d differs from fresh run (B):\n%+v", mode, i, got)
-			}
-		}
-		if counter("serve.pool.recycled") == recycled {
-			t.Fatalf("[%v] no machine was recycled; the equivalence was tested against nothing", mode)
 		}
 	}
 }
 
-// TestPoolConcurrentHammer exercises the pool from many goroutines
-// under -race: interleaved runs of two different programs must all
-// produce their own program's exact result.
-func TestPoolConcurrentHammer(t *testing.T) {
-	eng := NewEngine(EngineConfig{CacheBytes: -1, PoolSize: 2, MaxInFlight: 8})
-	artA := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
-	artB := mustBuild(t, eng, sumKernel, core.ModeCash, core.Options{})
-	wantA := mustRun(t, eng, artA)
-	wantB := mustRun(t, eng, artB)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				art, want := artA, wantA
-				if (g+i)%2 == 0 {
-					art, want = artB, wantB
-				}
-				got, err := eng.RunContext(context.Background(), art)
-				if err != nil {
-					t.Errorf("goroutine %d run %d: %v", g, i, err)
-					return
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("goroutine %d run %d: result differs", g, i)
-					return
-				}
-			}
-		}(g)
+// runHeld runs art on more machines at once than the vm recycler can
+// store (its bound is 8), so at least one of them is built fresh, checks
+// that every run agrees, then releases them all. It returns the result
+// and the memories it released.
+func runHeld(t *testing.T, eng *Engine, art *core.Artifact, mode core.Mode) (*vm.Result, map[*mem.Memory]bool) {
+	t.Helper()
+	const held = 9
+	var want *vm.Result
+	released := map[*mem.Memory]bool{}
+	var releases []func()
+	for i := 0; i < held; i++ {
+		m, release, err := eng.NewMachine(art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Run()
+		if err != nil {
+			t.Fatalf("[%v] held machine %d: %v", mode, i, err)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(want, got) {
+			t.Fatalf("[%v] held machine %d differs:\n%+v\nvs\n%+v", mode, i, want, got)
+		}
+		released[m.Memory()] = true
+		releases = append(releases, release)
 	}
-	wg.Wait()
+	for _, release := range releases {
+		release()
+	}
+	return want, released
 }
 
 // TestRunContextCancellation checks that canceling mid-simulation
@@ -363,7 +372,7 @@ func TestBuildContextPreCanceled(t *testing.T) {
 // one-slot engine: a second request waits, a canceled waiter leaves the
 // queue (counted), and the slot is handed on intact.
 func TestAdmissionQueuesAndCancels(t *testing.T) {
-	eng := NewEngine(EngineConfig{MaxInFlight: 1, CacheBytes: -1, PoolSize: -1})
+	eng := NewEngine(EngineConfig{MaxInFlight: 1, CacheBytes: -1})
 	waits := counter("serve.admission.waits")
 	canceled := counter("serve.admission.canceled")
 
@@ -417,14 +426,15 @@ func TestAdmissionQueuesAndCancels(t *testing.T) {
 }
 
 // TestCompareContextMatchesPlainCompare: the engine-served comparison
-// is the plain one, byte for byte.
+// (CompareStrategiesContext) is the plain core.CompareStrategies one,
+// byte for byte.
 func TestCompareContextMatchesPlainCompare(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
-	want, err := core.Compare("heap", heapKernel, core.Options{})
+	want, err := core.CompareStrategies("heap", heapKernel, core.CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.CompareContext(context.Background(), "heap", heapKernel, core.Options{})
+	got, err := eng.CompareStrategiesContext(context.Background(), "heap", heapKernel, core.CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

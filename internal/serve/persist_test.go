@@ -88,8 +88,8 @@ func TestPersistRestartWarm(t *testing.T) {
 	}
 
 	// Ground truth: the disk-served outcome equals a from-scratch engine
-	// with caching and pooling disabled.
-	cold := mustOpen(t, EngineConfig{CacheBytes: -1, PoolSize: -1})
+	// with caching disabled.
+	cold := mustOpen(t, EngineConfig{CacheBytes: -1})
 	resCold := mustRun(t, cold, mustBuild(t, cold, heapKernel, core.ModeCash, core.Options{}))
 	if !reflect.DeepEqual(res2, resCold) {
 		t.Fatalf("disk-served result differs from cache-disabled engine:\n%+v\nvs\n%+v", res2, resCold)
@@ -161,42 +161,6 @@ func TestPersistCorruptionIsMissNotError(t *testing.T) {
 	}
 }
 
-// TestSnapshotEngineEquivalence pins the snapshot fast path at the
-// serve layer: an engine cloning machines from copy-on-write snapshots
-// produces results byte-identical to one building machines from
-// scratch, across strategies, tiers, and violation outcomes.
-func TestSnapshotEngineEquivalence(t *testing.T) {
-	snapEng := mustOpen(t, EngineConfig{Snapshots: true, CacheBytes: -1})
-	plain := mustOpen(t, EngineConfig{CacheBytes: -1, PoolSize: -1})
-	cases := []struct {
-		src  string
-		mode core.Mode
-		opts core.Options
-	}{
-		{heapKernel, core.ModeGCC, core.Options{}},
-		{heapKernel, core.ModeCash, core.Options{}},
-		{heapKernel, core.ModeCash, core.Options{Tier2: true}},
-		{violationKernel, core.ModeCash, core.Options{}},
-	}
-	clones := counter("vm.snapshot.clones")
-	for _, tc := range cases {
-		want := mustRun(t, plain, mustBuild(t, plain, tc.src, tc.mode, tc.opts))
-		art := mustBuild(t, snapEng, tc.src, tc.mode, tc.opts)
-		// CacheBytes: -1 disables run memoisation, so every call below is
-		// a real simulation on a fresh snapshot clone.
-		for i := 0; i < 2; i++ {
-			got := mustRun(t, snapEng, art)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("[%v %+v] snapshot run %d differs:\n%+v\nvs\n%+v",
-					tc.mode, tc.opts, i, want, got)
-			}
-		}
-	}
-	if counter("vm.snapshot.clones") == clones {
-		t.Fatal("snapshot engine never cloned a snapshot")
-	}
-}
-
 // TestMemStoreReplacementAccounting is the regression test for the
 // size-accounting leak: re-inserting a key replaces the old entry's
 // bytes instead of adding to them, replacement never counts as an
@@ -248,12 +212,11 @@ func TestMemStoreReplacementAccounting(t *testing.T) {
 	}
 }
 
-// benchRun measures RunContext throughput on one cached artifact with
-// run memoisation off, so every iteration builds (or clones) a machine
-// and simulates for real — the machine-construction fast paths are what
-// separate the variants.
-func benchRun(b *testing.B, cfg EngineConfig) {
-	eng, err := Open(cfg)
+// BenchmarkRunRecycledMachine measures RunContext throughput on one
+// cached artifact with run memoisation off, so every iteration builds a
+// machine on recycled parts and simulates for real.
+func BenchmarkRunRecycledMachine(b *testing.B) {
+	eng, err := Open(EngineConfig{CacheBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -270,16 +233,4 @@ func benchRun(b *testing.B, cfg EngineConfig) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkRunFreshMachine(b *testing.B) {
-	benchRun(b, EngineConfig{CacheBytes: -1, PoolSize: -1})
-}
-
-func BenchmarkRunPooledMachine(b *testing.B) {
-	benchRun(b, EngineConfig{CacheBytes: -1})
-}
-
-func BenchmarkRunSnapshotClone(b *testing.B) {
-	benchRun(b, EngineConfig{CacheBytes: -1, Snapshots: true})
 }

@@ -11,6 +11,7 @@ import (
 
 	"cash/internal/bench"
 	"cash/internal/chaos"
+	"cash/internal/core"
 	"cash/internal/obs"
 	"cash/internal/serve"
 )
@@ -434,7 +435,7 @@ func (s *Server) execute(ctx context.Context, t *task) (any, error) {
 		if err := decode(t.body, &req); err != nil {
 			return nil, err
 		}
-		cmp, err := s.eng.CompareContext(ctx, req.Name, req.Source, req.Options.Options())
+		cmp, err := s.eng.CompareStrategiesContext(ctx, req.Name, req.Source, core.CompareConfig{Options: req.Options.Options()})
 		if err != nil {
 			return nil, buildErr(ctx, err)
 		}

@@ -504,20 +504,41 @@ func TestServerPanicIsolation(t *testing.T) {
 
 func TestServerGracefulDrain(t *testing.T) {
 	checkGoroutines(t)
+	// The in-flight request is held at the head of its execution until
+	// the drain probe below has its answer. Otherwise it could finish
+	// first, the drain would complete, and the probe frame — still
+	// unread on cB — would be dropped with the connection. The hold,
+	// not a slow program, keeps the request in flight.
 	started := make(chan struct{})
-	var once sync.Once
+	hold := make(chan struct{})
+	unhold := sync.OnceFunc(func() { close(hold) })
+	defer unhold()
+	var holdNext atomic.Bool
 	s, l := startServer(t, Config{
-		execHook: func(t *task) { once.Do(func() { close(started) }) },
+		execHook: func(t *task) {
+			if holdNext.CompareAndSwap(true, false) {
+				close(started)
+				<-hold
+			}
+		},
 	})
 	cA := dialClient(t, l)
 	cB := dialClient(t, l)
 	ctx := ctxT(t, 60*time.Second)
+	// A round trip on cB first: a connection the server has accepted but
+	// not yet registered when the drain begins is closed unserved, so
+	// the probe must travel on a connection known to be live. (gcc, so
+	// the in-flight cash run below is not a run-cache hit.)
+	if _, err := cB.Run(ctx, RunRequest{Source: srcQuick, Mode: "gcc"}); err != nil {
+		t.Fatalf("warm-up on cB: %v", err)
+	}
+	holdNext.Store(true)
 
 	inFlight := make(chan error, 1)
 	var resp *RunResponse
 	go func() {
 		var err error
-		resp, err = cA.Run(ctx, RunRequest{Source: slowSource(2), Mode: "cash", Options: bigStep})
+		resp, err = cA.Run(ctx, RunRequest{Source: srcQuick, Mode: "cash"})
 		inFlight <- err
 	}()
 	<-started
@@ -538,6 +559,7 @@ func TestServerGracefulDrain(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != CodeShutdown {
 		t.Fatalf("request during drain: err=%v, want typed %s", err, CodeShutdown)
 	}
+	unhold()
 
 	// The in-flight request finishes and its response is flushed.
 	if err := <-inFlight; err != nil {

@@ -188,27 +188,6 @@ func WithCancel(ctx context.Context) Option {
 	return func(m *Machine) { m.ctx = ctx }
 }
 
-// Parts is the reusable allocation-heavy state of a machine: the dense
-// physical memory arenas, the MMU with its descriptor tables, and the
-// LDT manager with its 8191-entry free list. A serving layer recycles
-// Parts across runs via WithParts; everything else about a Machine is
-// cheap per-run state.
-type Parts struct {
-	Mem *mem.Memory
-	MMU *x86seg.MMU
-	LDT *ldt.Manager
-}
-
-// WithParts makes New reuse previously allocated machine parts instead
-// of allocating fresh ones, provided the memory geometry matches
-// GeometryFor(prog) (otherwise the parts are ignored and fresh state is
-// allocated). The parts are Reset to their pristine state first, so a
-// recycled machine is observationally identical to a fresh one — the
-// pool equivalence tests pin this.
-func WithParts(p Parts) Option {
-	return func(m *Machine) { m.reuse = p }
-}
-
 // Fault-injection mechanism options. Each implements one chaos Site
 // (internal/chaos); the netsim resilience harness composes them. They are
 // inert unless explicitly requested, so the standard benchmark paths are
@@ -274,8 +253,8 @@ func WithElectricFence() Option {
 	return func(m *Machine) { m.efence = true }
 }
 
-// Machine executes a Program. Create one per run with New; machines are
-// not safe for concurrent use.
+// Machine executes a Program. Create one per run with New and Release
+// it after its last use; machines are not safe for concurrent use.
 type Machine struct {
 	prog *Program
 	mode Mode
@@ -296,7 +275,6 @@ type Machine struct {
 	stepLimit uint64
 	ctx       context.Context // nil unless WithCancel
 	nextStop  uint64          // next instruction count to pause at (step limit or cancel poll)
-	reuse     Parts           // candidate recycled state from WithParts
 	noGate    bool
 	efence    bool
 	plain     bool            // no paging, no trace: memory fast path applies
@@ -308,7 +286,6 @@ type Machine struct {
 	bnd      map[uint32][2]uint32
 	halted   bool
 	exitCode int32
-	cloned   bool // built from a Snapshot: publish COW-page deltas
 
 	// Tier-2 state (see superblock.go): the shared superblock table and
 	// this machine's entry/deopt/retired tallies.
@@ -360,12 +337,12 @@ func New(prog *Program, mode Mode, opts ...Option) (*Machine, error) {
 	if m.tier2 {
 		m.sbt = prog.superblocks()
 	}
-	// Recycle pooled parts when their memory geometry matches this
-	// program; otherwise (or with no parts) allocate fresh. Reset before
-	// use makes a recycled machine indistinguishable from a fresh one.
-	if g := GeometryFor(prog); m.reuse.Mem != nil && m.reuse.MMU != nil &&
-		m.reuse.LDT != nil && m.reuse.Mem.Geometry() == g {
-		m.memory, m.mmu, m.ldtMgr = m.reuse.Mem, m.reuse.MMU, m.reuse.LDT
+	// Recycle released parts when some match this program's memory
+	// geometry; otherwise allocate fresh. Reset before use makes a
+	// recycled machine indistinguishable from a fresh one.
+	g := GeometryFor(prog)
+	if p, ok := takeParts(g); ok {
+		m.memory, m.mmu, m.ldtMgr = p.mem, p.mmu, p.ldt
 		m.memory.Reset()
 		m.mmu.Reset()
 		m.ldtMgr.Reset(m.mmu.LDT())
@@ -448,8 +425,8 @@ const (
 
 // GeometryFor returns the arena layout a machine for prog uses:
 // arena-backed over the spans the program will actually touch, sparse
-// everywhere else. Pooled Parts are reusable for a program exactly when
-// their memory's Geometry equals GeometryFor(prog). HiBase is reported
+// everywhere else. Released parts are reusable for a program exactly
+// when their memory's Geometry equals GeometryFor(prog). HiBase is reported
 // page-truncated, matching what mem.NewDense actually installs.
 func GeometryFor(prog *Program) mem.Geometry {
 	loSize := uint32(loArenaSize)
@@ -462,13 +439,6 @@ func GeometryFor(prog *Program) mem.Geometry {
 		hiSize = stackArenaSize
 	}
 	return mem.Geometry{LoSize: loSize, HiBase: hiBase, HiSize: hiSize}
-}
-
-// Parts returns the machine's reusable allocation-heavy state, for a
-// pool to recycle into a future New via WithParts. The caller must not
-// hand out parts while the machine could still run.
-func (m *Machine) Parts() Parts {
-	return Parts{Mem: m.memory, MMU: m.mmu, LDT: m.ldtMgr}
 }
 
 // LDTManager exposes the machine's segment allocation manager.
@@ -530,10 +500,6 @@ func (m *Machine) Run() (res *Result, err error) {
 	n := len(c.exec)
 	startInstrs, startCycles := m.stats.Instructions, m.cycles
 	startSBEntries, startSBDeopts, startSBRetired := m.sbEntries, m.sbDeopts, m.sbRetired
-	var startCow uint64
-	if m.cloned {
-		startCow = m.memory.CowPages()
-	}
 	defer func() {
 		// Publish this run's observability delta: process-wide simulated
 		// work, the fault classification, and the per-machine paging and
@@ -555,9 +521,6 @@ func (m *Machine) Run() (res *Result, err error) {
 			m.pages.PublishMetrics()
 		}
 		m.ldtMgr.PublishMetrics()
-		if m.cloned {
-			mSnapCowPages.Add(m.memory.CowPages() - startCow)
-		}
 	}()
 	// nextStop folds cancellation polling into the step-limit compare:
 	// without a context it is the step limit itself; with one, the loop

@@ -2,7 +2,6 @@ package vm
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"cash/internal/ldt"
@@ -621,59 +620,5 @@ func TestBuilderDuplicateLabel(t *testing.T) {
 	b.Emit(Instr{Op: HLT})
 	if _, err := b.Finish("bad"); err == nil {
 		t.Fatal("duplicate label must be an error")
-	}
-}
-
-// TestWithPartsResetEquivalence pins the machine-pool contract at the
-// vm layer: running on recycled Parts is indistinguishable from running
-// on a fresh machine, and no stale memory from the previous tenant is
-// visible — reset-on-reuse must restore the exact fresh-build state.
-func TestWithPartsResetEquivalence(t *testing.T) {
-	mkWriter := func() *Program {
-		p := buildProg(t, func(b *Builder) {
-			b.Op(MOV, R(EBX), I(0x1000))
-			b.Op(MOV, ds(EBX, 0), I(0x55555555)) // dirty data[0]
-			b.Op(MOV, ds(EBX, 8), I(-1))         // dirty data[2]
-			b.Op(MOV, R(EAX), ds(EBX, 0))
-			b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
-			b.Emit(Instr{Op: HLT})
-		})
-		p.Data = []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-		return p
-	}
-	mkReader := func() *Program {
-		p := buildProg(t, func(b *Builder) {
-			b.Op(MOV, R(EBX), I(0x1000))
-			b.Op(MOV, R(EAX), ds(EBX, 0)) // expects its own image, not 0x55555555
-			b.Op(ADD, R(EAX), ds(EBX, 8)) // expects 0, not -1
-			b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
-			b.Emit(Instr{Op: HLT})
-		})
-		p.Data = []byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-		return p
-	}
-	for _, mode := range []Mode{ModeGCC, ModeCash} {
-		writer, err := New(mkWriter(), mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := writer.Run(); err != nil {
-			t.Fatalf("[%v] writer: %v", mode, err)
-		}
-		fresh := mustRun(t, mkReader(), mode)
-		recycledMachine, err := New(mkReader(), mode, WithParts(writer.Parts()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		recycled, err := recycledMachine.Run()
-		if err != nil {
-			t.Fatalf("[%v] recycled: %v", mode, err)
-		}
-		if recycled.Output[0] != 7 {
-			t.Fatalf("[%v] recycled machine saw stale memory: output %v", mode, recycled.Output)
-		}
-		if !reflect.DeepEqual(fresh, recycled) {
-			t.Fatalf("[%v] recycled run differs from fresh run:\n%+v\nvs\n%+v", mode, fresh, recycled)
-		}
 	}
 }
