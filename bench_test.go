@@ -18,10 +18,11 @@ import (
 	"cash/internal/x86seg"
 )
 
-// -tier2 runs the benchmarks under superblock execution (Options.Tier2),
-// the BENCH_6.json comparison axis. Simulated metrics are identical
-// either way; only host ns/op moves.
-var benchTier2 = flag.Bool("tier2", false, "benchmark with tier-2 superblock execution")
+// -step pins the benchmarks to the step interpreter (Options.StepOnly)
+// instead of the default tier-2 superblock engine, the BENCH_6.json
+// comparison axis. Simulated metrics are identical either way; only
+// host ns/op moves.
+var benchStep = flag.Bool("step", false, "benchmark with the step interpreter instead of tier-2 superblock execution")
 
 // reportComparison attaches the paper's metrics to a benchmark.
 func reportComparison(b *testing.B, cmp *core.Comparison) {
@@ -42,7 +43,7 @@ func BenchmarkTable1Kernels(b *testing.B) {
 			var cmp *core.Comparison
 			var err error
 			for i := 0; i < b.N; i++ {
-				cmp, err = core.Compare(w.Name, w.Source, core.Options{SegRegs: 4, Tier2: *benchTier2})
+				cmp, err = core.Compare(w.Name, w.Source, core.Options{SegRegs: 4, StepOnly: *benchStep})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -480,14 +480,14 @@ func SetBenchStrategies(names []string) error {
 	return err
 }
 
-// SetBenchTier2 switches every table generator onto the tier-2
-// superblock engine (`cashbench -tier2`). Tier-2 execution is
-// output-identical to step execution, so the goldens must not change —
-// CI diffs the tier-2 suite against the same goldens to prove it.
-func SetBenchTier2(on bool) { bench.SetTier2(on) }
+// SetBenchStep pins every table generator to the step interpreter
+// (`cashbench -step`) instead of the default tier-2 superblock engine.
+// The two are output-identical, so the goldens must not change — CI
+// diffs the step suite against the same goldens to prove it.
+func SetBenchStep(on bool) { bench.SetStep(on) }
 
 // KernelTiming is one Table 1 kernel's measured host cost under the
-// current bench configuration (see SetBenchPasses / SetBenchTier2).
+// current bench configuration (see SetBenchPasses / SetBenchStep).
 type KernelTiming = bench.KernelTiming
 
 // KernelHostTimings times `runs` complete executions of each Table 1

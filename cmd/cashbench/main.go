@@ -47,6 +47,8 @@
 // Host-side knobs (none of them change any table's content):
 //
 //	-parallel N      concurrent experiments per table (default GOMAXPROCS)
+//	-step            pin every run to the step interpreter instead of the
+//	                 default tier-2 superblock engine
 //	-json FILE       with -all, write per-table timings as JSON
 //	-cpuprofile FILE write a pprof CPU profile
 //	-memprofile FILE write a pprof heap profile at exit
@@ -87,7 +89,7 @@ type tableTimingJSON struct {
 }
 
 // sbCountersJSON is the tier-2 superblock activity this process
-// accumulated (zero across the board when -tier2 is off).
+// accumulated (zero across the board under -step).
 type sbCountersJSON struct {
 	Compiled      uint64 `json:"compiled"`
 	Entries       uint64 `json:"entries"`
@@ -107,7 +109,7 @@ type kernelTimingJSON struct {
 type timingReportJSON struct {
 	Requests    int                `json:"requests"`
 	Parallelism int                `json:"parallelism"`
-	Tier2       bool               `json:"tier2"`
+	Step        bool               `json:"step"`
 	TotalHostNS int64              `json:"total_host_ns"`
 	SB          sbCountersJSON     `json:"sb"`
 	Tables      []tableTimingJSON  `json:"tables"`
@@ -133,7 +135,7 @@ func run() (err error) {
 		repeat      = flag.Int("repeat", 1, "with -all, serve the suite this many times through one Engine (later passes must match pass 1)")
 		noCache     = flag.Bool("no-cache", false, "disable the Engine's artifact/run cache")
 		passesFlag  = flag.String("passes", "", "comma-separated IR optimization passes (rce,hoist,affine,chop) applied to every experiment")
-		tier2       = flag.Bool("tier2", false, "execute every experiment through the tier-2 superblock engine (tables stay byte-identical)")
+		step        = flag.Bool("step", false, "pin every experiment to the step interpreter instead of the tier-2 superblock engine (tables stay byte-identical)")
 		strategy    = flag.String("strategy", "", "comma-separated checking strategies restricting -table strategy-matrix (default: every registered strategy)")
 		storeDir    = flag.String("store", "", "root a persistent on-disk artifact/run store at this directory (survives the process; a second run warm-starts from it)")
 		storeBudget = flag.Int64("store-budget", 0, "on-disk store byte budget (0 = 1 GiB default, negative = unlimited); only with -store")
@@ -161,7 +163,7 @@ func run() (err error) {
 		}
 		cash.SetBenchPasses(passes)
 	}
-	cash.SetBenchTier2(*tier2)
+	cash.SetBenchStep(*step)
 
 	cfg := cash.EngineConfig{
 		Parallelism: *parallel,
@@ -294,7 +296,7 @@ func run() (err error) {
 			if kerr != nil {
 				return kerr
 			}
-			if err := writeTimings(*jsonPath, *requests, *parallel, *tier2, elapsed, timings, kernels); err != nil {
+			if err := writeTimings(*jsonPath, *requests, *parallel, *step, elapsed, timings, kernels); err != nil {
 				return err
 			}
 		}
@@ -363,12 +365,12 @@ func reportThroughput(elapsed time.Duration) {
 		instrs, cycles, elapsed.Seconds(), rate/1e6)
 }
 
-func writeTimings(path string, requests, parallel int, tier2 bool, elapsed time.Duration, timings []cash.TableTiming, kernels []cash.KernelTiming) error {
+func writeTimings(path string, requests, parallel int, step bool, elapsed time.Duration, timings []cash.TableTiming, kernels []cash.KernelTiming) error {
 	sbCompiled, sbEntries, sbDeopts, sbRetired := vm.SBCounters()
 	rep := timingReportJSON{
 		Requests:    requests,
 		Parallelism: parallel,
-		Tier2:       tier2,
+		Step:        step,
 		TotalHostNS: elapsed.Nanoseconds(),
 		SB: sbCountersJSON{
 			Compiled:      sbCompiled,

@@ -12,11 +12,11 @@
 // codegen counters they affect; -dump-ir prints the optimized IR to
 // stderr before running).
 //
-// -tier2 executes hot regions through the superblock engine
-// (simulated output and counters are identical; only host speed
-// changes); -dump-superblocks prints the compiled traces to stderr and
-// requires -tier2. A tier-2 run reports its superblock activity on the
-// trailing `# superblocks:` line.
+// Hot regions execute through the tier-2 superblock engine by default;
+// -step pins the run to the step interpreter (simulated output and
+// counters are identical; only host speed changes). -dump-superblocks
+// prints the compiled traces to stderr. A run that executed superblocks
+// reports their activity on the trailing `# superblocks:` line.
 //
 // With -events the run records a structured machine-event trace —
 // segment-register loads, LDT descriptor installs and evictions,
@@ -65,15 +65,10 @@ func run() (err error) {
 		passes   = flag.String("passes", "", "comma-separated IR optimization passes (rce,hoist,affine,chop); empty disables")
 		dumpIR   = flag.Bool("dump-ir", false, "print the optimized IR to stderr before running")
 		stats    = flag.Bool("stats", false, "print static codegen counters after the run")
-		tier2    = flag.Bool("tier2", false, "execute hot regions through the tier-2 superblock engine")
-		dumpSB   = flag.Bool("dump-superblocks", false, "with -tier2, print the compiled superblocks to stderr before running")
+		step     = flag.Bool("step", false, "pin execution to the step interpreter instead of the tier-2 superblock engine")
+		dumpSB   = flag.Bool("dump-superblocks", false, "print the compiled superblocks to stderr before running")
 	)
 	flag.Parse()
-
-	// Flag combinations are validated up front, before any compilation.
-	if *dumpSB && !*tier2 {
-		return errors.New("-dump-superblocks requires -tier2")
-	}
 
 	var tr *cash.EventTrace
 	if *events || *eventsJS != "" {
@@ -107,7 +102,7 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	opts := cash.Options{SegRegs: *segRegs, EventTrace: tr, Passes: splitPasses(*passes), Tier2: *tier2}
+	opts := cash.Options{SegRegs: *segRegs, EventTrace: tr, Passes: splitPasses(*passes), StepOnly: *step}
 
 	if *compare {
 		cmp, err := cash.CompareStrategies(name, source, cash.CompareConfig{Options: opts})

@@ -53,12 +53,12 @@ func TestGoldenAllTables(t *testing.T) {
 	}
 }
 
-// TestGoldenAllTablesTier2 renders the full suite again through the
-// tier-2 superblock engine and diffs it against the *same* golden file:
-// tier-2 is a host-side execution strategy, so it must not move a
-// single simulated number. This is the test behind the CI tier-2 suite
-// lane (`cashbench -all -requests 200 -tier2`).
-func TestGoldenAllTablesTier2(t *testing.T) {
+// TestGoldenAllTablesStep renders the full suite again pinned to the
+// step interpreter and diffs it against the *same* golden file: tier-2
+// is a host-side execution strategy, so it must not move a single
+// simulated number. This is the test behind the CI step-interpreter
+// suite lane (`cashbench -all -requests 200 -step`).
+func TestGoldenAllTablesStep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table regeneration is slow; run without -short")
 	}
@@ -66,11 +66,11 @@ func TestGoldenAllTablesTier2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetTier2(true)
-	defer SetTier2(prev)
+	prev := SetStep(true)
+	defer SetStep(prev)
 	got := renderAll(t, 200)
 	if got != string(want) {
-		t.Fatalf("tier-2 benchmark output drifted from the step-execution golden\ngot %d bytes, want %d bytes\n%s",
+		t.Fatalf("step-interpreter benchmark output drifted from the golden\ngot %d bytes, want %d bytes\n%s",
 			len(got), len(want), firstDiff(got, string(want)))
 	}
 }

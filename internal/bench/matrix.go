@@ -127,7 +127,7 @@ type matrixMeasurement struct {
 
 func matrixCell(ctx context.Context, eng *serve.Engine, w workload.Workload, mode core.Mode, passes []string) (matrixMeasurement, error) {
 	var m matrixMeasurement
-	art, err := eng.BuildContext(ctx, w.Source, mode, core.Options{Passes: passes, Tier2: Tier2()})
+	art, err := eng.BuildContext(ctx, w.Source, mode, core.Options{Passes: passes, StepOnly: Step()})
 	if err != nil {
 		return m, err
 	}

@@ -17,7 +17,7 @@ import (
 var (
 	passMu        sync.RWMutex
 	harnessPasses []string
-	harnessTier2  bool
+	harnessStep   bool
 )
 
 // SetPasses configures the IR optimization passes every experiment in
@@ -38,24 +38,24 @@ func Passes() []string {
 	return append([]string(nil), harnessPasses...)
 }
 
-// SetTier2 configures whether every experiment in this package executes
-// through the tier-2 superblock engine (`cashbench -tier2`). Tier-2 is
-// output-identical to step execution, so the tables must not change —
-// the CI tier-2 lane diffs the suite against the step goldens to prove
-// it. Returns the previous setting.
-func SetTier2(on bool) bool {
+// SetStep configures whether every experiment in this package is pinned
+// to the step interpreter (`cashbench -step`) instead of the default
+// tier-2 superblock engine. The two are output-identical, so the tables
+// must not change — the CI step lane diffs the suite against the same
+// goldens to prove it. Returns the previous setting.
+func SetStep(on bool) bool {
 	passMu.Lock()
 	defer passMu.Unlock()
-	prev := harnessTier2
-	harnessTier2 = on
+	prev := harnessStep
+	harnessStep = on
 	return prev
 }
 
-// Tier2 returns the harness-wide tier-2 setting.
-func Tier2() bool {
+// Step returns the harness-wide step-interpreter setting.
+func Step() bool {
 	passMu.RLock()
 	defer passMu.RUnlock()
-	return harnessTier2
+	return harnessStep
 }
 
 // opt stamps the harness-wide pass and tier configuration onto one
@@ -66,8 +66,8 @@ func opt(o core.Options) core.Options {
 	if len(harnessPasses) > 0 && o.Passes == nil {
 		o.Passes = harnessPasses
 	}
-	if harnessTier2 {
-		o.Tier2 = true
+	if harnessStep {
+		o.StepOnly = true
 	}
 	return o
 }
@@ -130,8 +130,8 @@ func measurePasses(ctx context.Context, eng *serve.Engine, w workload.Workload, 
 	var m passMeasurement
 	// Deliberately not opt(): the ablation's off-arm must stay pass-free
 	// even under `cashbench -passes`. The tier setting still applies —
-	// tier-2 is execution strategy, not code shape.
-	art, err := eng.BuildContext(ctx, w.Source, core.ModeBCC, core.Options{Passes: passes, Tier2: Tier2()})
+	// it is execution strategy, not code shape.
+	art, err := eng.BuildContext(ctx, w.Source, core.ModeBCC, core.Options{Passes: passes, StepOnly: Step()})
 	if err != nil {
 		return m, err
 	}

@@ -186,7 +186,8 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 	}
 	// Superblock hints for tier-2 execution: advisory loop spans in the
 	// exact offsets the EmitTo replay above assigned. Attached for every
-	// build — whether a machine uses them is a run option (Options.Tier2).
+	// build — a machine uses them unless pinned to the step interpreter
+	// (Options.StepOnly).
 	p.Regions = mod.SuperblockHints()
 	return p, mod, nil
 }

@@ -163,13 +163,14 @@ type Options struct {
 	Passes []string
 	// StepLimit bounds execution; 0 means the VM default.
 	StepLimit uint64
-	// Tier2 enables superblock execution: the compiler's loop regions
-	// are fused into single closures with bulk counter accounting,
-	// deopting to the step interpreter at precise instruction boundaries
-	// on any fault or side exit. Simulated output, counters and
-	// violation verdicts are identical to step execution; only host
-	// speed changes.
-	Tier2 bool
+	// StepOnly pins execution to the step interpreter. By default the
+	// compiler's loop regions run as superblocks (tier 2): fused into
+	// single closures with bulk counter accounting, deopting to the step
+	// interpreter at precise instruction boundaries on any fault or side
+	// exit. Simulated output, counters and violation verdicts are
+	// identical either way; only host speed changes, so this is the off
+	// switch for the differential lanes that compare the two.
+	StepOnly bool
 	// EventTrace, when non-nil, receives structured machine events
 	// (segment-register loads, descriptor installs/evicts, faults, LDT
 	// traffic) from every machine the artifact creates. Nil — the
@@ -284,14 +285,20 @@ func (a *Artifact) WithEventTrace(tr *obs.Trace) *Artifact {
 func (a *Artifact) StaticStats() map[string]uint64 { return a.Program.Stats }
 
 // DumpIR renders the optimized IR module the program was emitted from.
-// Artifacts decoded from the disk store carry no IR (only the compiled
-// Program is persisted) and render as the empty string.
+// Artifacts decoded from the disk store or served by an Engine carry no
+// IR and render as the empty string.
 func (a *Artifact) DumpIR() string {
 	if a.ir == nil {
 		return ""
 	}
 	return a.ir.Dump()
 }
+
+// DropIR releases the optimized IR module, which only DumpIR reads and
+// which outweighs the compiled Program. Callers that retain artifacts
+// (the serving engine's cache) drop it before publishing the artifact;
+// DumpIR then returns "".
+func (a *Artifact) DropIR() { a.ir = nil }
 
 // DumpSuperblocks renders the tier-2 superblocks compiled from the
 // program's region hints (compiling them if no machine has yet).
@@ -316,8 +323,8 @@ func (a *Artifact) NewMachine(extra ...vm.Option) (*vm.Machine, error) {
 	if a.opts.ElectricFence {
 		opts = append(opts, vm.WithPaging(64<<20), vm.WithElectricFence())
 	}
-	if a.opts.Tier2 {
-		opts = append(opts, vm.WithTier2())
+	if a.opts.StepOnly {
+		opts = append(opts, vm.WithoutTier2())
 	}
 	opts = append(opts, extra...)
 	return vm.New(a.Program, a.vmMode, opts...)

@@ -23,8 +23,9 @@ import (
 
 // persistVersion tags every encoded blob. Decoders reject any other
 // value, so a format change after an upgrade degrades to a cache miss
-// and a rebuild, never a wrong answer.
-const persistVersion = 1
+// and a rebuild, never a wrong answer. Version 2 marks the flip of the
+// execution default to tier 2 (Options.StepOnly replaced Tier2).
+const persistVersion = 2
 
 // persistedOptions mirrors Options minus the fields that cannot or
 // must not survive a process: EventTrace is a live pointer into this
@@ -37,7 +38,7 @@ type persistedOptions struct {
 	ElectricFence   bool
 	Passes          []string
 	StepLimit       uint64
-	Tier2           bool
+	StepOnly        bool
 }
 
 // artifactBlob is the gob payload for one compiled artifact. The AST
@@ -72,7 +73,7 @@ func EncodeArtifact(a *Artifact) (data []byte, ok bool, err error) {
 			ElectricFence:   a.opts.ElectricFence,
 			Passes:          a.opts.Passes,
 			StepLimit:       a.opts.StepLimit,
-			Tier2:           a.opts.Tier2,
+			StepOnly:        a.opts.StepOnly,
 		},
 		Program: a.Program,
 	}
@@ -115,7 +116,7 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 			ElectricFence:   blob.Opts.ElectricFence,
 			Passes:          blob.Opts.Passes,
 			StepLimit:       blob.Opts.StepLimit,
-			Tier2:           blob.Opts.Tier2,
+			StepOnly:        blob.Opts.StepOnly,
 		},
 	}, nil
 }

@@ -20,11 +20,12 @@ import (
 // tierPair builds the same program twice: step-only and tier-2.
 func tierPair(t *testing.T, source string, mode Mode, opts Options) (step, tier2 *Artifact) {
 	t.Helper()
-	a1, err := Build(source, mode, opts)
+	stepOpts := opts
+	stepOpts.StepOnly = true
+	a1, err := Build(source, mode, stepOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Tier2 = true
 	a2, err := Build(source, mode, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +234,7 @@ func TestTier2ChaosDeoptSites(t *testing.T) {
 // for a reason, and the dump is the first thing a reader sees of the
 // engine.
 func TestTier2DumpSuperblocks(t *testing.T) {
-	art, err := Build(tier2LoopProgram, ModeGCC, Options{Tier2: true})
+	art, err := Build(tier2LoopProgram, ModeGCC, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,13 @@
 // workloads touch only a few megabytes in two clusters: the low
 // code/data/heap span and the stack window just below the stack top. Those
 // two regions can be backed by contiguous []byte arenas (NewDense), which
-// turns the per-byte map lookup of the sparse store into a bounds check
-// and an array index. Addresses outside the arenas spill to the original
-// lazily-allocated page map, so the full 4 GiB space keeps working.
+// turns a page lookup into a bounds check and an array index. Addresses
+// outside the arenas spill to a sparse store of lazily allocated pages,
+// indexed by a two-level radix table over the 20-bit page number (10
+// bits per level), so the full 4 GiB space keeps working and a sparse
+// access costs two indexed loads, not a hash lookup. A runaway program
+// whose smashed frame walks the stack upward through tens of megabytes
+// makes most of its memory accesses there.
 //
 // Physical memory itself never faults: protection is enforced above it,
 // by segmentation (internal/x86seg) and paging (internal/paging).
@@ -16,10 +20,23 @@ import "encoding/binary"
 
 // PageSize is the allocation granule of the sparse store. It matches the
 // x86 page size so the paging layer maps 1:1 onto backing chunks.
-const PageSize = 4096
+const PageSize = 1 << pageShift
+
+// The sparse store's radix table: the address bits above leafShift
+// select a leaf, the leafBits below them select the page in it. A leaf
+// spans 4 MiB of address space.
+const (
+	pageShift = 12
+	leafBits  = 10
+	leafLen   = 1 << leafBits
+	leafShift = pageShift + leafBits
+)
+
+// leaf maps the low leafBits of a page number to its backing page.
+type leaf [leafLen]*[PageSize]byte
 
 // Memory is a byte-addressable 32-bit physical memory: up to two dense
-// arenas plus a sparse page map for everything else. The zero value is a
+// arenas plus a sparse page table for everything else. The zero value is a
 // purely sparse memory, ready to use. Memory is not safe for concurrent
 // use.
 type Memory struct {
@@ -47,7 +64,12 @@ type Memory struct {
 	loDirty uint32 // lo[:loDirty] may be nonzero
 	hiDirty uint32 // hi[hiDirty:] may be nonzero
 
-	pages map[uint32]*[PageSize]byte
+	// dir is the radix table's root, allocated by the first sparse
+	// write, so a machine that stays inside its arenas never pays for
+	// it. live lists every materialised page number, so Reset and
+	// PagesAllocated cost what the run touched, not the table's span.
+	dir  *[1 << (32 - leafShift)]*leaf
+	live []uint32
 }
 
 // Geometry identifies the arena layout of a dense memory: two Memory
@@ -68,13 +90,14 @@ func (m *Memory) Geometry() Geometry {
 
 // New returns an empty, purely sparse physical memory.
 func New() *Memory {
-	return &Memory{pages: make(map[uint32]*[PageSize]byte)}
+	return &Memory{}
 }
 
 // NewDense returns a memory whose address ranges [0, loSize) and
 // [hiBase, hiBase+hiSize) are arena-backed. Either size may be zero to
 // omit that arena. hiBase is truncated to a page boundary so the arena
-// edge never splits a naturally aligned word.
+// edge never splits a naturally aligned word, and so both arenas start
+// on a page boundary, which the sparse word paths rely on.
 func NewDense(loSize uint32, hiBase, hiSize uint32) *Memory {
 	m := New()
 	if loSize > 0 {
@@ -106,22 +129,36 @@ func (m *Memory) recompute() {
 	}
 }
 
-func (m *Memory) page(addr uint32, create bool) *[PageSize]byte {
-	if m.pages == nil {
-		if !create {
-			return nil
-		}
-		m.pages = make(map[uint32]*[PageSize]byte)
+// page returns the sparse page backing addr, or nil if none has been
+// materialised.
+func (m *Memory) page(addr uint32) *[PageSize]byte {
+	if m.dir == nil {
+		return nil
 	}
-	pn := addr / PageSize
-	p, ok := m.pages[pn]
-	if !ok {
-		if !create {
-			return nil
-		}
-		p = new([PageSize]byte)
-		m.pages[pn] = p
+	l := m.dir[addr>>leafShift]
+	if l == nil {
+		return nil
 	}
+	return l[addr>>pageShift&(leafLen-1)]
+}
+
+// pageForWrite returns the sparse page backing addr, materialising it
+// (and its leaf, and the root) on first use.
+func (m *Memory) pageForWrite(addr uint32) *[PageSize]byte {
+	if p := m.page(addr); p != nil {
+		return p
+	}
+	if m.dir == nil {
+		m.dir = new([1 << (32 - leafShift)]*leaf)
+	}
+	l := m.dir[addr>>leafShift]
+	if l == nil {
+		l = new(leaf)
+		m.dir[addr>>leafShift] = l
+	}
+	p := new([PageSize]byte)
+	l[addr>>pageShift&(leafLen-1)] = p
+	m.live = append(m.live, addr>>pageShift)
 	return p
 }
 
@@ -133,7 +170,7 @@ func (m *Memory) Read8(addr uint32) uint8 {
 	if d := addr - m.hiBase; d < uint32(len(m.hi)) {
 		return m.hi[d]
 	}
-	p := m.page(addr, false)
+	p := m.page(addr)
 	if p == nil {
 		return 0
 	}
@@ -156,7 +193,7 @@ func (m *Memory) Write8(addr uint32, v uint8) {
 		}
 		return
 	}
-	m.page(addr, true)[addr%PageSize] = v
+	m.pageForWrite(addr)[addr%PageSize] = v
 }
 
 // Read16 returns the little-endian 16-bit value at addr.
@@ -275,18 +312,22 @@ func (m *Memory) Read32(addr uint32) uint32 {
 	return m.read32Slow(addr)
 }
 
+// inSparsePage reports whether the 4-byte word at addr lies in one
+// sparse page. Both arenas start on a page boundary, so a word that
+// does not cross a page and whose first byte is outside both arenas
+// has no byte inside either.
+func (m *Memory) inSparsePage(addr uint32) bool {
+	return addr%PageSize <= PageSize-4 && addr >= uint32(len(m.lo)) && addr-m.hiBase >= uint32(len(m.hi))
+}
+
 func (m *Memory) read32Slow(addr uint32) uint32 {
-	if addr%PageSize <= PageSize-4 && addr >= uint32(len(m.lo)) && addr-m.hiBase >= uint32(len(m.hi)) {
-		if p := m.page(addr, false); p != nil {
-			off := addr % PageSize
-			return binary.LittleEndian.Uint32(p[off : off+4])
-		}
-		// The whole aligned word is sparse and unbacked, but a byte of it
-		// could live in an arena when the access straddles an arena edge;
-		// only the all-sparse case may short-circuit to zero.
-		if !m.straddlesArena(addr, 4) {
+	if m.inSparsePage(addr) {
+		p := m.page(addr)
+		if p == nil {
 			return 0
 		}
+		off := addr % PageSize
+		return binary.LittleEndian.Uint32(p[off : off+4])
 	}
 	return uint32(m.Read8(addr)) | uint32(m.Read8(addr+1))<<8 |
 		uint32(m.Read8(addr+2))<<16 | uint32(m.Read8(addr+3))<<24
@@ -312,9 +353,8 @@ func (m *Memory) Write32(addr uint32, v uint32) {
 }
 
 func (m *Memory) write32Slow(addr uint32, v uint32) {
-	if addr%PageSize <= PageSize-4 && addr >= uint32(len(m.lo)) && addr-m.hiBase >= uint32(len(m.hi)) &&
-		!m.straddlesArena(addr, 4) {
-		p := m.page(addr, true)
+	if m.inSparsePage(addr) {
+		p := m.pageForWrite(addr)
 		off := addr % PageSize
 		binary.LittleEndian.PutUint32(p[off:off+4], v)
 		return
@@ -323,19 +363,6 @@ func (m *Memory) write32Slow(addr uint32, v uint32) {
 	m.Write8(addr+1, uint8(v>>8))
 	m.Write8(addr+2, uint8(v>>16))
 	m.Write8(addr+3, uint8(v>>24))
-}
-
-// straddlesArena reports whether any byte of [addr, addr+n) falls inside
-// an arena while the first byte does not (the caller has already
-// established addr itself is outside both arenas).
-func (m *Memory) straddlesArena(addr, n uint32) bool {
-	for i := uint32(1); i < n; i++ {
-		a := addr + i
-		if a < uint32(len(m.lo)) || a-m.hiBase < uint32(len(m.hi)) {
-			return true
-		}
-	}
-	return false
 }
 
 // ReadBytes copies n bytes starting at addr into a new slice.
@@ -359,15 +386,19 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) {
 // allocation regardless of use. Useful for space-overhead accounting in
 // benchmarks of the sparse store.
 func (m *Memory) PagesAllocated() int {
-	return len(m.pages)
+	return len(m.live)
 }
 
 // Reset returns the memory to all-zero in place: sparse pages are
-// dropped (the map's buckets are kept for reuse) and each arena is
-// zeroed only up to its dirty watermark, so recycling a machine costs
-// proportional to the bytes it actually wrote, not the arena sizes.
+// dropped (the radix table's leaves are kept for reuse) and each arena
+// is zeroed only up to its dirty watermark, so recycling a machine
+// costs proportional to the bytes it actually wrote, not the arena
+// sizes.
 func (m *Memory) Reset() {
-	clear(m.pages)
+	for _, pn := range m.live {
+		m.dir[pn>>leafBits][pn&(leafLen-1)] = nil
+	}
+	m.live = m.live[:0]
 	if m.loDirty > 0 {
 		clear(m.lo[:m.loDirty])
 		m.loDirty = 0

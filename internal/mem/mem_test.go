@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -275,5 +276,93 @@ func TestQuickDenseWord32RoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRadixTableAgainstModel drives a dense and a purely sparse memory
+// with one seeded random access sequence and checks every read against
+// a byte-map model. Addresses cluster at sparse page edges, radix leaf
+// edges, both arena edges (so words straddle an arena and the sparse
+// table) and the top of the address space (so words wrap to address 0).
+// Periodic Resets must leave no page materialised and all memory zero.
+func TestRadixTableAgainstModel(t *testing.T) {
+	const (
+		loSize = 2 * PageSize
+		hiBase = 0x10000
+		hiSize = PageSize
+	)
+	inArena := func(a uint32) bool { return a < loSize || a-hiBase < hiSize }
+	// Offsets reach 8 bytes either side of a hotspot, so the hotspot at
+	// 0 also covers words that wrap from the top of the address space.
+	hotspots := []uint32{
+		0, loSize, hiBase, hiBase + hiSize, // arena edges
+		0x30000, 0x31000, 1 << leafShift, 3<<leafShift - PageSize, 0xfffff000, // page and leaf edges
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, dense := range []bool{true, false} {
+		m := New()
+		if dense {
+			m = NewDense(loSize, hiBase, hiSize)
+		}
+		model := map[uint32]byte{}
+		pages := map[uint32]bool{}
+		write := func(a uint32, v uint32, n int) {
+			for i := 0; i < n; i++ {
+				b := a + uint32(i)
+				model[b] = byte(v >> (8 * i))
+				if !dense || !inArena(b) {
+					pages[b/PageSize] = true
+				}
+			}
+		}
+		want := func(a uint32, n int) uint32 {
+			var v uint32
+			for i := 0; i < n; i++ {
+				v |= uint32(model[a+uint32(i)]) << (8 * i)
+			}
+			return v
+		}
+		for op := 0; op < 42000; op++ {
+			a := hotspots[rng.Intn(len(hotspots))] + uint32(rng.Intn(16)) - 8
+			v := rng.Uint32()
+			switch rng.Intn(6) {
+			case 0:
+				m.Write8(a, uint8(v))
+				write(a, v, 1)
+			case 1:
+				m.Write16(a, uint16(v))
+				write(a, v, 2)
+			case 2:
+				m.Write32(a, v)
+				write(a, v, 4)
+			case 3:
+				if got := m.Read8(a); uint32(got) != want(a, 1) {
+					t.Fatalf("dense=%v op %d: Read8(%#x) = %#x, want %#x", dense, op, a, got, want(a, 1))
+				}
+			case 4:
+				if got := m.Read16(a); uint32(got) != want(a, 2) {
+					t.Fatalf("dense=%v op %d: Read16(%#x) = %#x, want %#x", dense, op, a, got, want(a, 2))
+				}
+			case 5:
+				if got := m.Read32(a); got != want(a, 4) {
+					t.Fatalf("dense=%v op %d: Read32(%#x) = %#x, want %#x", dense, op, a, got, want(a, 4))
+				}
+			}
+			if op%5000 == 4999 {
+				m.Reset()
+				clear(model)
+				clear(pages)
+			}
+			if got := m.PagesAllocated(); got != len(pages) {
+				t.Fatalf("dense=%v op %d: PagesAllocated = %d, want %d", dense, op, got, len(pages))
+			}
+		}
+		for _, h := range hotspots {
+			for a := h - 16; a != h+16; a++ {
+				if got := m.Read8(a); got != model[a] {
+					t.Fatalf("dense=%v sweep: Read8(%#x) = %#x, want %#x", dense, a, got, model[a])
+				}
+			}
+		}
 	}
 }

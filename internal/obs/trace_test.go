@@ -99,22 +99,6 @@ func TestTraceFormatAndJSON(t *testing.T) {
 	}
 }
 
-func TestDefaultTraceSwap(t *testing.T) {
-	old := SetDefaultTrace(nil)
-	defer SetDefaultTrace(old)
-	if DefaultTrace() != nil {
-		t.Fatal("default trace must start nil in tests")
-	}
-	tr := NewTrace(4)
-	if prev := SetDefaultTrace(tr); prev != nil {
-		t.Fatal("unexpected previous trace")
-	}
-	DefaultTrace().Emit(EvRearm, 1, 0, "")
-	if tr.Len() != 1 {
-		t.Fatal("emit through DefaultTrace must reach the installed trace")
-	}
-}
-
 func TestTraceConcurrentEmit(t *testing.T) {
 	tr := NewTrace(64)
 	var wg sync.WaitGroup

@@ -38,10 +38,10 @@ func buildKey(source string, mode core.Mode, opts core.Options) string {
 	if opts.ElectricFence {
 		fixed[11] = 1
 	}
-	// Tier2 selects which execution engine the artifact's machines use,
-	// so tier-2 and step artifacts are distinct cache entries even
+	// StepOnly selects which execution engine the artifact's machines
+	// use, so step and tier-2 artifacts are distinct cache entries even
 	// though they compile the same code.
-	if opts.Tier2 {
+	if opts.StepOnly {
 		fixed[12] = 1
 	}
 	binary.LittleEndian.PutUint64(fixed[16:], opts.StepLimit)
@@ -163,20 +163,27 @@ func (c *cache) startFlight(key string) (*flight, bool) {
 
 // finishFlight records the leader's build outcome, stores a successful
 // artifact (through every layer — a failed build writes nothing, to
-// memory or disk), and releases every waiter.
+// memory or disk), and releases every waiter. The artifact is stored
+// before the flight ends, so a leader that started its flight after
+// this one ended finds the artifact when it looks again (see
+// Engine.BuildContext) instead of compiling the key a second time.
 func (c *cache) finishFlight(key string, f *flight, art *core.Artifact, err error) {
-	f.art, f.err = art, err
-	c.mu.Lock()
-	delete(c.flights, key)
 	if err == nil {
-		c.artKeys[art] = key
-	}
-	c.mu.Unlock()
-	if err == nil {
+		c.registerArtifact(key, art)
 		// Outside c.mu: the disk layer does real I/O and the memory
 		// layer's eviction hook takes c.mu itself.
 		c.store.PutArtifact(key, art)
 	}
+	c.endFlight(key, f, art, err)
+}
+
+// endFlight removes the flight and releases its waiters with the
+// outcome.
+func (c *cache) endFlight(key string, f *flight, art *core.Artifact, err error) {
+	f.art, f.err = art, err
+	c.mu.Lock()
+	delete(c.flights, key)
+	c.mu.Unlock()
 	close(f.done)
 }
 
@@ -234,6 +241,10 @@ func cloneRunResult(res *core.RunResult) *core.RunResult {
 	if res.Result != nil {
 		r := *res.Result
 		r.Output = append([]int32(nil), res.Result.Output...)
+		if res.Result.SB != nil {
+			sb := *res.Result.SB
+			r.SB = &sb
+		}
 		out.Result = &r
 	}
 	return &out

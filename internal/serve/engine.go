@@ -58,8 +58,8 @@ const DefaultCacheBytes = 64 << 20
 const DefaultStoreBytes = 1 << 30
 
 // EngineConfig tunes an Engine. The zero value is a fully enabled
-// engine with default sizing that inherits the process-wide parallelism
-// and default event trace, so NewEngine(EngineConfig{}) behaves like the
+// engine with default sizing that inherits the process-wide
+// parallelism, so NewEngine(EngineConfig{}) behaves like the
 // pre-Engine API, only faster.
 type EngineConfig struct {
 	// CacheBytes bounds the artifact + run-result cache. 0 means
@@ -72,8 +72,7 @@ type EngineConfig struct {
 	// 0 inherits the process-wide default (GOMAXPROCS).
 	Parallelism int
 	// EventTrace receives the Engine's consumers' structured events
-	// (netsim serving decisions). Nil inherits the process default trace
-	// (obs.DefaultTrace), dynamically.
+	// (netsim serving decisions). Nil records none.
 	EventTrace *obs.Trace
 	// StoreDir, when non-empty, roots a content-addressed on-disk store
 	// layered under the in-memory cache: compiled artifacts and
@@ -209,13 +208,10 @@ func (e *Engine) DoCollect(n int, f func(i int) error) []error {
 	return par.DoCollectN(e.workers(), n, f)
 }
 
-// EventTrace resolves the trace the Engine's consumers should emit
-// into: the configured one, else the process default.
+// EventTrace returns the trace the Engine's consumers should emit into
+// (EngineConfig.EventTrace; nil when none is configured).
 func (e *Engine) EventTrace() *obs.Trace {
-	if e.cfg.EventTrace != nil {
-		return e.cfg.EventTrace
-	}
-	return obs.DefaultTrace()
+	return e.cfg.EventTrace
 }
 
 // BuildContext returns the artifact for (source, mode, opts), serving
@@ -238,7 +234,7 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 		return nil, ErrEngineClosed
 	}
 	if e.cache == nil {
-		return core.Build(source, mode, opts)
+		return buildForServing(source, mode, opts)
 	}
 	reqTrace := opts.EventTrace
 	opts.EventTrace = nil
@@ -268,14 +264,35 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 		core.NoteCachedBuild(mode)
 		return withTrace(f.art, reqTrace), nil
 	}
+	// A flight for the key can end between the lookup above and
+	// startFlight; its artifact is stored before it ends, so look once
+	// more before compiling.
+	if art, ok := e.cache.getArtifact(key); ok {
+		e.cache.endFlight(key, f, art, nil)
+		mCacheHits.Inc()
+		core.NoteCachedBuild(mode)
+		return withTrace(art, reqTrace), nil
+	}
 	mCacheMisses.Inc()
 	mBuildCompiles.Inc()
-	art, err := core.Build(source, mode, opts)
+	art, err := buildForServing(source, mode, opts)
 	e.cache.finishFlight(key, f, art, err)
 	if err != nil {
 		return nil, err
 	}
 	return withTrace(art, reqTrace), nil
+}
+
+// buildForServing compiles an artifact without its IR module: only
+// DumpIR reads the IR, and it would nearly double a cached artifact's
+// footprint. Engine artifacts thus match store-decoded ones.
+func buildForServing(source string, mode core.Mode, opts core.Options) (*core.Artifact, error) {
+	art, err := core.Build(source, mode, opts)
+	if err != nil {
+		return nil, err
+	}
+	art.DropIR()
+	return art, nil
 }
 
 // withTrace attaches a requested event trace to a cached artifact.

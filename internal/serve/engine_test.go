@@ -96,10 +96,16 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(res1, resCold) {
 			t.Fatalf("[%v] cached engine result differs from cache-disabled engine:\n%+v\nvs\n%+v", mode, res1, resCold)
 		}
-		// A caller mutating its copy must not poison later hits.
+		// A caller mutating its copy — output or superblock stats — must
+		// not poison later hits.
+		if res2.SB == nil {
+			t.Fatalf("[%v] run reported no superblock stats", mode)
+		}
+		wantSB := *res1.SB
 		res2.Output = append(res2.Output, 999999)
+		res2.SB.Entries++
 		res3 := mustRun(t, eng, art1)
-		if !reflect.DeepEqual(res1, res3) {
+		if !reflect.DeepEqual(res1, res3) || *res3.SB != wantSB {
 			t.Fatalf("[%v] mutating a served copy leaked into the cache", mode)
 		}
 	}
@@ -112,13 +118,13 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 // present), and its results must still equal the step artifact's.
 func TestCacheTier2Distinct(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
-	step := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
-	tier2 := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Tier2: true})
+	tier2 := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
+	step := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{StepOnly: true})
 	if step == tier2 {
-		t.Fatal("tier-2 build served the step artifact from the cache")
+		t.Fatal("step build served the tier-2 artifact from the cache")
 	}
-	if again := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Tier2: true}); again != tier2 {
-		t.Fatal("repeated tier-2 build missed the cache")
+	if again := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{StepOnly: true}); again != step {
+		t.Fatal("repeated step build missed the cache")
 	}
 	res1 := mustRun(t, eng, step)
 	res2 := mustRun(t, eng, tier2)

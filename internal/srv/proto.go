@@ -89,7 +89,9 @@ type header struct {
 
 // WireOptions is the serializable subset of core.Options a remote
 // client may set. Option fields that carry process-local state (event
-// traces) deliberately have no wire form.
+// traces) deliberately have no wire form, and neither does StepOnly: the
+// execution engine is the server's choice, never a client's. A "tier2"
+// field from an older client is ignored.
 type WireOptions struct {
 	SegRegs         int      `json:"seg_regs,omitempty"`
 	SkipReadChecks  bool     `json:"skip_read_checks,omitempty"`
@@ -98,7 +100,6 @@ type WireOptions struct {
 	ElectricFence   bool     `json:"electric_fence,omitempty"`
 	Passes          []string `json:"passes,omitempty"`
 	StepLimit       uint64   `json:"step_limit,omitempty"`
-	Tier2           bool     `json:"tier2,omitempty"`
 }
 
 // Options converts the wire form into build options.
@@ -111,7 +112,6 @@ func (w WireOptions) Options() core.Options {
 		ElectricFence:   w.ElectricFence,
 		Passes:          w.Passes,
 		StepLimit:       w.StepLimit,
-		Tier2:           w.Tier2,
 	}
 }
 

@@ -2,6 +2,7 @@ package srv
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ func TestFrameRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	h := header{Version: ProtoVersion, Type: TRun, ID: 777, DeadlineMillis: 1500}
 	body := RunRequest{Source: "void main() {}", Mode: "cash",
-		Options: WireOptions{SegRegs: 4, Passes: []string{"rce", "hoist"}, Tier2: true}}
+		Options: WireOptions{SegRegs: 4, Passes: []string{"rce", "hoist"}, ElectricFence: true}}
 	if err := writeFrame(&buf, h, body); err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +27,22 @@ func TestFrameRoundtrip(t *testing.T) {
 	if err := decode(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Source != body.Source || back.Mode != body.Mode || !back.Options.Tier2 ||
+	if back.Source != body.Source || back.Mode != body.Mode || !back.Options.ElectricFence ||
 		back.Options.SegRegs != 4 || len(back.Options.Passes) != 2 {
 		t.Fatalf("body roundtrip: %+v", back)
+	}
+}
+
+// TestWireIgnoresTier2Field pins that a body from a client that still
+// sends the retired "tier2" option decodes, and that the field selects
+// nothing: the server's default execution engine applies.
+func TestWireIgnoresTier2Field(t *testing.T) {
+	var req RunRequest
+	if err := decode([]byte(`{"source":"void main() {}","options":{"seg_regs":4,"tier2":true}}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := req.Options.Options(), (WireOptions{SegRegs: 4}).Options(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("options = %+v, want %+v", got, want)
 	}
 }
 

@@ -117,9 +117,10 @@ type Result struct {
 	Output   []int32
 	Stats    Stats
 	LDTStats ldt.Stats
-	// SB reports superblock activity when the machine ran with WithTier2;
-	// nil under step execution. Host-side observability only — no
-	// simulated quantity depends on it.
+	// SB reports superblock activity when the machine ran superblocks
+	// (the default for a program with regions); nil under step
+	// execution. Host-side observability only — no simulated quantity
+	// depends on it.
 	SB *SBStats
 }
 
@@ -148,14 +149,16 @@ func WithStepLimit(n uint64) Option {
 	return func(m *Machine) { m.stepLimit = n }
 }
 
-// WithTier2 enables superblock execution (tier 2): the compiler's hot
-// regions are fused into single closures with bulk counter accounting,
-// deopting to the step interpreter at a precise instruction boundary on
-// any fault or side exit (see superblock.go). Simulated output,
-// counters and violation verdicts are identical to step execution;
-// only host speed changes.
-func WithTier2() Option {
-	return func(m *Machine) { m.tier2 = true }
+// WithoutTier2 pins the machine to the step interpreter. By default a
+// machine whose program has regions runs them as superblocks (tier 2):
+// the compiler's hot regions are fused into single closures with bulk
+// counter accounting, deopting to the step interpreter at a precise
+// instruction boundary on any fault or side exit (see superblock.go).
+// Simulated output, counters and violation verdicts are identical
+// either way; only host speed changes, so this switch exists for the
+// differential tests that compare the two.
+func WithoutTier2() Option {
+	return func(m *Machine) { m.stepOnly = true }
 }
 
 // WithTrace installs a hook receiving every address translation.
@@ -287,9 +290,10 @@ type Machine struct {
 	halted   bool
 	exitCode int32
 
-	// Tier-2 state (see superblock.go): the shared superblock table and
-	// this machine's entry/deopt/retired tallies.
-	tier2     bool
+	// Tier-2 state (see superblock.go): the shared superblock table (nil
+	// under step execution) and this machine's entry/deopt/retired
+	// tallies.
+	stepOnly  bool
 	sbt       *sbTable
 	sbEntries uint64
 	sbDeopts  uint64
@@ -334,7 +338,7 @@ func New(prog *Program, mode Mode, opts ...Option) (*Machine, error) {
 		o(m)
 	}
 	m.plain = m.pages == nil && m.trace == nil
-	if m.tier2 {
+	if !m.stepOnly && len(prog.Regions) > 0 {
 		m.sbt = prog.superblocks()
 	}
 	// Recycle released parts when some match this program's memory
@@ -507,7 +511,7 @@ func (m *Machine) Run() (res *Result, err error) {
 		// per-instruction path.
 		countSim(m.stats.Instructions-startInstrs, m.cycles-startCycles)
 		mRuns.Inc()
-		if m.tier2 {
+		if m.sbt != nil {
 			countSB(m.sbEntries-startSBEntries, m.sbDeopts-startSBDeopts,
 				m.sbRetired-startSBRetired)
 		}

@@ -1277,7 +1277,7 @@ func (m *Machine) sbMemTail(seg x86seg.SegReg, ea, lin uint32, write bool) (uint
 
 // DumpSuperblocks renders the program's compiled superblocks — the
 // tier-2 analogue of Disassemble, pinned by tests and printed by
-// `cashrun -tier2 -dump-superblocks`.
+// `cashrun -dump-superblocks`.
 func (p *Program) DumpSuperblocks() string {
 	t := p.superblocks()
 	var b strings.Builder
