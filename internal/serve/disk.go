@@ -60,8 +60,10 @@ func (s *diskStore) GetArtifact(key string) (*core.Artifact, bool) {
 	}
 	art, err := core.DecodeArtifact(payload)
 	if err != nil {
-		// Undecodable bytes (codec drift, unregistered strategy) are a
-		// miss; the rebuild overwrites the entry.
+		// Undecodable bytes (an older format, an unregistered strategy)
+		// are a miss. The entry is removed so that it stops counting as
+		// recently used and the rebuild's Put rewrites it.
+		s.dir.Remove("a:" + key)
 		mDiskMisses.Inc()
 		return nil, false
 	}
@@ -87,6 +89,9 @@ func (s *diskStore) GetRun(key string) (*core.RunResult, error, bool) {
 	}
 	res, runErr, err := core.DecodeRunOutcome(payload)
 	if err != nil {
+		// As in GetArtifact; PutRun skips keys still present, so the
+		// entry must go for the rerun's outcome to be written.
+		s.dir.Remove("r:" + key)
 		mDiskMisses.Inc()
 		return nil, nil, false
 	}

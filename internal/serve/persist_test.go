@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,6 +13,8 @@ import (
 	"testing"
 
 	"cash/internal/core"
+	"cash/internal/store"
+	"cash/internal/vm"
 )
 
 // violationKernel trips a bound violation under the cash strategy.
@@ -158,6 +162,105 @@ func TestPersistCorruptionIsMissNotError(t *testing.T) {
 	}
 	if counter("store.disk.misses") == misses {
 		t.Fatal("corrupted entries did not register as disk misses")
+	}
+}
+
+// TestPersistOldFormatIsMiss pins the upgrade path: an artifact entry
+// and a run entry written by an older build — version-2 gob payloads,
+// from before the hand-written codec — are disk misses. The engine
+// rebuilds and reruns, and overwrites both entries with ones the
+// current codec decodes.
+func TestPersistOldFormatIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	art, err := core.Build(sumKernel, core.ModeCash, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := art.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version-2 payload layout, as the gob codec wrote it.
+	type persistedOptions struct {
+		SegRegs         int
+		SkipReadChecks  bool
+		UseBoundInstr   bool
+		WithoutCallGate bool
+		ElectricFence   bool
+		Passes          []string
+		StepLimit       uint64
+		StepOnly        bool
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(&struct {
+		Version int
+		Mode    string
+		Opts    persistedOptions
+		Program *vm.Program
+	}{Version: 2, Mode: string(core.ModeCash), Program: art.Program}); err != nil {
+		t.Fatal(err)
+	}
+	var oldRun bytes.Buffer
+	if err := gob.NewEncoder(&oldRun).Encode(&struct {
+		Version  int
+		HasRes   bool
+		Result   *vm.Result
+		HeapSpan uint32
+	}{Version: 2, HasRes: true, Result: res.Result, HeapSpan: res.HeapSpan}); err != nil {
+		t.Fatal(err)
+	}
+	key := buildKey(sumKernel, core.ModeCash, core.Options{})
+	d, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("a:"+key, old.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("r:"+key, oldRun.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	misses, writes := counter("store.disk.misses"), counter("store.disk.writes")
+	eng := mustOpen(t, EngineConfig{StoreDir: dir})
+	got := mustBuild(t, eng, sumKernel, core.ModeCash, core.Options{})
+	if got.AST == nil {
+		t.Fatal("old-format entry was served instead of rebuilt")
+	}
+	if gotRes := mustRun(t, eng, got); !reflect.DeepEqual(gotRes.Result, res.Result) {
+		t.Fatal("rerun result differs from a direct run")
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := counter("store.disk.misses") - misses; n < 2 {
+		t.Fatalf("disk misses delta = %d, want >= 2 (artifact + run)", n)
+	}
+	if n := counter("store.disk.writes") - writes; n < 2 {
+		t.Fatalf("disk writes delta = %d, want >= 2: old entries not written back", n)
+	}
+
+	d, err = store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	payload, ok := d.Get("a:" + key)
+	if !ok {
+		t.Fatal("artifact entry missing after the rebuild")
+	}
+	if _, err := core.DecodeArtifact(payload); err != nil {
+		t.Fatalf("artifact entry was not overwritten in the current format: %v", err)
+	}
+	payload, ok = d.Get("r:" + key)
+	if !ok {
+		t.Fatal("run entry missing after the rerun")
+	}
+	if _, _, err := core.DecodeRunOutcome(payload); err != nil {
+		t.Fatalf("run entry was not overwritten in the current format: %v", err)
 	}
 }
 

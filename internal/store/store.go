@@ -194,6 +194,10 @@ func keyPath(existing, key string) string {
 	return filepath.Join(root, name[:2], name+entExt)
 }
 
+// maxKeyLen is the longest key an entry may embed; Put refuses longer
+// (and empty) keys, which parseHeader would reject on every read.
+const maxKeyLen = 1 << 20
+
 // parseHeader decodes the fixed header prefix. ok is false when the
 // magic is wrong or the lengths are absurd.
 func parseHeader(hdr []byte) (keyLen uint32, payloadLen uint64, sum [sha256.Size]byte, ok bool) {
@@ -203,7 +207,7 @@ func parseHeader(hdr []byte) (keyLen uint32, payloadLen uint64, sum [sha256.Size
 	keyLen = binary.LittleEndian.Uint32(hdr[8:12])
 	payloadLen = binary.LittleEndian.Uint64(hdr[12:20])
 	copy(sum[:], hdr[20:headerSize])
-	if keyLen == 0 || keyLen > 1<<20 || payloadLen > 1<<40 {
+	if keyLen == 0 || keyLen > maxKeyLen || payloadLen > 1<<40 {
 		return 0, 0, sum, false
 	}
 	return keyLen, payloadLen, sum, true
@@ -246,6 +250,19 @@ func (d *Dir) Get(key string) (payload []byte, ok bool) {
 	return payload, true
 }
 
+// entry builds the whole entry file for key and payload: the header,
+// the key, the payload. validate is its inverse.
+func entry(key string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	blob := make([]byte, 0, headerSize+len(key)+len(payload))
+	blob = append(blob, magic...)
+	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(key)))
+	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(payload)))
+	blob = append(blob, sum[:]...)
+	blob = append(blob, key...)
+	return append(blob, payload...)
+}
+
 // validate checks a whole entry file against key and returns its
 // payload.
 func validate(data []byte, key string) ([]byte, bool) {
@@ -281,6 +298,12 @@ func (d *Dir) drop(key, path string) {
 	os.Remove(path)
 }
 
+// Remove forgets key and removes its entry file, if any. Callers use
+// it for an entry that validates but that they cannot use — a payload
+// from an older format — so the next Put rewrites it. OnEvict is not
+// called.
+func (d *Dir) Remove(key string) { d.drop(key, d.path(key)) }
+
 // removeLocked deletes key from the index. Caller holds d.mu.
 func (d *Dir) removeLocked(key string, ent *dirEnt) {
 	d.bytes -= ent.size
@@ -315,21 +338,16 @@ func (d *Dir) touch(key string) {
 // error is advisory — a failed Put leaves the store consistent and
 // callers treat it as "not cached".
 func (d *Dir) Put(key string, payload []byte) error {
+	if key == "" || len(key) > maxKeyLen {
+		return fmt.Errorf("store: put: key length %d not in 1..%d", len(key), maxKeyLen)
+	}
 	path := d.path(key)
 	fanDir := filepath.Dir(path)
 	if err := os.MkdirAll(fanDir, 0o755); err != nil {
 		return fmt.Errorf("store: put: %w", err)
 	}
 
-	sum := sha256.Sum256(payload)
-	blob := make([]byte, 0, headerSize+len(key)+len(payload))
-	blob = append(blob, magic...)
-	blob = binary.LittleEndian.AppendUint32(blob, uint32(len(key)))
-	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(payload)))
-	blob = append(blob, sum[:]...)
-	blob = append(blob, key...)
-	blob = append(blob, payload...)
-
+	blob := entry(key, payload)
 	tmp, err := os.CreateTemp(fanDir, "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: put: %w", err)

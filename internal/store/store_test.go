@@ -252,3 +252,45 @@ func TestConcurrentPutGet(t *testing.T) {
 		<-done
 	}
 }
+
+func TestRemoveForgetsEntry(t *testing.T) {
+	d, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("r:k", []byte("old format")); err != nil {
+		t.Fatal(err)
+	}
+	d.Remove("r:k")
+	d.Remove("r:absent") // a no-op
+	if d.Has("r:k") || d.Len() != 0 || d.Bytes() != 0 {
+		t.Fatalf("after Remove: has=%v len=%d bytes=%d", d.Has("r:k"), d.Len(), d.Bytes())
+	}
+	if _, err := os.Stat(d.Path("r:k")); !os.IsNotExist(err) {
+		t.Fatalf("entry file survived Remove: %v", err)
+	}
+}
+
+// TestPutRefusesUnloadableKeys pins that Put writes no entry that every
+// Get would reject: an empty key, or one longer than the header allows.
+func TestPutRefusesUnloadableKeys(t *testing.T) {
+	d, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"", strings.Repeat("k", maxKeyLen+1)} {
+		if err := d.Put(key, []byte("p")); err == nil {
+			t.Errorf("Put with a %d-byte key must fail", len(key))
+		}
+	}
+	if d.Len() != 0 {
+		t.Fatalf("Len = %d after refused Puts, want 0", d.Len())
+	}
+	long := strings.Repeat("k", maxKeyLen)
+	if err := d.Put(long, []byte("p")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := d.Get(long); !ok || string(got) != "p" {
+		t.Fatalf("longest key did not round-trip: ok=%v", ok)
+	}
+}
