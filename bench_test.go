@@ -7,13 +7,12 @@ package cash
 // numbers alongside the incidental wall-clock cost of simulation.
 
 import (
+	"context"
 	"flag"
 	"testing"
 
-	"cash/internal/bench"
 	"cash/internal/core"
 	"cash/internal/ldt"
-	"cash/internal/netsim"
 	"cash/internal/workload"
 	"cash/internal/x86seg"
 )
@@ -85,10 +84,11 @@ func BenchmarkAblationSegRegs(b *testing.B) {
 
 // BenchmarkTable2CodeSize regenerates Table 2: kernel binary sizes.
 func BenchmarkTable2CodeSize(b *testing.B) {
-	var tab *bench.Table
+	suite := Suite{Engine: NewEngine(EngineConfig{})}
+	var tab *ResultTable
 	var err error
 	for i := 0; i < b.N; i++ {
-		tab, err = bench.Table2()
+		tab, err = suite.Table(context.Background(), "table2", 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,13 +186,14 @@ func BenchmarkTable7Characteristics(b *testing.B) {
 // BenchmarkTable8Network regenerates Table 8: per-application latency,
 // throughput and space penalties under the process-per-request server.
 func BenchmarkTable8Network(b *testing.B) {
+	eng := NewEngine(EngineConfig{})
 	for _, w := range workload.NetworkApps() {
 		w := w
 		b.Run(w.Name, func(b *testing.B) {
-			var rep *netsim.AppReport
+			var rep *AppReport
 			var err error
 			for i := 0; i < b.N; i++ {
-				rep, err = netsim.Measure(w, 200, core.Options{})
+				rep, err = eng.MeasureNetworkApp(context.Background(), w, 200, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

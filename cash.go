@@ -33,19 +33,21 @@
 //	fmt.Printf("Cash +%.1f%%, MPX +%.1f%%\n",
 //		cmp.OverheadPct("cash"), cmp.OverheadPct("mpx"))
 //
-// Regenerate a paper table:
-//
-//	tab, err := cash.Table("table1")
-//	fmt.Print(tab.Format())
-//
 // Serve many requests through one Engine — compiled artifacts are
 // cached under a content hash, deterministic executions are served
 // from a run cache, machines are recycled, and admission control bounds
 // in-flight work:
 //
 //	eng := cash.NewEngine(cash.EngineConfig{})
+//	defer eng.Close()
 //	art, err := eng.BuildContext(ctx, src, cash.ModeCash, cash.Options{})
 //	res, err := eng.RunContext(ctx, art)
+//
+// Regenerate a paper table through a Suite on that Engine (a Suite also
+// carries the passes, tier and strategy filter the tables run under):
+//
+//	tab, err := cash.Suite{Engine: eng}.Table(ctx, "table1", 0)
+//	fmt.Print(tab.Format())
 package cash
 
 import (
@@ -62,8 +64,8 @@ import (
 	"cash/internal/workload"
 )
 
-// Default chaos-plane parameters for Table("resilience"); cmd/cashbench
-// overrides them with -chaos-seed and -chaos-rate.
+// Default chaos-plane parameters for Suite.Table("resilience");
+// cmd/cashbench overrides them with -chaos-seed and -chaos-rate.
 const (
 	DefaultChaosSeed uint64  = chaos.DefaultSeed
 	DefaultChaosRate float64 = chaos.DefaultRate
@@ -222,8 +224,9 @@ type EngineConfig = serve.EngineConfig
 // Simulated machines are recycled process-wide (reset on reuse,
 // indistinguishable from fresh). Engines are otherwise independent: each
 // owns its own cache and admission state, so a misbehaving tenant cannot
-// evict another Engine's artifacts. Package-level helpers (Build, Table,
-// AllTables) serve through a shared process-default Engine.
+// evict another Engine's artifacts. The paper's tables are served
+// through an Engine by a Suite. The package-level Build and
+// CompareStrategies use no Engine at all.
 type Engine struct {
 	eng *serve.Engine
 }
@@ -246,37 +249,21 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	return &Engine{eng: eng}, nil
 }
 
-// runtime returns the underlying serving engine, falling back to the
-// process-default one for a nil receiver.
-func (e *Engine) runtime() *serve.Engine {
-	if e == nil || e.eng == nil {
-		return serve.Default()
-	}
-	return e.eng
-}
-
 // ErrEngineClosed is returned by every Engine method after Close: the
 // engine rejects new work instead of queuing it forever.
 var ErrEngineClosed = serve.ErrEngineClosed
 
 // Close shuts the Engine down: new work is rejected with
 // ErrEngineClosed, queued requests fail immediately, and Close blocks
-// until in-flight requests have drained. It is idempotent. Closing a
-// nil or zero Engine is a no-op — the shared process-default engine is
-// never closed through a wrapper.
-func (e *Engine) Close() error {
-	if e == nil || e.eng == nil {
-		return nil
-	}
-	return e.eng.Close()
-}
+// until in-flight requests have drained. It is idempotent.
+func (e *Engine) Close() error { return e.eng.Close() }
 
 // BuildContext is Build through the Engine: the compiled artifact is
 // cached under a content hash of (source, mode, options), concurrent
 // identical builds are coalesced into one compile, and ctx cancels the
 // wait for an in-flight build.
 func (e *Engine) BuildContext(ctx context.Context, source string, mode Mode, opts Options) (*Artifact, error) {
-	return e.runtime().BuildContext(ctx, source, mode, opts)
+	return e.eng.BuildContext(ctx, source, mode, opts)
 }
 
 // RunContext executes an artifact on a recycled machine under admission
@@ -284,61 +271,34 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode Mode, opt
 // ctx cancels a queued request and interrupts a running simulation
 // between basic blocks, returning ctx.Err().
 func (e *Engine) RunContext(ctx context.Context, art *Artifact) (*RunResult, error) {
-	return e.runtime().RunContext(ctx, art)
+	return e.eng.RunContext(ctx, art)
 }
 
 // CompareStrategiesContext is CompareStrategies through the Engine:
 // every strategy's build and run is cached and admission-controlled
 // like any other request.
 func (e *Engine) CompareStrategiesContext(ctx context.Context, name, source string, cfg CompareConfig) (*Comparison, error) {
-	return e.runtime().CompareStrategiesContext(ctx, name, source, cfg)
+	return e.eng.CompareStrategiesContext(ctx, name, source, cfg)
 }
 
-// Table regenerates one registered table by id (see Tables). requests
-// sets the client workload of the network experiments (0 means the
-// paper's 2000); the other tables ignore it.
-func (e *Engine) Table(ctx context.Context, id string, requests int) (*ResultTable, error) {
-	return bench.TableByID(ctx, e.runtime(), id, requests)
-}
-
-// AllTables regenerates every table that `cashbench -all` prints.
-// Repeated calls on one Engine serve builds from the artifact cache
-// and repeated deterministic executions from the run cache, producing
-// byte-identical tables at a fraction of the cold cost.
-func (e *Engine) AllTables(ctx context.Context, requests int) ([]*ResultTable, error) {
-	return bench.AllTablesContext(ctx, e.runtime(), requests)
-}
-
-// AllTablesTimed is AllTables plus per-table host timings.
-func (e *Engine) AllTablesTimed(ctx context.Context, requests int) ([]*ResultTable, []TableTiming, error) {
-	return bench.AllTablesTimedContext(ctx, e.runtime(), requests)
-}
-
-// MeasureNetworkApp is MeasureNetworkApp through the Engine.
+// MeasureNetworkApp runs the paper's §4.4 experiment for one network
+// application through the Engine: process-per-request latency,
+// throughput and space penalties of Cash over the unchecked baseline.
 func (e *Engine) MeasureNetworkApp(ctx context.Context, w Workload, requests int, opts Options) (*AppReport, error) {
-	return netsim.MeasureContext(ctx, e.runtime(), w, requests, opts)
+	return netsim.MeasureContext(ctx, e.eng, w, requests, opts)
 }
 
-// MeasureResilience is MeasureResilienceWith through the Engine.
+// MeasureResilience runs one network application's resilient server
+// through the Engine under deterministic fault injection: requests
+// picked by a PRNG seeded with (cfg.Seed, request index) suffer one of
+// seven injected faults — transient modify_ldt failures, LDT
+// exhaustion, descriptor or shadow free-list corruption, page-table
+// unmap races, malformed requests, runaway handlers — and the server
+// retries, sheds, degrades to flat segments (§3.4) or detects, but
+// never crashes. Identical configs reproduce the report exactly.
 func (e *Engine) MeasureResilience(ctx context.Context, w Workload, requests int, opts Options, cfg ResilienceConfig) (*ResilienceReport, error) {
-	return netsim.MeasureResilienceContext(ctx, e.runtime(), w, requests, opts,
+	return netsim.MeasureResilienceContext(ctx, e.eng, w, requests, opts,
 		chaos.NewPlan(chaos.Config{Seed: cfg.Seed, Rate: cfg.Rate}))
-}
-
-// ResilienceTable renders the resilience experiment for every network
-// application under cfg's chaos parameters, with this Engine's worker
-// budget. The measurement itself runs on a fresh private Engine, so
-// the metrics it publishes depend only on (requests, cfg).
-func (e *Engine) ResilienceTable(ctx context.Context, requests int, cfg ResilienceConfig) (*ResultTable, error) {
-	return bench.ResilienceTableContext(ctx, e.runtime(), requests, cfg.Seed, cfg.Rate)
-}
-
-// Figure1Trace renders the Figure 1 address-translation pipeline
-// through the Engine. The build is cached; the traced execution always
-// re-simulates, because attaching a trace makes the run observably
-// different.
-func (e *Engine) Figure1Trace(ctx context.Context) (string, error) {
-	return bench.Figure1TraceContext(ctx, e.runtime())
 }
 
 // Workloads returns the paper's full benchmark suite: 6 kernels
@@ -348,13 +308,6 @@ func Workloads() []Workload { return workload.All() }
 
 // WorkloadByName finds one benchmark program.
 func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name) }
-
-// MeasureNetworkApp runs the paper's §4.4 experiment for one network
-// application: process-per-request latency, throughput and space
-// penalties of Cash over the unchecked baseline.
-func MeasureNetworkApp(w Workload, requests int, opts Options) (*AppReport, error) {
-	return netsim.Measure(w, requests, opts)
-}
 
 // ResilienceConfig parameterises the deterministic chaos plane of the
 // resilience experiment. The zero value injects nothing (rate 0); use
@@ -373,41 +326,20 @@ func DefaultResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{Seed: DefaultChaosSeed, Rate: DefaultChaosRate}
 }
 
-// MeasureResilienceWith runs one network application's resilient server
-// under deterministic fault injection: requests picked by a PRNG seeded
-// with (cfg.Seed, request index) suffer one of seven injected faults —
-// transient modify_ldt failures, LDT exhaustion, descriptor or shadow
-// free-list corruption, page-table unmap races, malformed requests,
-// runaway handlers — and the server retries, sheds, degrades to flat
-// segments (§3.4) or detects, but never crashes. Identical configs
-// reproduce the report exactly.
-func MeasureResilienceWith(w Workload, requests int, opts Options, cfg ResilienceConfig) (*ResilienceReport, error) {
-	return netsim.MeasureResilience(w, requests, opts,
-		chaos.NewPlan(chaos.Config{Seed: cfg.Seed, Rate: cfg.Rate}))
-}
-
-// ResilienceTable renders the resilience experiment for every network
-// application (see cmd/cashbench -table resilience).
-func ResilienceTable(requests int, seed uint64, rate float64) (*ResultTable, error) {
-	return bench.ResilienceTable(requests, seed, rate)
-}
-
 // TableSpec describes one registered table of the paper's evaluation.
 // The registry (Tables) is the single source of truth for table ids:
-// Table, TableIDs, AllTables ordering, `cashbench -list` and the
-// unknown-id error all derive from it.
+// Suite.Table, TableIDs, Suite.AllTablesTimed ordering, `cashbench
+// -list` and the unknown-id error all derive from it.
 type TableSpec struct {
-	// ID is the stable identifier accepted by Table (e.g. "table1").
+	// ID is the stable identifier accepted by Suite.Table (e.g.
+	// "table1").
 	ID string
 	// Caption is a one-line description for listings.
 	Caption string
-	// InAll reports whether AllTables regenerates this table. The
-	// resilience table is excluded: the paper's tables are chaos-free.
+	// InAll reports whether Suite.AllTablesTimed regenerates this
+	// table. The resilience table is excluded: the paper's tables are
+	// chaos-free.
 	InAll bool
-	// Generate produces the table through an Engine (nil uses the
-	// process default). Generators measuring the network experiment
-	// honor requests (0 means the paper's 2000); the rest ignore it.
-	Generate func(ctx context.Context, eng *Engine, requests int) (*ResultTable, error)
 }
 
 // Tables returns every registered table spec, in paper order. The
@@ -416,88 +348,86 @@ func Tables() []TableSpec {
 	specs := bench.Specs()
 	out := make([]TableSpec, len(specs))
 	for i, sp := range specs {
-		sp := sp
-		out[i] = TableSpec{
-			ID:      sp.ID,
-			Caption: sp.Caption,
-			InAll:   sp.InAll,
-			Generate: func(ctx context.Context, eng *Engine, requests int) (*ResultTable, error) {
-				if requests <= 0 {
-					requests = netsim.DefaultRequests
-				}
-				return sp.Generate(ctx, eng.runtime(), requests)
-			},
-		}
+		out[i] = TableSpec{ID: sp.ID, Caption: sp.Caption, InAll: sp.InAll}
 	}
 	return out
 }
 
-// Table regenerates one of the paper's tables or analyses by id, via
-// the process-default Engine. Valid ids are those of Tables:
-//
-//	table1 table2 table3 table4 table5 table6 table7 table8 table8bcc
-//	ablation-segregs bound detectors constants ldt cache segments figure2
-//	resilience
-//
-// An unknown id yields an error listing every valid id.
-func Table(id string) (*ResultTable, error) {
-	return bench.TableByID(context.Background(), serve.Default(), id, 0)
-}
-
-// TableIDs lists the ids accepted by Table, in paper order.
+// TableIDs lists the ids accepted by Suite.Table, in paper order.
 func TableIDs() []string { return bench.TableIDs() }
-
-// AllTables regenerates every table with the given request count for the
-// network experiment. Tables are produced one at a time, but the
-// independent experiments inside each (its rows) run concurrently up to
-// GOMAXPROCS (use an Engine with EngineConfig.Parallelism to choose the
-// budget); results are identical at any setting.
-func AllTables(requests int) ([]*ResultTable, error) { return bench.AllTables(requests) }
 
 // TableTiming is the host-side cost of producing one table: wall-clock
 // nanoseconds plus the simulated instructions and cycles run on its
 // behalf.
 type TableTiming = bench.Timing
 
-// AllTablesTimed is AllTables plus per-table host timings.
-func AllTablesTimed(requests int) ([]*ResultTable, []TableTiming, error) {
-	return bench.AllTablesTimed(requests)
+// Suite is one configuration of the paper's evaluation: the Engine the
+// tables are served through plus the settings they compile and run
+// under. It is a plain value, so differently configured suites can share
+// one process — and one Engine — concurrently. Every method validates
+// the suite before any work starts: a nil Engine or an unknown strategy
+// name is an error.
+type Suite struct {
+	// Engine serves every build and run. Required.
+	Engine *Engine
+	// Passes are the IR optimization passes every table compiles with
+	// (see PassNames); nil is the exact-replication default of none.
+	// `cashbench -passes rce,hoist` sets it; the checked-in goldens pin
+	// both settings.
+	Passes []string
+	// StepOnly pins every run to the step interpreter (`cashbench
+	// -step`) instead of the default tier-2 superblock engine. The two
+	// are output-identical, so the goldens must not change.
+	StepOnly bool
+	// Strategies restricts the strategy-matrix table to the named
+	// checking strategies (`cashbench -strategy mpx`); nil sweeps the
+	// whole registry (see Strategies).
+	Strategies []string
 }
 
-// SetBenchPasses configures the IR optimization passes every table
-// generator compiles with (see PassNames; nil restores the
-// exact-replication default of none). `cashbench -passes rce,hoist`
-// regenerates the whole suite under the optimizing back end; the
-// checked-in goldens pin both settings.
-func SetBenchPasses(passes []string) { bench.SetPasses(passes) }
-
-// SetBenchStrategies restricts the strategy-matrix table to the named
-// checking strategies (`cashbench -table strategy-matrix -strategy
-// mpx`); nil restores the full-registry sweep. Unknown names are
-// rejected with an error listing the valid ones (see Strategies).
-func SetBenchStrategies(names []string) error {
-	_, err := bench.SetStrategyFilter(names)
-	return err
+func (s Suite) benchSuite() bench.Suite {
+	b := bench.Suite{Passes: s.Passes, StepOnly: s.StepOnly, Strategies: s.Strategies}
+	if s.Engine != nil {
+		b.Engine = s.Engine.eng
+	}
+	return b
 }
 
-// SetBenchStep pins every table generator to the step interpreter
-// (`cashbench -step`) instead of the default tier-2 superblock engine.
-// The two are output-identical, so the goldens must not change — CI
-// diffs the step suite against the same goldens to prove it.
-func SetBenchStep(on bool) { bench.SetStep(on) }
+// Table regenerates one registered table by id (see TableIDs). requests
+// sets the client workload of the network experiments (0 means the
+// paper's 2000); the other tables ignore it. An unknown id yields an
+// error listing every valid id.
+func (s Suite) Table(ctx context.Context, id string, requests int) (*ResultTable, error) {
+	return s.benchSuite().Table(ctx, id, requests)
+}
 
-// KernelTiming is one Table 1 kernel's measured host cost under the
-// current bench configuration (see SetBenchPasses / SetBenchStep).
-type KernelTiming = bench.KernelTiming
-
-// KernelHostTimings times `runs` complete executions of each Table 1
-// kernel and reports the median host ns per run — the per-kernel block
-// `cashbench -json` emits for BENCH_*.json records.
-func KernelHostTimings(runs int) ([]KernelTiming, error) { return bench.KernelHostTimings(runs) }
+// AllTablesTimed regenerates every table that `cashbench -all` prints,
+// with per-table host timings. Tables are produced one at a time; the
+// independent experiments inside each (its rows) run concurrently up to
+// the Engine's EngineConfig.Parallelism, with identical results at any
+// setting. Repeated calls on one Engine serve builds from the artifact
+// cache and repeated deterministic executions from the run cache,
+// producing byte-identical tables at a fraction of the cold cost.
+func (s Suite) AllTablesTimed(ctx context.Context, requests int) ([]*ResultTable, []TableTiming, error) {
+	return s.benchSuite().AllTablesTimed(ctx, requests)
+}
 
 // Figure1Trace renders the Figure 1 address-translation pipeline
-// (segmentation then paging) for a small traced program.
-func Figure1Trace() (string, error) { return bench.Figure1Trace() }
+// (segmentation then paging) for a small traced program. The build is
+// cached; the traced execution always re-simulates, because attaching a
+// trace makes the run observably different.
+func (s Suite) Figure1Trace(ctx context.Context) (string, error) {
+	return s.benchSuite().Figure1Trace(ctx)
+}
+
+// ResilienceTable renders the resilience experiment for every network
+// application under cfg's chaos parameters, with the Engine's worker
+// budget (see cmd/cashbench -table resilience). The measurement itself
+// runs on a fresh private Engine, so the metrics it publishes depend
+// only on (requests, cfg).
+func (s Suite) ResilienceTable(ctx context.Context, requests int, cfg ResilienceConfig) (*ResultTable, error) {
+	return s.benchSuite().ResilienceTable(ctx, requests, cfg.Seed, cfg.Rate)
+}
 
 // MetricsSnapshot is a point-in-time copy of the process-wide metrics
 // registry: named counters and gauges plus latency histograms. Snapshots

@@ -63,9 +63,13 @@ func TestPublicWorkloads(t *testing.T) {
 	}
 }
 
+// testSuite serves the table tests of this package through one Engine.
+var testSuite = Suite{Engine: NewEngine(EngineConfig{})}
+
 func TestPublicTableDispatch(t *testing.T) {
+	ctx := context.Background()
 	for _, id := range []string{"constants", "ldt", "figure2"} {
-		tab, err := Table(id)
+		tab, err := testSuite.Table(ctx, id, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -73,8 +77,11 @@ func TestPublicTableDispatch(t *testing.T) {
 			t.Fatalf("%s: empty table", id)
 		}
 	}
-	if _, err := Table("table99"); err == nil {
+	if _, err := testSuite.Table(ctx, "table99", 0); err == nil {
 		t.Fatal("unknown table id must error")
+	}
+	if _, err := (Suite{}).Table(ctx, "constants", 0); err == nil {
+		t.Fatal("a Suite without an Engine must error")
 	}
 	if len(TableIDs()) != 21 {
 		t.Fatalf("TableIDs = %d entries, want 21", len(TableIDs()))
@@ -109,7 +116,7 @@ func TestPublicCharacterize(t *testing.T) {
 }
 
 func TestPublicFigure1Trace(t *testing.T) {
-	trace, err := Figure1Trace()
+	trace, err := testSuite.Figure1Trace(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +130,7 @@ func TestPublicNetworkMeasure(t *testing.T) {
 	if !ok {
 		t.Fatal("bind missing")
 	}
-	rep, err := MeasureNetworkApp(w, 100, Options{})
+	rep, err := testSuite.Engine.MeasureNetworkApp(context.Background(), w, 100, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +152,6 @@ func TestPublicTablesRegistry(t *testing.T) {
 		if sp.Caption == "" {
 			t.Fatalf("%s: empty caption", sp.ID)
 		}
-		if sp.Generate == nil {
-			t.Fatalf("%s: nil generator", sp.ID)
-		}
 		// resilience (chaos-seeded), ablation-passes, ablation-affine
 		// (pass-enabled rebuilds), and strategy-matrix (post-registry
 		// strategies) are excluded from -all to keep the historical
@@ -158,12 +162,8 @@ func TestPublicTablesRegistry(t *testing.T) {
 			t.Fatalf("%s: InAll = %v, want %v", sp.ID, sp.InAll, wantInAll)
 		}
 	}
-	// A spec generates through a nil Engine (process default).
-	sp, ok := specByID(t, "constants")
-	if !ok {
-		t.Fatal("constants spec missing")
-	}
-	tab, err := sp.Generate(context.Background(), nil, 0)
+	// A registered id generates through a Suite.
+	tab, err := testSuite.Table(context.Background(), "constants", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPublicTablesRegistry(t *testing.T) {
 		t.Fatal("constants: empty table")
 	}
 	// The unknown-id error derives from the registry: it lists every id.
-	_, err = Table("table99")
+	_, err = testSuite.Table(context.Background(), "table99", 0)
 	if err == nil {
 		t.Fatal("unknown table id must error")
 	}
@@ -180,16 +180,6 @@ func TestPublicTablesRegistry(t *testing.T) {
 			t.Fatalf("unknown-id error %q does not list %q", err, id)
 		}
 	}
-}
-
-func specByID(t *testing.T, id string) (TableSpec, bool) {
-	t.Helper()
-	for _, sp := range Tables() {
-		if sp.ID == id {
-			return sp, true
-		}
-	}
-	return TableSpec{}, false
 }
 
 func TestPublicEngineServes(t *testing.T) {
@@ -222,7 +212,7 @@ func TestPublicEngineServes(t *testing.T) {
 	if _, err := eng.RunContext(canceled, art); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run: err = %v, want context.Canceled", err)
 	}
-	if _, err := eng.Table(ctx, "table99", 0); err == nil {
+	if _, err := (Suite{Engine: eng}).Table(ctx, "table99", 0); err == nil {
 		t.Fatal("engine lookup of unknown table id must error")
 	}
 }

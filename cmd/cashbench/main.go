@@ -97,23 +97,13 @@ type sbCountersJSON struct {
 	InstrsRetired uint64 `json:"instrs_retired"`
 }
 
-// kernelTimingJSON is one Table 1 kernel's median host cost per
-// complete run — the numbers BENCH_*.json speedup records are built
-// from.
-type kernelTimingJSON struct {
-	Kernel          string `json:"kernel"`
-	HostNSPerOp     int64  `json:"host_ns_per_op"`
-	SimInstructions uint64 `json:"sim_instructions"`
-}
-
 type timingReportJSON struct {
-	Requests    int                `json:"requests"`
-	Parallelism int                `json:"parallelism"`
-	Step        bool               `json:"step"`
-	TotalHostNS int64              `json:"total_host_ns"`
-	SB          sbCountersJSON     `json:"sb"`
-	Tables      []tableTimingJSON  `json:"tables"`
-	Kernels     []kernelTimingJSON `json:"kernels"`
+	Requests    int               `json:"requests"`
+	Parallelism int               `json:"parallelism"`
+	Step        bool              `json:"step"`
+	TotalHostNS int64             `json:"total_host_ns"`
+	SB          sbCountersJSON    `json:"sb"`
+	Tables      []tableTimingJSON `json:"tables"`
 }
 
 func run() (err error) {
@@ -142,29 +132,6 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	if *strategy != "" {
-		var names []string
-		for _, n := range strings.Split(*strategy, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
-		if err := cash.SetBenchStrategies(names); err != nil {
-			return err
-		}
-	}
-
-	if *passesFlag != "" {
-		var passes []string
-		for _, p := range strings.Split(*passesFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				passes = append(passes, p)
-			}
-		}
-		cash.SetBenchPasses(passes)
-	}
-	cash.SetBenchStep(*step)
-
 	cfg := cash.EngineConfig{
 		Parallelism: *parallel,
 		StoreDir:    *storeDir,
@@ -176,6 +143,12 @@ func run() (err error) {
 	eng, err := cash.OpenEngine(cfg)
 	if err != nil {
 		return err
+	}
+	suite := cash.Suite{
+		Engine:     eng,
+		Passes:     splitList(*passesFlag),
+		StepOnly:   *step,
+		Strategies: splitList(*strategy),
 	}
 	ctx := context.Background()
 
@@ -227,7 +200,7 @@ func run() (err error) {
 		return nil
 
 	case *figure1:
-		out, err := eng.Figure1Trace(ctx)
+		out, err := suite.Figure1Trace(ctx)
 		if err != nil {
 			return err
 		}
@@ -241,10 +214,10 @@ func run() (err error) {
 			err error
 		)
 		if *table == "resilience" {
-			tab, err = eng.ResilienceTable(ctx, *requests,
+			tab, err = suite.ResilienceTable(ctx, *requests,
 				cash.ResilienceConfig{Seed: *chaosSeed, Rate: *chaosRate})
 		} else {
-			tab, err = eng.Table(ctx, *table, *requests)
+			tab, err = suite.Table(ctx, *table, *requests)
 		}
 		if err != nil {
 			return err
@@ -263,7 +236,7 @@ func run() (err error) {
 			timings []cash.TableTiming
 		)
 		for pass := 1; pass <= *repeat; pass++ {
-			tabs, tms, err := eng.AllTablesTimed(ctx, *requests)
+			tabs, tms, err := suite.AllTablesTimed(ctx, *requests)
 			if err != nil {
 				return err
 			}
@@ -272,7 +245,7 @@ func run() (err error) {
 				b.WriteString(tab.Format())
 				b.WriteByte('\n')
 			}
-			trace, err := eng.Figure1Trace(ctx)
+			trace, err := suite.Figure1Trace(ctx)
 			if err != nil {
 				return err
 			}
@@ -290,13 +263,7 @@ func run() (err error) {
 		elapsed := time.Since(start)
 		reportThroughput(elapsed)
 		if *jsonPath != "" {
-			// The per-kernel host timings run after the suite so their
-			// wall-clock measurement shares the host with nothing else.
-			kernels, kerr := cash.KernelHostTimings(5)
-			if kerr != nil {
-				return kerr
-			}
-			if err := writeTimings(*jsonPath, *requests, *parallel, *step, elapsed, timings, kernels); err != nil {
+			if err := writeTimings(*jsonPath, *requests, *parallel, *step, elapsed, timings); err != nil {
 				return err
 			}
 		}
@@ -306,6 +273,18 @@ func run() (err error) {
 		flag.Usage()
 		return fmt.Errorf("nothing to do: pass -all, -table, -figure1 or -list")
 	}
+}
+
+// splitList parses a comma-separated flag value, dropping blanks; an
+// empty value yields nil.
+func splitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // writeHeapProfile captures the final live heap into path. The GC run
@@ -365,7 +344,7 @@ func reportThroughput(elapsed time.Duration) {
 		instrs, cycles, elapsed.Seconds(), rate/1e6)
 }
 
-func writeTimings(path string, requests, parallel int, step bool, elapsed time.Duration, timings []cash.TableTiming, kernels []cash.KernelTiming) error {
+func writeTimings(path string, requests, parallel int, step bool, elapsed time.Duration, timings []cash.TableTiming) error {
 	sbCompiled, sbEntries, sbDeopts, sbRetired := vm.SBCounters()
 	rep := timingReportJSON{
 		Requests:    requests,
@@ -378,15 +357,7 @@ func writeTimings(path string, requests, parallel int, step bool, elapsed time.D
 			Deopts:        sbDeopts,
 			InstrsRetired: sbRetired,
 		},
-		Tables:  make([]tableTimingJSON, 0, len(timings)),
-		Kernels: make([]kernelTimingJSON, 0, len(kernels)),
-	}
-	for _, k := range kernels {
-		rep.Kernels = append(rep.Kernels, kernelTimingJSON{
-			Kernel:          k.Name,
-			HostNSPerOp:     k.HostNSPerOp,
-			SimInstructions: k.SimInstructions,
-		})
+		Tables: make([]tableTimingJSON, 0, len(timings)),
 	}
 	for _, tm := range timings {
 		rep.Tables = append(rep.Tables, tableTimingJSON{

@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -90,7 +91,9 @@ func run() (err error) {
 	}
 
 	if *trace {
-		out, err := cash.Figure1Trace()
+		eng := cash.NewEngine(cash.EngineConfig{})
+		defer eng.Close()
+		out, err := cash.Suite{Engine: eng}.Figure1Trace(context.Background())
 		if err != nil {
 			return err
 		}

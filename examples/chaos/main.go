@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"reflect"
@@ -33,7 +34,10 @@ func run() error {
 		seed     = 1
 		rate     = 0.10
 	)
-	rep, err := cash.MeasureResilienceWith(w, requests, cash.Options{},
+	eng := cash.NewEngine(cash.EngineConfig{})
+	defer eng.Close()
+	ctx := context.Background()
+	rep, err := eng.MeasureResilience(ctx, w, requests, cash.Options{},
 		cash.ResilienceConfig{Seed: seed, Rate: rate})
 	if err != nil {
 		return err
@@ -50,7 +54,7 @@ func run() error {
 	}
 
 	// Determinism: the same seed replays the exact same faults.
-	again, err := cash.MeasureResilienceWith(w, requests, cash.Options{},
+	again, err := eng.MeasureResilience(ctx, w, requests, cash.Options{},
 		cash.ResilienceConfig{Seed: seed, Rate: rate})
 	if err != nil {
 		return err
@@ -61,7 +65,7 @@ func run() error {
 	fmt.Println("\nsecond run with the same seed: identical report (deterministic replay)")
 
 	// A different seed injects a different fault schedule.
-	other, err := cash.MeasureResilienceWith(w, requests, cash.Options{},
+	other, err := eng.MeasureResilience(ctx, w, requests, cash.Options{},
 		cash.ResilienceConfig{Seed: seed + 1, Rate: rate})
 	if err != nil {
 		return err

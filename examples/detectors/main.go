@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,9 @@ func main() {
 }
 
 func run() error {
-	tab, err := cash.Table("detectors")
+	eng := cash.NewEngine(cash.EngineConfig{})
+	defer eng.Close()
+	tab, err := cash.Suite{Engine: eng}.Table(context.Background(), "detectors", 0)
 	if err != nil {
 		return err
 	}

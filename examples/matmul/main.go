@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,9 @@ func run() error {
 	fmt.Println()
 
 	fmt.Println("== input-size sweep (Table 3 shape: overhead falls with size) ==")
-	tab, err := cash.Table("table3")
+	eng := cash.NewEngine(cash.EngineConfig{})
+	defer eng.Close()
+	tab, err := cash.Suite{Engine: eng}.Table(context.Background(), "table3", 0)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,12 +21,14 @@ func main() {
 func run() error {
 	const requests = 2000
 	fmt.Printf("process-per-request server, %d requests per application\n\n", requests)
+	eng := cash.NewEngine(cash.EngineConfig{})
+	defer eng.Close()
 	for _, name := range []string{"apache", "qpopper", "bind"} {
 		w, ok := cash.WorkloadByName(name)
 		if !ok {
 			return fmt.Errorf("workload %s missing", name)
 		}
-		rep, err := cash.MeasureNetworkApp(w, requests, cash.Options{})
+		rep, err := eng.MeasureNetworkApp(context.Background(), w, requests, cash.Options{})
 		if err != nil {
 			return err
 		}

@@ -4,20 +4,15 @@ import (
 	"context"
 	"fmt"
 
-	"cash/internal/serve"
 	"cash/internal/workload"
 )
 
-// AblationAffine measures what the affine symbolic-range pass buys on
+// ablationAffine measures what the affine symbolic-range pass buys on
 // top of rce+hoist: the Table 1 kernels plus the four range kernels,
 // under BCC, with the baseline pipeline versus the full one. The
 // computed-index references (i*n+j and friends) are exactly the checks
 // rce and hoist cannot touch.
-func AblationAffine() (*Table, error) {
-	return ablationAffine(context.Background(), serve.Default())
-}
-
-func ablationAffine(ctx context.Context, eng *serve.Engine) (*Table, error) {
+func (s Suite) ablationAffine(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-affine",
 		Title:   "affine range-analysis ablation (BCC; rce+hoist vs rce+hoist+affine)",
@@ -29,13 +24,13 @@ func ablationAffine(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	}
 	ws := append(workload.Kernels(), workload.RangeKernels()...)
 	t.Rows = make([][]string, len(ws))
-	err := eng.Do(len(ws), func(i int) error {
+	err := s.Engine.Do(len(ws), func(i int) error {
 		w := ws[i]
-		base, err := measurePasses(ctx, eng, w, []string{"rce", "hoist"})
+		base, err := s.measurePasses(ctx, w, []string{"rce", "hoist"})
 		if err != nil {
 			return fmt.Errorf("%s base: %w", w.Name, err)
 		}
-		full, err := measurePasses(ctx, eng, w, []string{"rce", "hoist", "affine"})
+		full, err := s.measurePasses(ctx, w, []string{"rce", "hoist", "affine"})
 		if err != nil {
 			return fmt.Errorf("%s full: %w", w.Name, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"cash/internal/serve"
 	"cash/internal/workload"
 )
 
@@ -18,7 +17,7 @@ func TestGoldenAblationAffine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := ablationAffine(context.Background(), serve.NewEngine(serve.EngineConfig{}))
+	tab, err := testSuite.ablationAffine(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,14 +33,13 @@ func TestGoldenAblationAffine(t *testing.T) {
 // pass could touch — and the gather control is bit-for-bit unaffected.
 func TestAffineClosesComputedIndexGap(t *testing.T) {
 	ctx := context.Background()
-	eng := serve.NewEngine(serve.EngineConfig{})
 	full := []string{"rce", "hoist", "affine"}
 	for _, w := range workload.Kernels() {
-		off, err := measurePasses(ctx, eng, w, nil)
+		off, err := testSuite.measurePasses(ctx, w, nil)
 		if err != nil {
 			t.Fatalf("%s off: %v", w.Name, err)
 		}
-		on, err := measurePasses(ctx, eng, w, full)
+		on, err := testSuite.measurePasses(ctx, w, full)
 		if err != nil {
 			t.Fatalf("%s full: %v", w.Name, err)
 		}
@@ -56,11 +54,11 @@ func TestAffineClosesComputedIndexGap(t *testing.T) {
 	// MatMul specifically must improve over the previous best pipeline:
 	// that is the gap this pass exists to close.
 	mm := workload.MatMul(40)
-	base, err := measurePasses(ctx, eng, mm, []string{"rce", "hoist"})
+	base, err := testSuite.measurePasses(ctx, mm, []string{"rce", "hoist"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := measurePasses(ctx, eng, mm, full)
+	on, err := testSuite.measurePasses(ctx, mm, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +72,11 @@ func TestAffineClosesComputedIndexGap(t *testing.T) {
 
 	// The control: gather's data-dependent index must be left alone.
 	g := workload.Gather(256)
-	gBase, err := measurePasses(ctx, eng, g, []string{"rce", "hoist"})
+	gBase, err := testSuite.measurePasses(ctx, g, []string{"rce", "hoist"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gFull, err := measurePasses(ctx, eng, g, full)
+	gFull, err := testSuite.measurePasses(ctx, g, full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func parsePct(t *testing.T, s string) float64 {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tab, err := Table1(4)
+	tab, err := testTable("table1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	tab, err := Table2()
+	tab, err := testTable("table2", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Decreasing(t *testing.T) {
-	tab, err := Table3()
+	tab, err := testTable("table3", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestTable3Decreasing(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tab, err := Table5()
+	tab, err := testTable("table5", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable7Sendmail(t *testing.T) {
-	tab, err := Table7()
+	tab, err := testTable("table7", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestTable7Sendmail(t *testing.T) {
 }
 
 func TestTable8Shape(t *testing.T) {
-	tab, err := Table8(50)
+	tab, err := testTable("table8", 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestTable8Shape(t *testing.T) {
 }
 
 func TestAblationMonotone(t *testing.T) {
-	tab, err := AblationSegRegs()
+	tab, err := testTable("ablation-segregs", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestLDTCostTable(t *testing.T) {
 }
 
 func TestCacheTable(t *testing.T) {
-	tab, err := CacheTable()
+	tab, err := testTable("cache", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestCacheTable(t *testing.T) {
 }
 
 func TestSegmentsBudget(t *testing.T) {
-	tab, err := SegmentsTable()
+	tab, err := testTable("segments", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestFigure2Table(t *testing.T) {
 }
 
 func TestFigure1Trace(t *testing.T) {
-	trace, err := Figure1Trace()
+	trace, err := testSuite.Figure1Trace(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,9 @@ import (
 	"fmt"
 
 	"cash/internal/core"
-	"cash/internal/serve"
 )
 
-// DetectorTable compares the bound-violation detectors the paper
+// The detector table compares the bound-violation detectors the paper
 // discusses — no checking (GCC), Electric Fence guard pages (related
 // work, §2), BCC software checks, the bound instruction, and Cash — on a
 // heap-churning workload: run-time overhead, heap address-space
@@ -67,12 +66,8 @@ func detectorVariants() []detectorVariant {
 	}
 }
 
-// DetectorTable builds the comparison.
-func DetectorTable() (*Table, error) {
-	return detectorTable(context.Background(), serve.Default())
-}
-
-func detectorTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
+// detectorTable builds the comparison.
+func (s Suite) detectorTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "detectors",
 		Title:   "bound-violation detectors on a heap-churn workload (200 allocations)",
@@ -89,13 +84,13 @@ func detectorTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	}
 	vs := detectorVariants()
 	results := make([]variantResult, len(vs))
-	err := eng.Do(len(vs), func(i int) error {
+	err := s.Engine.Do(len(vs), func(i int) error {
 		v := vs[i]
-		art, err := eng.BuildContext(ctx, detectorHeapKernel, v.mode, opt(v.opts))
+		art, err := s.Engine.BuildContext(ctx, detectorHeapKernel, v.mode, s.opt(v.opts))
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.name, err)
 		}
-		res, err := eng.RunContext(ctx, art)
+		res, err := s.Engine.RunContext(ctx, art)
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -105,7 +100,7 @@ func detectorTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 		results[i].cycles = res.Cycles
 		results[i].heapSpan = res.HeapSpan
 		for pi, probe := range []string{probeHeap, probeGlobal, probeStack} {
-			caught, err := detects(ctx, eng, probe, v)
+			caught, err := s.detects(ctx, probe, v)
 			if err != nil {
 				return fmt.Errorf("%s: probe: %w", v.name, err)
 			}
@@ -142,12 +137,12 @@ func detectorTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 // run goes through the Engine, so a probe's outcome — including the
 // expensive unchecked-GCC runaways that burn the whole step budget —
 // is simulated once and served from the run cache afterwards.
-func detects(ctx context.Context, eng *serve.Engine, src string, v detectorVariant) (bool, error) {
-	art, err := eng.BuildContext(ctx, src, v.mode, opt(v.opts))
+func (s Suite) detects(ctx context.Context, src string, v detectorVariant) (bool, error) {
+	art, err := s.Engine.BuildContext(ctx, src, v.mode, s.opt(v.opts))
 	if err != nil {
 		return false, err
 	}
-	res, err := eng.RunContext(ctx, art)
+	res, err := s.Engine.RunContext(ctx, art)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return false, cerr

@@ -4,24 +4,18 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"cash/internal/core"
 	"cash/internal/ldt"
-	"cash/internal/serve"
 	"cash/internal/vm"
 	"cash/internal/workload"
 	"cash/internal/x86seg"
 )
 
-// AblationSegRegs reproduces the §4.2 segment-register sweep: for each
+// ablationSegRegs reproduces the §4.2 segment-register sweep: for each
 // kernel, the fraction of bound checks that fall back to software and the
 // resulting overhead with 2, 3 and 4 segment registers.
-func AblationSegRegs() (*Table, error) {
-	return ablationSegRegs(context.Background(), serve.Default())
-}
-
-func ablationSegRegs(ctx context.Context, eng *serve.Engine) (*Table, error) {
+func (s Suite) ablationSegRegs(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "ablation-segregs",
 		Title:   "Cash overhead and software-check share vs segment-register budget",
@@ -32,11 +26,11 @@ func ablationSegRegs(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	}
 	ws := workload.Kernels()
 	t.Rows = make([][]string, len(ws))
-	err := eng.Do(len(ws), func(i int) error {
+	err := s.Engine.Do(len(ws), func(i int) error {
 		w := ws[i]
 		row := []string{w.Paper}
 		for _, regs := range []int{2, 3, 4} {
-			cmp, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{SegRegs: regs})})
+			cmp, err := s.Engine.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: s.opt(core.Options{SegRegs: regs})})
 			if err != nil {
 				return err
 			}
@@ -56,20 +50,16 @@ func ablationSegRegs(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	return t, nil
 }
 
-// CacheTable reproduces the §4.5 segment-cache analysis on the Toast
+// cacheTable reproduces the §4.5 segment-cache analysis on the Toast
 // workload: allocation requests, 3-entry cache hits, kernel entries, and
 // the share of run time spent in LDT modification.
-func CacheTable() (*Table, error) {
-	return cacheTable(context.Background(), serve.Default())
-}
-
-func cacheTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
+func (s Suite) cacheTable(ctx context.Context) (*Table, error) {
 	w, _ := workload.ByName("toast")
-	art, err := eng.BuildContext(ctx, w.Source, core.ModeCash, opt(core.Options{}))
+	art, err := s.Engine.BuildContext(ctx, w.Source, core.ModeCash, s.opt(core.Options{}))
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.RunContext(ctx, art)
+	res, err := s.Engine.RunContext(ctx, art)
 	if err != nil {
 		return nil, err
 	}
@@ -98,14 +88,10 @@ func cacheTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	return t, nil
 }
 
-// SegmentsTable reproduces the §4.5 segment-budget analysis: the peak
+// segmentsTable reproduces the §4.5 segment-budget analysis: the peak
 // number of simultaneously live segments per suite, against the 8191
 // budget.
-func SegmentsTable() (*Table, error) {
-	return segmentsTable(context.Background(), serve.Default())
-}
-
-func segmentsTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
+func (s Suite) segmentsTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "segments",
 		Title:   "peak simultaneously live segments per application (budget: 8191)",
@@ -113,13 +99,13 @@ func segmentsTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	}
 	ws := workload.All()
 	t.Rows = make([][]string, len(ws))
-	err := eng.Do(len(ws), func(i int) error {
+	err := s.Engine.Do(len(ws), func(i int) error {
 		w := ws[i]
-		art, err := eng.BuildContext(ctx, w.Source, core.ModeCash, opt(core.Options{}))
+		art, err := s.Engine.BuildContext(ctx, w.Source, core.ModeCash, s.opt(core.Options{}))
 		if err != nil {
 			return err
 		}
-		res, err := eng.RunContext(ctx, art)
+		res, err := s.Engine.RunContext(ctx, art)
 		if err != nil {
 			return err
 		}
@@ -198,14 +184,10 @@ func LDTCostTable() (*Table, error) {
 	return t, nil
 }
 
-// BoundInstrTable reproduces the §2 comparison between the IA-32 bound
+// boundInstrTable reproduces the §2 comparison between the IA-32 bound
 // instruction (7 cycles, one instruction) and the explicit 6-instruction
 // check sequence, as the software checker of BCC.
-func BoundInstrTable() (*Table, error) {
-	return boundInstrTable(context.Background(), serve.Default())
-}
-
-func boundInstrTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
+func (s Suite) boundInstrTable(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "bound",
 		Title:   "bound instruction vs 6-instruction check sequence (BCC software checker, §2)",
@@ -216,13 +198,13 @@ func boundInstrTable(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	}
 	ws := workload.Kernels()
 	t.Rows = make([][]string, len(ws))
-	err := eng.Do(len(ws), func(i int) error {
+	err := s.Engine.Do(len(ws), func(i int) error {
 		w := ws[i]
-		seq, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{})})
+		seq, err := s.Engine.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: s.opt(core.Options{})})
 		if err != nil {
 			return err
 		}
-		bnd, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{UseBoundInstr: true})})
+		bnd, err := s.Engine.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: s.opt(core.Options{UseBoundInstr: true})})
 		if err != nil {
 			return err
 		}
@@ -280,16 +262,14 @@ func Figure2Table() (*Table, error) {
 }
 
 // Figure1Trace runs a tiny program with paging enabled and renders the
-// segment->linear->physical pipeline of its first data references.
-func Figure1Trace() (string, error) {
-	return Figure1TraceContext(context.Background(), serve.Default())
-}
-
-// Figure1TraceContext is Figure1Trace through an explicit Engine. The
+// segment->linear->physical pipeline of its first data references. The
 // build is cached, but the traced execution always re-simulates: trace
 // attachment makes the run observably different, so it bypasses the
 // run cache by design.
-func Figure1TraceContext(ctx context.Context, eng *serve.Engine) (string, error) {
+func (s Suite) Figure1Trace(ctx context.Context) (string, error) {
+	if err := s.validate(); err != nil {
+		return "", err
+	}
 	src := `
 int a[4] = {10, 20, 30, 40};
 void main() {
@@ -297,7 +277,7 @@ void main() {
 	for (int i = 0; i < 4; i++) s += a[i];
 	printi(s);
 }`
-	art, err := eng.BuildContext(ctx, src, core.ModeCash, Options())
+	art, err := s.Engine.BuildContext(ctx, src, core.ModeCash, s.opt(core.Options{}))
 	if err != nil {
 		return "", err
 	}
@@ -326,82 +306,4 @@ void main() {
 	}
 	header := "FIGURE1 — memory translation pipeline (segmentation then paging)\n"
 	return header + strings.Join(lines, "\n") + "\n", nil
-}
-
-// Options returns the default experiment options.
-func Options() core.Options { return opt(core.Options{}) }
-
-// Timing records the host-side cost of producing one table: wall-clock
-// time plus the simulated instructions and cycles executed on its behalf.
-// The simulated counts are exact because tables run one at a time (only
-// their rows fan out), so the process-wide counter deltas belong entirely
-// to the table being produced.
-type Timing struct {
-	ID              string
-	HostNS          int64
-	SimInstructions uint64
-	SimCycles       uint64
-}
-
-// InstrPerSec returns the simulated-instruction throughput achieved while
-// producing the table, in instructions per host second.
-func (tm Timing) InstrPerSec() float64 {
-	if tm.HostNS <= 0 {
-		return 0
-	}
-	return float64(tm.SimInstructions) / (float64(tm.HostNS) / 1e9)
-}
-
-// AllTables regenerates every InAll table of the Specs registry (not
-// the trace) in paper order, through the process-default Engine. Within
-// each table, independent rows run concurrently up to the parallelism
-// budget; the tables themselves run one after another.
-func AllTables(requests int) ([]*Table, error) {
-	tables, _, err := AllTablesTimed(requests)
-	return tables, err
-}
-
-// AllTablesTimed is AllTables plus per-table host timings.
-func AllTablesTimed(requests int) ([]*Table, []Timing, error) {
-	return AllTablesTimedContext(context.Background(), serve.Default(), requests)
-}
-
-// AllTablesContext is AllTables through an explicit Engine: repeated
-// calls on one Engine serve every build from the artifact cache and
-// every repeated deterministic execution from the run cache, so a warm
-// pass costs a fraction of a cold one while producing byte-identical
-// tables.
-func AllTablesContext(ctx context.Context, eng *serve.Engine, requests int) ([]*Table, error) {
-	tables, _, err := AllTablesTimedContext(ctx, eng, requests)
-	return tables, err
-}
-
-// AllTablesTimedContext is AllTablesContext plus per-table host
-// timings. The simulated counts are exact for a cold Engine; a warm
-// pass attributes near-zero simulated work to cached tables, because
-// their runs were never re-simulated.
-func AllTablesTimedContext(ctx context.Context, eng *serve.Engine, requests int) ([]*Table, []Timing, error) {
-	specs := Specs()
-	tables := make([]*Table, 0, len(specs))
-	timings := make([]Timing, 0, len(specs))
-	for _, sp := range specs {
-		if !sp.InAll {
-			continue
-		}
-		startInstr, startCycles := vm.SimCounters()
-		start := time.Now()
-		t, err := sp.Generate(ctx, eng, requests)
-		if err != nil {
-			return nil, nil, err
-		}
-		endInstr, endCycles := vm.SimCounters()
-		tables = append(tables, t)
-		timings = append(timings, Timing{
-			ID:              t.ID,
-			HostNS:          time.Since(start).Nanoseconds(),
-			SimInstructions: endInstr - startInstr,
-			SimCycles:       endCycles - startCycles,
-		})
-	}
-	return tables, timings, nil
 }

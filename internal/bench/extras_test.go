@@ -7,7 +7,7 @@ import (
 )
 
 func TestBoundInstrTableShape(t *testing.T) {
-	tab, err := BoundInstrTable()
+	tab, err := testTable("bound", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestDetectorTableShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the unchecked probes run to the step limit; slow, run without -short")
 	}
-	tab, err := DetectorTable()
+	tab, err := testTable("detectors", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDetectorTableShape(t *testing.T) {
 }
 
 func TestCharacteristicsDynamicColumn(t *testing.T) {
-	tab, err := Table7()
+	tab, err := testTable("table7", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

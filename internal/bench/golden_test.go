@@ -1,20 +1,51 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
-	"cash/internal/par"
+	"cash/internal/serve"
 )
 
-// renderAll reproduces exactly what `cashbench -all` writes to stdout:
-// every table in paper order, a blank line after each, then the Figure 1
-// trace.
-func renderAll(t *testing.T, requests int) string {
+// testEngine serves every test in this package that does not need a
+// cold or differently budgeted Engine, so work one test caches — the
+// detector table's step-limit runaway above all — is not simulated
+// again by the next.
+var testEngine = serve.NewEngine(serve.EngineConfig{})
+
+// testSuite is the default suite (no passes, tier-2, every strategy)
+// on the shared test Engine.
+var testSuite = Suite{Engine: testEngine}
+
+// testTable generates one registered table under testSuite.
+func testTable(id string, requests int) (*Table, error) {
+	return testSuite.Table(context.Background(), id, requests)
+}
+
+// The suite configurations CI pins against committed goldens. The
+// step interpreter must reproduce the default golden exactly: tier-2
+// is a host-side execution strategy, not a semantic change.
+var goldenSuites = []struct {
+	name   string
+	suite  Suite
+	golden string
+}{
+	{"default", testSuite, "testdata/golden_all_200.txt"},
+	{"step", Suite{Engine: testEngine, StepOnly: true}, "testdata/golden_all_200.txt"},
+	{"passes", Suite{Engine: testEngine, Passes: []string{"rce", "hoist"}}, "testdata/golden_all_passes_200.txt"},
+}
+
+// renderAll reproduces exactly what `cashbench -all` writes to stdout
+// under s: every table in paper order, a blank line after each, then
+// the Figure 1 trace.
+func renderAll(t *testing.T, s Suite, requests int) string {
 	t.Helper()
-	tabs, err := AllTables(requests)
+	ctx := context.Background()
+	tabs, _, err := s.AllTablesTimed(ctx, requests)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +54,7 @@ func renderAll(t *testing.T, requests int) string {
 		b.WriteString(tab.Format())
 		b.WriteByte('\n')
 	}
-	trace, err := Figure1Trace()
+	trace, err := s.Figure1Trace(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,65 +62,86 @@ func renderAll(t *testing.T, requests int) string {
 	return b.String()
 }
 
-// TestGoldenAllTables pins the full benchmark output byte-for-byte: the
-// TLB, the dense memory arenas, the predecoded dispatch and the parallel
-// harness are host-side optimisations that must not move a single
-// simulated number. Regenerate the golden file only for a change that is
-// *supposed* to alter results:
+// TestGoldenAllTables pins the full benchmark output byte-for-byte under
+// each suite configuration: the TLB, the dense memory arenas, the
+// predecoded dispatch, tier-2 and the parallel harness are host-side
+// optimisations that must not move a single simulated number. The three
+// suites run concurrently on one Engine. Regenerate a golden file only
+// for a change that is *supposed* to alter results:
 //
 //	go run ./cmd/cashbench -all -requests 200 > internal/bench/testdata/golden_all_200.txt
+//	go run ./cmd/cashbench -all -requests 200 -passes rce,hoist > internal/bench/testdata/golden_all_passes_200.txt
 func TestGoldenAllTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table regeneration is slow; run without -short")
 	}
-	want, err := os.ReadFile("testdata/golden_all_200.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := renderAll(t, 200)
-	if got != string(want) {
-		t.Fatalf("benchmark output drifted from golden file\ngot %d bytes, want %d bytes\n%s",
-			len(got), len(want), firstDiff(got, string(want)))
+	for _, gs := range goldenSuites {
+		t.Run(gs.name, func(t *testing.T) {
+			t.Parallel()
+			want, err := os.ReadFile(gs.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderAll(t, gs.suite, 200); got != string(want) {
+				t.Fatalf("%s suite output drifted from %s\ngot %d bytes, want %d bytes\n%s",
+					gs.name, gs.golden, len(got), len(want), firstDiff(got, string(want)))
+			}
+		})
 	}
 }
 
-// TestGoldenAllTablesStep renders the full suite again pinned to the
-// step interpreter and diffs it against the *same* golden file: tier-2
-// is a host-side execution strategy, so it must not move a single
-// simulated number. This is the test behind the CI step-interpreter
-// suite lane (`cashbench -all -requests 200 -step`).
-func TestGoldenAllTablesStep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full table regeneration is slow; run without -short")
+// TestConcurrentSuites runs the three golden suite configurations at
+// once on one shared Engine and requires every table each of them
+// generates to appear verbatim in that suite's golden: a suite's
+// settings must reach only its own builds. It is short enough for the
+// -race lane, where it races the suites' fan-outs and the shared
+// Engine's caches against each other.
+func TestConcurrentSuites(t *testing.T) {
+	ids := []string{"table1", "table3", "ablation-segregs"}
+	got := make([][]string, len(goldenSuites))
+	errs := make([]error, len(goldenSuites))
+	var wg sync.WaitGroup
+	for i, gs := range goldenSuites {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range ids {
+				tab, err := gs.suite.Table(context.Background(), id, 200)
+				if err != nil {
+					errs[i] = fmt.Errorf("%s %s: %w", gs.name, id, err)
+					return
+				}
+				got[i] = append(got[i], tab.Format())
+			}
+		}()
 	}
-	want, err := os.ReadFile("testdata/golden_all_200.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetStep(true)
-	defer SetStep(prev)
-	got := renderAll(t, 200)
-	if got != string(want) {
-		t.Fatalf("step-interpreter benchmark output drifted from the golden\ngot %d bytes, want %d bytes\n%s",
-			len(got), len(want), firstDiff(got, string(want)))
+	wg.Wait()
+	for i, gs := range goldenSuites {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := os.ReadFile(gs.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, text := range got[i] {
+			if !strings.Contains(string(want), text) {
+				t.Errorf("%s suite: %s does not appear verbatim in %s:\n%s", gs.name, ids[j], gs.golden, text)
+			}
+		}
 	}
 }
 
 // TestParallelDeterminism checks that the worker budget cannot change any
 // result: the same tables rendered fully sequentially and with a large
-// budget must be byte-identical. Under -race this also exercises the
-// row fan-out for data races.
+// budget, each on its own cold Engine, must be byte-identical. Under
+// -race this also exercises the row fan-out for data races.
 func TestParallelDeterminism(t *testing.T) {
-	defer par.SetParallelism(par.Parallelism())
 	render := func(budget int) string {
-		par.SetParallelism(budget)
+		s := Suite{Engine: serve.NewEngine(serve.EngineConfig{Parallelism: budget})}
 		var b strings.Builder
-		for _, mk := range []func() (*Table, error){
-			func() (*Table, error) { return Table1(4) },
-			Table3,
-			AblationSegRegs,
-		} {
-			tab, err := mk()
+		for _, id := range []string{"table1", "table3", "ablation-segregs"} {
+			tab, err := s.Table(context.Background(), id, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

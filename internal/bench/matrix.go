@@ -5,41 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"cash/internal/codegen"
 	"cash/internal/core"
-	"cash/internal/serve"
 	"cash/internal/workload"
 )
-
-// The strategy filter (`cashbench -strategy mpx`) restricts the
-// strategy-matrix sweep to the named strategies; nil means the full
-// registry. Shares passMu with the other harness-wide settings.
-var harnessStrategies []string
-
-// SetStrategyFilter restricts the strategy matrix to the named checking
-// strategies (nil restores the full-registry sweep). Unknown names are
-// rejected with the registry's error listing the valid ones. Returns
-// the previous filter.
-func SetStrategyFilter(names []string) ([]string, error) {
-	for _, n := range names {
-		if _, ok := codegen.StrategyByName(n); !ok {
-			return nil, codegen.UnknownStrategyError(n)
-		}
-	}
-	passMu.Lock()
-	defer passMu.Unlock()
-	prev := harnessStrategies
-	harnessStrategies = append([]string(nil), names...)
-	return prev, nil
-}
-
-// StrategyFilter returns the harness-wide strategy filter (nil when the
-// matrix sweeps the whole registry).
-func StrategyFilter() []string {
-	passMu.RLock()
-	defer passMu.RUnlock()
-	return append([]string(nil), harnessStrategies...)
-}
 
 // matrixPassCombos are the pass-pipeline prefixes the strategy matrix
 // sweeps: each combo adds the next registered pass, so the columns read
@@ -56,18 +24,14 @@ var matrixPassCombos = []struct {
 	{"+chop", []string{"rce", "hoist", "affine", "chop"}},
 }
 
-// StrategyMatrix measures every registered checking strategy against
+// strategyMatrix measures every registered checking strategy against
 // every pass combination on the Table 1 kernels plus the range kernels:
 // one row per (program, strategy), one column per pass pipeline, each
 // cell cycles/dynamic-software-checks. Every cell's program output is
 // verified against the unchecked gcc baseline, so the table doubles as
 // a differential gate over the full strategy x pass space.
-func StrategyMatrix() (*Table, error) {
-	return strategyMatrix(context.Background(), serve.Default())
-}
-
-func strategyMatrix(ctx context.Context, eng *serve.Engine) (*Table, error) {
-	strategies := StrategyFilter()
+func (s Suite) strategyMatrix(ctx context.Context) (*Table, error) {
+	strategies := s.Strategies
 	if len(strategies) == 0 {
 		strategies = core.StrategyNames()
 	}
@@ -89,22 +53,22 @@ func strategyMatrix(ctx context.Context, eng *serve.Engine) (*Table, error) {
 
 	ws := append(workload.Kernels(), workload.RangeKernels()...)
 	t.Rows = make([][]string, len(ws)*len(strategies))
-	err := eng.Do(len(ws), func(wi int) error {
+	err := s.Engine.Do(len(ws), func(wi int) error {
 		w := ws[wi]
 		// The differential baseline: unchecked gcc with no passes.
-		ref, err := matrixCell(ctx, eng, w, core.ModeGCC, nil)
+		ref, err := s.matrixCell(ctx, w, core.ModeGCC, nil)
 		if err != nil {
 			return fmt.Errorf("%s gcc baseline: %w", w.Name, err)
 		}
-		for si, s := range strategies {
-			row := []string{w.Name, s}
+		for si, name := range strategies {
+			row := []string{w.Name, name}
 			for _, combo := range matrixPassCombos {
-				cell, err := matrixCell(ctx, eng, w, core.Mode(s), combo.passes)
+				cell, err := s.matrixCell(ctx, w, core.Mode(name), combo.passes)
 				if err != nil {
-					return fmt.Errorf("%s %s %s: %w", w.Name, s, combo.label, err)
+					return fmt.Errorf("%s %s %s: %w", w.Name, name, combo.label, err)
 				}
 				if !outputEqual(cell.output, ref.output) {
-					return fmt.Errorf("%s %s %s: output diverged from gcc", w.Name, s, combo.label)
+					return fmt.Errorf("%s %s %s: output diverged from gcc", w.Name, name, combo.label)
 				}
 				row = append(row, fmt.Sprintf("%d/%d", cell.cycles, cell.dynSW))
 			}
@@ -125,13 +89,13 @@ type matrixMeasurement struct {
 	output []int32
 }
 
-func matrixCell(ctx context.Context, eng *serve.Engine, w workload.Workload, mode core.Mode, passes []string) (matrixMeasurement, error) {
+func (s Suite) matrixCell(ctx context.Context, w workload.Workload, mode core.Mode, passes []string) (matrixMeasurement, error) {
 	var m matrixMeasurement
-	art, err := eng.BuildContext(ctx, w.Source, mode, core.Options{Passes: passes, StepOnly: Step()})
+	art, err := s.Engine.BuildContext(ctx, w.Source, mode, core.Options{Passes: passes, StepOnly: s.StepOnly})
 	if err != nil {
 		return m, err
 	}
-	res, err := eng.RunContext(ctx, art)
+	res, err := s.Engine.RunContext(ctx, art)
 	if err != nil {
 		return m, err
 	}

@@ -25,7 +25,7 @@ func TestGoldenStrategyMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := StrategyMatrix()
+	tab, err := testTable("strategy-matrix", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestStrategyMatrixDeterministic(t *testing.T) {
 		t.Skip("matrix regeneration is slow; run without -short")
 	}
 	render := func() string {
-		tab, err := strategyMatrix(context.Background(), serve.NewEngine(serve.EngineConfig{}))
+		tab, err := Suite{Engine: serve.NewEngine(serve.EngineConfig{})}.strategyMatrix(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,17 +82,14 @@ func TestStrategyMatrixCoversRegistry(t *testing.T) {
 // TestStrategyFilter: the cashbench -strategy knob validates names up
 // front and restricts the matrix to the requested rows.
 func TestStrategyFilter(t *testing.T) {
-	if _, err := SetStrategyFilter([]string{"asan"}); err == nil {
+	ctx := context.Background()
+	bad := Suite{Engine: testEngine, Strategies: []string{"asan"}}
+	if _, err := bad.Table(ctx, "strategy-matrix", 0); err == nil {
 		t.Fatal("unknown strategy accepted by the filter")
 	} else if !strings.Contains(err.Error(), `unknown strategy "asan"`) {
 		t.Fatalf("unexpected error %v", err)
 	}
-	prev, err := SetStrategyFilter([]string{"mpx"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetStrategyFilter(prev)
-	tab, err := strategyMatrix(context.Background(), serve.Default())
+	tab, err := Suite{Engine: testEngine, Strategies: []string{"mpx"}}.Table(ctx, "strategy-matrix", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +108,16 @@ func TestStrategyFilter(t *testing.T) {
 // consolidation pass must strictly reduce dynamic software checks on at
 // least three kernels without changing program output.
 func TestChopReducesChecks(t *testing.T) {
-	eng := serve.Default()
 	ctx := context.Background()
 	ws := append(workload.Kernels(), workload.RangeKernels()...)
 	ws = append(ws, workload.StencilKernels()...)
 	var winners []string
 	for _, w := range ws {
-		off, err := matrixCell(ctx, eng, w, core.ModeBCC, nil)
+		off, err := testSuite.matrixCell(ctx, w, core.ModeBCC, nil)
 		if err != nil {
 			t.Fatalf("%s off: %v", w.Name, err)
 		}
-		on, err := matrixCell(ctx, eng, w, core.ModeBCC, []string{"chop"})
+		on, err := testSuite.matrixCell(ctx, w, core.ModeBCC, []string{"chop"})
 		if err != nil {
 			t.Fatalf("%s chop: %v", w.Name, err)
 		}

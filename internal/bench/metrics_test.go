@@ -1,20 +1,22 @@
 package bench
 
 import (
+	"context"
 	"os"
 	"testing"
 
 	"cash/internal/obs"
-	"cash/internal/par"
+	"cash/internal/serve"
 )
 
-// resilienceMetricsDelta runs the resilience experiment and returns the
-// observability-registry delta it produced, exactly as `cashbench
-// -table resilience ... -metrics-out` writes it.
-func resilienceMetricsDelta(t *testing.T, requests int, seed uint64, rate float64) string {
+// resilienceMetricsDelta runs the resilience experiment with eng's
+// worker budget and returns the observability-registry delta it
+// produced, exactly as `cashbench -table resilience ... -metrics-out`
+// writes it.
+func resilienceMetricsDelta(t *testing.T, eng *serve.Engine, requests int, seed uint64, rate float64) string {
 	t.Helper()
 	base := obs.Default().Snapshot()
-	if _, err := ResilienceTable(requests, seed, rate); err != nil {
+	if _, err := (Suite{Engine: eng}).ResilienceTable(context.Background(), requests, seed, rate); err != nil {
 		t.Fatal(err)
 	}
 	return obs.Default().Snapshot().Delta(base).Format()
@@ -35,7 +37,7 @@ func TestMetricsGoldenResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := resilienceMetricsDelta(t, 200, 1, 0.05)
+	got := resilienceMetricsDelta(t, testEngine, 200, 1, 0.05)
 	if got != string(want) {
 		t.Fatalf("metrics delta drifted from golden file\ngot %d bytes, want %d bytes\n%s",
 			len(got), len(want), firstDiff(got, string(want)))
@@ -47,11 +49,9 @@ func TestMetricsGoldenResilience(t *testing.T) {
 // histogram buckets), so the registry delta of the same experiment must
 // be byte-identical whether its rows run sequentially or fanned out.
 func TestMetricsParallelDeterminism(t *testing.T) {
-	defer par.SetParallelism(par.Parallelism())
-	par.SetParallelism(1)
-	seq := resilienceMetricsDelta(t, 40, 7, 0.1)
-	par.SetParallelism(8)
-	parl := resilienceMetricsDelta(t, 40, 7, 0.1)
+	budget := func(n int) *serve.Engine { return serve.NewEngine(serve.EngineConfig{Parallelism: n}) }
+	seq := resilienceMetricsDelta(t, budget(1), 40, 7, 0.1)
+	parl := resilienceMetricsDelta(t, budget(8), 40, 7, 0.1)
 	if seq != parl {
 		t.Fatalf("metrics delta differs between -parallel 1 and -parallel 8\n%s", firstDiff(parl, seq))
 	}

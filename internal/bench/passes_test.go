@@ -5,7 +5,6 @@ import (
 	"os"
 	"testing"
 
-	"cash/internal/serve"
 	"cash/internal/workload"
 )
 
@@ -18,7 +17,7 @@ func TestGoldenAblationPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := ablationPasses(context.Background(), serve.NewEngine(serve.EngineConfig{}))
+	tab, err := testSuite.ablationPasses(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +31,13 @@ func TestGoldenAblationPasses(t *testing.T) {
 // execute strictly fewer software checks AND strictly fewer cycles.
 func TestPassesImproveKernels(t *testing.T) {
 	ctx := context.Background()
-	eng := serve.NewEngine(serve.EngineConfig{})
 	improved := 0
 	for _, w := range workload.Kernels() {
-		off, err := measurePasses(ctx, eng, w, nil)
+		off, err := testSuite.measurePasses(ctx, w, nil)
 		if err != nil {
 			t.Fatalf("%s off: %v", w.Name, err)
 		}
-		on, err := measurePasses(ctx, eng, w, []string{"rce", "hoist"})
+		on, err := testSuite.measurePasses(ctx, w, []string{"rce", "hoist"})
 		if err != nil {
 			t.Fatalf("%s on: %v", w.Name, err)
 		}
@@ -52,26 +50,5 @@ func TestPassesImproveKernels(t *testing.T) {
 	}
 	if improved < 3 {
 		t.Fatalf("passes improved only %d of 6 kernels (want >= 3)", improved)
-	}
-}
-
-// TestGoldenAllTablesPasses pins the full suite compiled through the
-// optimizing back end. Regenerate with:
-//
-//	go run ./cmd/cashbench -all -requests 200 -passes rce,hoist > internal/bench/testdata/golden_all_passes_200.txt
-func TestGoldenAllTablesPasses(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full table regeneration is slow; run without -short")
-	}
-	want, err := os.ReadFile("testdata/golden_all_passes_200.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := SetPasses([]string{"rce", "hoist"})
-	defer SetPasses(prev)
-	got := renderAll(t, 200)
-	if got != string(want) {
-		t.Fatalf("passes-enabled benchmark output drifted from golden\ngot %d bytes, want %d bytes\n%s",
-			len(got), len(want), firstDiff(got, string(want)))
 	}
 }

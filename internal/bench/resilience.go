@@ -13,21 +13,19 @@ import (
 // ResilienceTable runs the resilient network servers (internal/netsim)
 // against the deterministic chaos plane and reports availability and
 // latency tails per application and compiler mode. It is not part of
-// AllTables: the paper's tables are chaos-free, and keeping this table
-// separate keeps their goldens byte-identical.
-func ResilienceTable(requests int, seed uint64, rate float64) (*Table, error) {
-	return ResilienceTableContext(context.Background(), serve.Default(), requests, seed, rate)
-}
-
-// ResilienceTableContext is ResilienceTable with cancellation and the
-// worker budget of eng. It deliberately measures on a fresh private
-// Engine rather than on eng itself, so the serve-layer metrics it
-// publishes are a pure function of (requests, seed, rate) — the
-// property the metrics golden checks.
-func ResilienceTableContext(ctx context.Context, eng *serve.Engine, requests int, seed uint64, rate float64) (*Table, error) {
+// AllTablesTimed: the paper's tables are chaos-free, and keeping this
+// table separate keeps their goldens byte-identical. It takes only the
+// worker budget of s.Engine and deliberately measures on a fresh
+// private Engine, so the serve-layer metrics it publishes are a pure
+// function of (requests, seed, rate) — the property the metrics golden
+// checks.
+func (s Suite) ResilienceTable(ctx context.Context, requests int, seed uint64, rate float64) (*Table, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
 	plan := chaos.NewPlan(chaos.Config{Seed: seed, Rate: rate})
-	private := serve.NewEngine(serve.EngineConfig{Parallelism: eng.Parallelism()})
-	reps, err := netsim.MeasureAllResilienceContext(ctx, private, requests, opt(core.Options{}), plan)
+	private := serve.NewEngine(serve.EngineConfig{Parallelism: s.Engine.Parallelism()})
+	reps, err := netsim.MeasureAllResilienceContext(ctx, private, requests, s.opt(core.Options{}), plan)
 	if err != nil {
 		return nil, err
 	}

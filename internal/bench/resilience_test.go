@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"os"
 	"strconv"
@@ -22,7 +23,7 @@ func TestResilienceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := ResilienceTable(200, 1, 0.05)
+	tab, err := testSuite.ResilienceTable(context.Background(), 200, 1, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,21 +6,16 @@ import (
 
 	"cash/internal/core"
 	"cash/internal/netsim"
-	"cash/internal/serve"
 	"cash/internal/workload"
 )
 
-// Table1 reproduces the micro-benchmark comparison: per-kernel dynamic
+// table1 reproduces the micro-benchmark comparison: per-kernel dynamic
 // hardware/software check counts and the execution-time overheads of Cash
 // and BCC relative to GCC. The paper ran this experiment with four
 // segment registers ("In this experiment, Cash is able to use four
 // segment registers. As a result, all software bound checks are
 // eliminated").
-func Table1(segRegs int) (*Table, error) {
-	return table1(context.Background(), serve.Default(), segRegs)
-}
-
-func table1(ctx context.Context, eng *serve.Engine, segRegs int) (*Table, error) {
+func (s Suite) table1(ctx context.Context, segRegs int) (*Table, error) {
 	if segRegs == 0 {
 		segRegs = 4
 	}
@@ -35,9 +30,9 @@ func table1(ctx context.Context, eng *serve.Engine, segRegs int) (*Table, error)
 	}
 	ws := workload.Kernels()
 	t.Rows = make([][]string, len(ws))
-	err := eng.Do(len(ws), func(i int) error {
+	err := s.Engine.Do(len(ws), func(i int) error {
 		w := ws[i]
-		cmp, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{SegRegs: segRegs})})
+		cmp, err := s.Engine.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: s.opt(core.Options{SegRegs: segRegs})})
 		if err != nil {
 			return err
 		}
@@ -56,28 +51,17 @@ func table1(ctx context.Context, eng *serve.Engine, segRegs int) (*Table, error)
 	return t, nil
 }
 
-// Table2 reproduces the kernel binary-size comparison: GCC text bytes and
-// the Cash/BCC percentage increases.
-func Table2() (*Table, error) {
-	return sizeTable(context.Background(), serve.Default(), "table2", "kernel binary code size", workload.Kernels())
-}
-
-// Table6 reproduces the macro-application binary-size comparison.
-func Table6() (*Table, error) {
-	return sizeTable(context.Background(), serve.Default(), "table6", "macro-application binary code size", workload.Macros())
-}
-
 // staticLinkSizes compiles the libc corpus under each mode. The paper's
 // binaries are statically linked against a GLIBC recompiled with each
 // checker, so every binary carries the per-mode library text. The
 // replication factor models linking many translation units of library
 // code, keeping the library the dominant size contribution as in the
 // paper's 400-500 KB binaries.
-func staticLinkSizes(ctx context.Context, eng *serve.Engine) (map[core.Mode]int, error) {
+func (s Suite) staticLinkSizes(ctx context.Context) (map[core.Mode]int, error) {
 	lib := workload.LibCorpus()
 	out := make(map[core.Mode]int, 3)
 	for _, mode := range []core.Mode{core.ModeGCC, core.ModeCash, core.ModeBCC} {
-		art, err := eng.BuildContext(ctx, lib.Source, mode, opt(core.Options{}))
+		art, err := s.Engine.BuildContext(ctx, lib.Source, mode, s.opt(core.Options{}))
 		if err != nil {
 			return nil, fmt.Errorf("libc corpus: %w", err)
 		}
@@ -86,8 +70,11 @@ func staticLinkSizes(ctx context.Context, eng *serve.Engine) (map[core.Mode]int,
 	return out, nil
 }
 
-func sizeTable(ctx context.Context, eng *serve.Engine, id, title string, ws []workload.Workload) (*Table, error) {
-	libSizes, err := staticLinkSizes(ctx, eng)
+// sizeTable reproduces a binary-size comparison (Table 2 for the
+// kernels, Table 6 for the macro applications): GCC text bytes and the
+// Cash/BCC percentage increases.
+func (s Suite) sizeTable(ctx context.Context, id, title string, ws []workload.Workload) (*Table, error) {
+	libSizes, err := s.staticLinkSizes(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -100,11 +87,11 @@ func sizeTable(ctx context.Context, eng *serve.Engine, id, title string, ws []wo
 		},
 	}
 	t.Rows = make([][]string, len(ws))
-	err = eng.Do(len(ws), func(i int) error {
+	err = s.Engine.Do(len(ws), func(i int) error {
 		w := ws[i]
 		sizes := make(map[core.Mode]int, 3)
 		for _, mode := range []core.Mode{core.ModeGCC, core.ModeCash, core.ModeBCC} {
-			art, err := eng.BuildContext(ctx, w.Source, mode, opt(core.Options{}))
+			art, err := s.Engine.BuildContext(ctx, w.Source, mode, s.opt(core.Options{}))
 			if err != nil {
 				return fmt.Errorf("%s: %w", w.Name, err)
 			}
@@ -125,15 +112,11 @@ func sizeTable(ctx context.Context, eng *serve.Engine, id, title string, ws []wo
 	return t, nil
 }
 
-// Table3 reproduces the input-size scaling experiment: Cash's relative
+// table3 reproduces the input-size scaling experiment: Cash's relative
 // overhead for 2D FFT, Gaussian elimination and matrix multiplication as
 // the matrix grows (the paper sweeps 64..512; we sweep the same shape at
 // simulator-friendly sizes).
-func Table3() (*Table, error) {
-	return table3(context.Background(), serve.Default())
-}
-
-func table3(ctx context.Context, eng *serve.Engine) (*Table, error) {
+func (s Suite) table3(ctx context.Context) (*Table, error) {
 	type series struct {
 		paper string
 		mk    func(int) workload.Workload
@@ -156,10 +139,10 @@ func table3(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	// sweep so all cells share the worker budget.
 	perRow := len(sweeps[0].sizes)
 	cells := make([]string, len(sweeps)*perRow)
-	err := eng.Do(len(cells), func(i int) error {
-		s := sweeps[i/perRow]
-		w := s.mk(s.sizes[i%perRow])
-		cmp, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{SegRegs: 4})})
+	err := s.Engine.Do(len(cells), func(i int) error {
+		sw := sweeps[i/perRow]
+		w := sw.mk(sw.sizes[i%perRow])
+		cmp, err := s.Engine.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: s.opt(core.Options{SegRegs: 4})})
 		if err != nil {
 			return err
 		}
@@ -175,17 +158,9 @@ func table3(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	return t, nil
 }
 
-// Table4 reproduces the macro-application characteristics.
-func Table4() (*Table, error) {
-	return characteristicsTable(context.Background(), serve.Default(), "table4", "macro-application characteristics", workload.Macros())
-}
-
-// Table7 reproduces the network-application characteristics.
-func Table7() (*Table, error) {
-	return characteristicsTable(context.Background(), serve.Default(), "table7", "network-application characteristics", workload.NetworkApps())
-}
-
-func characteristicsTable(ctx context.Context, eng *serve.Engine, id, title string, ws []workload.Workload) (*Table, error) {
+// characteristicsTable reproduces the loop characteristics of a suite
+// (Table 4 for the macro applications, Table 7 for the network ones).
+func (s Suite) characteristicsTable(ctx context.Context, id, title string, ws []workload.Workload) (*Table, error) {
 	t := &Table{
 		ID:      id,
 		Title:   title,
@@ -196,7 +171,7 @@ func characteristicsTable(ctx context.Context, eng *serve.Engine, id, title stri
 		},
 	}
 	t.Rows = make([][]string, len(ws))
-	err := eng.Do(len(ws), func(i int) error {
+	err := s.Engine.Do(len(ws), func(i int) error {
 		w := ws[i]
 		ch, err := core.Characterize(w.Source, 3)
 		if err != nil {
@@ -207,11 +182,11 @@ func characteristicsTable(ctx context.Context, eng *serve.Engine, id, title stri
 			fracPct = float64(ch.SpilledLoops) / float64(ch.ArrayUsingLoops) * 100
 		}
 		// Dynamic share of loop iterations executed in spilled loops.
-		art, err := eng.BuildContext(ctx, w.Source, core.ModeCash, opt(core.Options{}))
+		art, err := s.Engine.BuildContext(ctx, w.Source, core.ModeCash, s.opt(core.Options{}))
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
-		res, err := eng.RunContext(ctx, art)
+		res, err := s.Engine.RunContext(ctx, art)
 		if err != nil {
 			return fmt.Errorf("%s: %w", w.Name, err)
 		}
@@ -233,12 +208,8 @@ func characteristicsTable(ctx context.Context, eng *serve.Engine, id, title stri
 	return t, nil
 }
 
-// Table5 reproduces the macro-application performance comparison.
-func Table5() (*Table, error) {
-	return table5(context.Background(), serve.Default())
-}
-
-func table5(ctx context.Context, eng *serve.Engine) (*Table, error) {
+// table5 reproduces the macro-application performance comparison.
+func (s Suite) table5(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:      "table5",
 		Title:   "macro-application overheads (GCC cycles; Cash/BCC % increase)",
@@ -246,9 +217,9 @@ func table5(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	}
 	ws := workload.Macros()
 	t.Rows = make([][]string, len(ws))
-	err := eng.Do(len(ws), func(i int) error {
+	err := s.Engine.Do(len(ws), func(i int) error {
 		w := ws[i]
-		cmp, err := eng.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: opt(core.Options{})})
+		cmp, err := s.Engine.CompareStrategiesContext(ctx, w.Name, w.Source, core.CompareConfig{Options: s.opt(core.Options{})})
 		if err != nil {
 			return err
 		}
@@ -266,14 +237,10 @@ func table5(ctx context.Context, eng *serve.Engine) (*Table, error) {
 	return t, nil
 }
 
-// Table8 reproduces the network-application latency/throughput/space
+// table8 reproduces the network-application latency/throughput/space
 // penalties of Cash over the unchecked baseline.
-func Table8(requests int) (*Table, error) {
-	return table8(context.Background(), serve.Default(), requests)
-}
-
-func table8(ctx context.Context, eng *serve.Engine, requests int) (*Table, error) {
-	reps, err := netsim.MeasureAllContext(ctx, eng, requests, opt(core.Options{}))
+func (s Suite) table8(ctx context.Context, requests int) (*Table, error) {
+	reps, err := netsim.MeasureAllContext(ctx, s.Engine, requests, s.opt(core.Options{}))
 	if err != nil {
 		return nil, err
 	}
@@ -297,14 +264,10 @@ func table8(ctx context.Context, eng *serve.Engine, requests int) (*Table, error
 	return t, nil
 }
 
-// Table8BCC is the comparison the paper could not run: BCC's latency
+// table8BCC is the comparison the paper could not run: BCC's latency
 // penalty on the network applications.
-func Table8BCC(requests int) (*Table, error) {
-	return table8BCC(context.Background(), serve.Default(), requests)
-}
-
-func table8BCC(ctx context.Context, eng *serve.Engine, requests int) (*Table, error) {
-	reps, err := netsim.MeasureAllContext(ctx, eng, requests, opt(core.Options{}))
+func (s Suite) table8BCC(ctx context.Context, requests int) (*Table, error) {
+	reps, err := netsim.MeasureAllContext(ctx, s.Engine, requests, s.opt(core.Options{}))
 	if err != nil {
 		return nil, err
 	}

@@ -58,17 +58,10 @@ type AppReport struct {
 	SpaceOverheadPct     float64
 }
 
-// Measure runs one network application under GCC, Cash and BCC and
-// computes the Table 8 quantities, through the process-default serving
-// engine.
-func Measure(w workload.Workload, requests int, opts core.Options) (*AppReport, error) {
-	return MeasureContext(context.Background(), serve.Default(), w, requests, opts)
-}
-
-// MeasureContext is Measure through an explicit Engine: builds are
-// served from the artifact cache, handler executions from recycled
-// machines and the run cache, and ctx cancels between (and inside)
-// runs.
+// MeasureContext runs one network application under GCC, Cash and BCC
+// and computes the Table 8 quantities through eng: builds are served
+// from the artifact cache, handler executions from recycled machines
+// and the run cache, and ctx cancels between (and inside) runs.
 func MeasureContext(ctx context.Context, eng *serve.Engine, w workload.Workload, requests int, opts core.Options) (*AppReport, error) {
 	if w.Category != workload.CategoryNetwork {
 		return nil, fmt.Errorf("netsim: %s is not a network workload", w.Name)
@@ -141,18 +134,12 @@ func pctIncrease(v, base float64) float64 {
 	return (v - base) / base * 100
 }
 
-// MeasureAll runs every network application through the process-default
-// engine. Applications are measured independently: when some fail, the
-// returned slice still carries every completed report (failed
-// applications stay nil) alongside an error joining all per-application
-// failures, so one bad app no longer discards the rows that did
-// complete.
-func MeasureAll(requests int, opts core.Options) ([]*AppReport, error) {
-	return MeasureAllContext(context.Background(), serve.Default(), requests, opts)
-}
-
-// MeasureAllContext is MeasureAll through an explicit Engine, fanned
-// out with the Engine's worker budget.
+// MeasureAllContext runs every network application through eng, fanned
+// out with the Engine's worker budget. Applications are measured
+// independently: when some fail, the returned slice still carries every
+// completed report (failed applications stay nil) alongside an error
+// joining all per-application failures, so one bad app does not discard
+// the rows that did complete.
 func MeasureAllContext(ctx context.Context, eng *serve.Engine, requests int, opts core.Options) ([]*AppReport, error) {
 	apps := workload.NetworkApps()
 	out := make([]*AppReport, len(apps))

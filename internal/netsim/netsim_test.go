@@ -1,18 +1,23 @@
 package netsim
 
 import (
+	"context"
 	"testing"
 
 	"cash/internal/core"
+	"cash/internal/serve"
 	"cash/internal/workload"
 )
+
+// testEngine serves the Table 8 measurements of this package's tests.
+var testEngine = serve.NewEngine(serve.EngineConfig{})
 
 func TestMeasureQpopper(t *testing.T) {
 	w, ok := workload.ByName("qpopper")
 	if !ok {
 		t.Fatal("qpopper missing")
 	}
-	rep, err := Measure(w, 100, core.Options{})
+	rep, err := MeasureContext(context.Background(), testEngine, w, 100, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +44,7 @@ func TestMeasureRejectsNonNetwork(t *testing.T) {
 	if !ok {
 		t.Fatal("toast missing")
 	}
-	if _, err := Measure(w, 10, core.Options{}); err == nil {
+	if _, err := MeasureContext(context.Background(), testEngine, w, 10, core.Options{}); err == nil {
 		t.Fatal("non-network workload must be rejected")
 	}
 }
@@ -48,7 +53,7 @@ func TestMeasureRejectsNonNetwork(t *testing.T) {
 // pays a positive but modest Cash latency penalty, and BCC (which the
 // paper could not even compile for these apps) costs much more.
 func TestMeasureAllShape(t *testing.T) {
-	reps, err := MeasureAll(100, core.Options{})
+	reps, err := MeasureAllContext(context.Background(), testEngine, 100, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

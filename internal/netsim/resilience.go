@@ -583,19 +583,13 @@ func measureModeResilience(ctx context.Context, eng *serve.Engine, w workload.Wo
 	return mr, nil
 }
 
-// MeasureResilience runs one network application's resilient server
-// under all three compiler modes against the given chaos plan. Build
-// failures are errors; injected faults never are — they surface only in
-// the report's accounting. It uses a fresh, private Engine so the
-// published serve.* and core.builds.* deltas are a pure function of
-// (w, requests, opts, plan) — independent of whatever an earlier table
-// left in a shared cache (the metrics goldens pin this).
-func MeasureResilience(w workload.Workload, requests int, opts core.Options, plan *chaos.Plan) (*ResilienceReport, error) {
-	return MeasureResilienceContext(context.Background(), serve.NewEngine(serve.EngineConfig{}), w, requests, opts, plan)
-}
-
-// MeasureResilienceContext is MeasureResilience through an explicit
-// Engine.
+// MeasureResilienceContext runs one network application's resilient
+// server under all three compiler modes against the given chaos plan,
+// through eng. Build failures are errors; injected faults never are —
+// they surface only in the report's accounting. The published serve.*
+// and core.builds.* deltas depend on what eng has cached; a caller that
+// needs them to be a pure function of (w, requests, opts, plan) passes
+// a fresh Engine (the metrics goldens pin this).
 func MeasureResilienceContext(ctx context.Context, eng *serve.Engine, w workload.Workload, requests int, opts core.Options, plan *chaos.Plan) (*ResilienceReport, error) {
 	if w.Category != workload.CategoryNetwork {
 		return nil, fmt.Errorf("netsim: %s is not a network workload", w.Name)
@@ -614,16 +608,10 @@ func MeasureResilienceContext(ctx context.Context, eng *serve.Engine, w workload
 	return rep, nil
 }
 
-// MeasureAllResilience runs every network application against the plan
-// on one fresh, private Engine (see MeasureResilience for why fresh).
-// Like MeasureAll it returns partial results: failed applications stay
-// nil in the slice and their errors are joined.
-func MeasureAllResilience(requests int, opts core.Options, plan *chaos.Plan) ([]*ResilienceReport, error) {
-	return MeasureAllResilienceContext(context.Background(), serve.NewEngine(serve.EngineConfig{}), requests, opts, plan)
-}
-
-// MeasureAllResilienceContext is MeasureAllResilience through an
-// explicit Engine, fanned out with the Engine's worker budget.
+// MeasureAllResilienceContext runs every network application against
+// the plan through eng, fanned out with the Engine's worker budget. Like
+// MeasureAllContext it returns partial results: failed applications
+// stay nil in the slice and their errors are joined.
 func MeasureAllResilienceContext(ctx context.Context, eng *serve.Engine, requests int, opts core.Options, plan *chaos.Plan) ([]*ResilienceReport, error) {
 	apps := workload.NetworkApps()
 	out := make([]*ResilienceReport, len(apps))

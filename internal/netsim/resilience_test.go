@@ -1,13 +1,21 @@
 package netsim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"cash/internal/chaos"
 	"cash/internal/core"
+	"cash/internal/serve"
 	"cash/internal/workload"
 )
+
+// measureResilience is MeasureResilienceContext on a fresh Engine, so
+// every report starts from a cold cache.
+func measureResilience(w workload.Workload, requests int, opts core.Options, plan *chaos.Plan) (*ResilienceReport, error) {
+	return MeasureResilienceContext(context.Background(), serve.NewEngine(serve.EngineConfig{}), w, requests, opts, plan)
+}
 
 func apacheWorkload(t *testing.T) workload.Workload {
 	t.Helper()
@@ -39,7 +47,7 @@ func checkAccounting(t *testing.T, mr *ModeResilience) {
 }
 
 func TestResilienceChaosOffAllOK(t *testing.T) {
-	rep, err := MeasureResilience(apacheWorkload(t), 100, core.Options{}, nil)
+	rep, err := measureResilience(apacheWorkload(t), 100, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +72,7 @@ func TestResilienceChaosOffAllOK(t *testing.T) {
 func TestResilienceDeterministicAcrossRuns(t *testing.T) {
 	w := apacheWorkload(t)
 	run := func() *ResilienceReport {
-		rep, err := MeasureResilience(w, 300, core.Options{}, chaosPlan(42, 0.10))
+		rep, err := measureResilience(w, 300, core.Options{}, chaosPlan(42, 0.10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +85,7 @@ func TestResilienceDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestResilienceUnderInjection(t *testing.T) {
-	rep, err := MeasureResilience(apacheWorkload(t), 400, core.Options{}, chaosPlan(1, 0.05))
+	rep, err := measureResilience(apacheWorkload(t), 400, core.Options{}, chaosPlan(1, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +126,7 @@ func TestResilienceWatchdog(t *testing.T) {
 		Category: workload.CategoryNetwork,
 		Source:   "void main() { int x = 1; while (x) { x = 1; } }",
 	}
-	rep, err := MeasureResilience(spin, 50, core.Options{StepLimit: 200_000}, nil)
+	rep, err := measureResilience(spin, 50, core.Options{StepLimit: 200_000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +160,7 @@ func TestResilienceRunawaySiteFires(t *testing.T) {
 		Rate:  1,
 		Sites: []chaos.Site{chaos.SiteRunawayHandler},
 	})
-	rep, err := MeasureResilience(apacheWorkload(t), 30, core.Options{}, plan)
+	rep, err := measureResilience(apacheWorkload(t), 30, core.Options{}, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +177,7 @@ func TestMeasureAllResiliencePartial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every network app")
 	}
-	reps, err := MeasureAllResilience(100, core.Options{}, chaosPlan(1, 0.05))
+	reps, err := MeasureAllResilienceContext(context.Background(), serve.NewEngine(serve.EngineConfig{}), 100, core.Options{}, chaosPlan(1, 0.05))
 	if err != nil {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -188,7 +196,7 @@ func TestMeasureAllResiliencePartial(t *testing.T) {
 
 func TestMeasureResilienceRejectsNonNetwork(t *testing.T) {
 	ker := workload.Kernels()[0]
-	if _, err := MeasureResilience(ker, 10, core.Options{}, nil); err == nil {
+	if _, err := measureResilience(ker, 10, core.Options{}, nil); err == nil {
 		t.Fatal("expected category error")
 	}
 }

@@ -1,5 +1,6 @@
 // Package par provides the bounded fan-out used by the benchmark
-// harness: a process-wide worker budget and an indexed parallel-for.
+// harness: an indexed parallel-for under an explicit worker budget
+// (each serving Engine passes its own).
 //
 // The harness parallelises the independent rows of each table (every row
 // is its own compile-and-run experiment) while the tables themselves stay
@@ -8,48 +9,22 @@
 // therefore every formatted table — byte-identical to a sequential run.
 package par
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-var parallelism atomic.Int32
-
-func init() { parallelism.Store(int32(runtime.GOMAXPROCS(0))) }
-
-// SetParallelism sets the worker budget for subsequent Do calls. Values
-// below 1 are treated as 1 (fully sequential).
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism returns the current worker budget.
-func Parallelism() int { return int(parallelism.Load()) }
-
-// Do runs f(0) … f(n-1), at most Parallelism() at a time, and waits for
-// every started call to return. On failure it returns the error of the
+// DoN runs f(0) … f(n-1), at most budget at a time, and waits for every
+// started call to return. On failure it returns the error of the
 // lowest failed index: even when several indices fail simultaneously
 // under a concurrent budget, the reported error is a deterministic
 // function of the failure set, never of goroutine scheduling. With a
-// budget of 1 (or n == 1) it runs inline, with no goroutines at all.
+// budget of 1 or less (or n == 1) it runs inline, with no goroutines at
+// all.
 //
 // The budgets differ in one observable way — which indices run. A
 // sequential run stops at the first error, so later indices never
 // execute; a concurrent run starts every index and runs each to
 // completion. The returned error is identical either way. Callers that
 // need every index's side effects, or every error rather than just the
-// lowest, must use DoCollect.
-func Do(n int, f func(i int) error) error {
-	return DoN(Parallelism(), n, f)
-}
-
-// DoN is Do with an explicit worker budget instead of the process-wide
-// one. The serving engine uses it to give each Engine its own
-// parallelism, independent of the process-wide default.
+// lowest, must use DoCollectN.
 func DoN(budget, n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -70,15 +45,10 @@ func DoN(budget, n int, f func(i int) error) error {
 	return nil
 }
 
-// DoCollect runs f(0) … f(n-1) like Do, but always runs every index to
-// completion and returns the full per-index error slice (all nil on
+// DoCollectN runs f(0) … f(n-1) like DoN, but always runs every index
+// to completion and returns the full per-index error slice (all nil on
 // success). Callers that need partial results alongside a joined error —
-// the resilient measurement paths — use this instead of Do.
-func DoCollect(n int, f func(i int) error) []error {
-	return DoCollectN(Parallelism(), n, f)
-}
-
-// DoCollectN is DoCollect with an explicit worker budget.
+// the resilient measurement paths — use this instead of DoN.
 func DoCollectN(budget, n int, f func(i int) error) []error {
 	if n <= 0 {
 		return nil

@@ -21,6 +21,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 
 	"cash/internal/core"
 	"cash/internal/obs"
@@ -58,9 +59,9 @@ const DefaultCacheBytes = 64 << 20
 const DefaultStoreBytes = 1 << 30
 
 // EngineConfig tunes an Engine. The zero value is a fully enabled
-// engine with default sizing that inherits the process-wide
-// parallelism, so NewEngine(EngineConfig{}) behaves like the
-// pre-Engine API, only faster.
+// engine with default sizing and GOMAXPROCS parallelism, so
+// NewEngine(EngineConfig{}) behaves like the pre-Engine API, only
+// faster.
 type EngineConfig struct {
 	// CacheBytes bounds the artifact + run-result cache. 0 means
 	// DefaultCacheBytes; negative disables caching entirely.
@@ -69,7 +70,7 @@ type EngineConfig struct {
 	// bound from Parallelism.
 	MaxInFlight int
 	// Parallelism is the worker budget for this Engine's table fan-outs.
-	// 0 inherits the process-wide default (GOMAXPROCS).
+	// 0 means GOMAXPROCS.
 	Parallelism int
 	// EventTrace receives the Engine's consumers' structured events
 	// (netsim serving decisions). Nil records none.
@@ -88,7 +89,7 @@ type EngineConfig struct {
 }
 
 // Engine owns all cross-request serving state. Engines are safe for
-// concurrent use; create one per logical service (or use Default).
+// concurrent use; create one per logical service.
 type Engine struct {
 	cfg   EngineConfig
 	cache *cache
@@ -159,18 +160,12 @@ func (e *Engine) closed() bool {
 	return e.adm.closed
 }
 
-var defaultEngine = NewEngine(EngineConfig{})
-
-// Default returns the process-wide Engine the compatibility wrappers
-// (cash.Build, bench.Table1, …) share.
-func Default() *Engine { return defaultEngine }
-
 // Parallelism resolves this Engine's worker budget.
 func (e *Engine) Parallelism() int {
 	if e.cfg.Parallelism > 0 {
 		return e.cfg.Parallelism
 	}
-	return par.Parallelism()
+	return runtime.GOMAXPROCS(0)
 }
 
 // limit resolves the admission bound.
@@ -196,14 +191,14 @@ func (e *Engine) workers() int {
 	return p
 }
 
-// Do runs f(0) … f(n-1) with this Engine's worker budget (see par.Do
+// Do runs f(0) … f(n-1) with this Engine's worker budget (see par.DoN
 // for the error contract).
 func (e *Engine) Do(n int, f func(i int) error) error {
 	return par.DoN(e.workers(), n, f)
 }
 
 // DoCollect runs every index to completion and returns the per-index
-// error slice (see par.DoCollect).
+// error slice (see par.DoCollectN).
 func (e *Engine) DoCollect(n int, f func(i int) error) []error {
 	return par.DoCollectN(e.workers(), n, f)
 }

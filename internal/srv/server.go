@@ -51,9 +51,9 @@ const (
 // Config tunes a Server. The zero value (plus an Engine) is a working
 // server with quotas disabled and chaos off.
 type Config struct {
-	// Engine serves the requests. Nil uses the shared process-default
-	// engine. The Server never closes the engine — lifecycles compose
-	// from the outside (shut the server down, then close the engine).
+	// Engine serves the requests. Required: New panics without one.
+	// The Server never closes the engine — lifecycles compose from the
+	// outside (shut the server down, then close the engine).
 	Engine *serve.Engine
 	// Workers bounds the worker pool executing requests; queued work
 	// beyond it waits in the request queue. 0 means DefaultWorkers.
@@ -134,11 +134,12 @@ type Server struct {
 	hist   *obs.Histogram // server-wide simulated-latency view
 }
 
-// New builds a Server from cfg. Workers start on the first Serve call.
+// New builds a Server from cfg, which must name an Engine. Workers start
+// on the first Serve call.
 func New(cfg Config) *Server {
 	eng := cfg.Engine
 	if eng == nil {
-		eng = serve.Default()
+		panic("srv: New needs a Config.Engine")
 	}
 	depth := cfg.QueueDepth
 	if depth == 0 {
@@ -453,7 +454,7 @@ func (s *Server) execute(ctx context.Context, t *task) (any, error) {
 		if err := decode(t.body, &req); err != nil {
 			return nil, err
 		}
-		tab, err := bench.TableByID(ctx, s.eng, req.ID, req.Requests)
+		tab, err := bench.Suite{Engine: s.eng}.Table(ctx, req.ID, req.Requests)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
