@@ -2,9 +2,11 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"cash/internal/core"
+	"cash/internal/vm"
 )
 
 // The detector table compares the bound-violation detectors the paper
@@ -134,23 +136,32 @@ func (s Suite) detectorTable(ctx context.Context) (*Table, error) {
 }
 
 // detects reports whether the variant stops the probe's overflow. The
-// run goes through the Engine, so a probe's outcome — including the
-// expensive unchecked-GCC runaways that burn the whole step budget —
-// is simulated once and served from the run cache afterwards.
+// probe is built with the overflow oracle (core.Options.Oracle), so the
+// run ends at the overflowing reference either way: "caught" is a
+// detected violation — the strategy's check, a segment-limit #GP or an
+// Electric Fence guard-page fault — and "missed" is the oracle's
+// vm.FaultUncaughtOverflow, the first reference that left its object
+// with nothing stopping it. Every probe overflows by construction, so
+// any other ending (a clean exit, the step limit, an unclassified
+// crash) means the oracle missed a reference, and is an error. The run
+// goes through the Engine, so each verdict is simulated once and served
+// from the run cache afterwards.
 func (s Suite) detects(ctx context.Context, src string, v detectorVariant) (bool, error) {
-	art, err := s.Engine.BuildContext(ctx, src, v.mode, s.opt(v.opts))
+	opts := s.opt(v.opts)
+	opts.Oracle = true
+	art, err := s.Engine.BuildContext(ctx, src, v.mode, opts)
 	if err != nil {
 		return false, err
 	}
 	res, err := s.Engine.RunContext(ctx, art)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return false, cerr
-		}
-		// A crash that is not a classified violation (e.g. corrupted
-		// control flow under GCC) still means the overflow went
-		// undetected at the offending reference.
+	var f *vm.Fault
+	switch {
+	case errors.As(err, &f) && f.Kind == vm.FaultUncaughtOverflow:
 		return false, nil
+	case err != nil:
+		return false, err
+	case res.Violation == nil:
+		return false, errors.New("probe ran to completion without an overflow verdict")
 	}
-	return res.Violation != nil, nil
+	return true, nil
 }

@@ -32,9 +32,6 @@ func TestBoundInstrTableShape(t *testing.T) {
 }
 
 func TestDetectorTableShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the unchecked probes run to the step limit; slow, run without -short")
-	}
 	tab, err := testTable("detectors", 0)
 	if err != nil {
 		t.Fatal(err)

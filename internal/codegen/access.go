@@ -295,11 +295,11 @@ func (c *compiler) refDirectArray(d *minic.VarDecl, path accessPath, idx minic.E
 			rel += int32(d.Addr - globalSegLower(d))
 		}
 		c.stats[StatHWChecks]++
-		c.b.TagMem(refTag{decl: d, exact: true})
+		ref := vm.MemRef{Seg: seg, Disp: rel}
 		if idxReg {
-			return vm.M(vm.MemRef{Seg: seg, Base: vm.EAX, HasBase: true, Disp: rel}), nil
+			ref.Base, ref.HasBase = vm.EAX, true
 		}
-		return vm.M(vm.MemRef{Seg: seg, Disp: rel}), nil
+		return c.tagRef(refTag{decl: d, exact: true}, ref), nil
 
 	case pathSoft:
 		// Materialise the address in EBX, check, access flat.
@@ -319,26 +319,26 @@ func (c *compiler) refDirectArray(d *minic.VarDecl, path accessPath, idx minic.E
 			c.b.Op(vm.LEA, vm.R(vm.EBX), vm.M(ref))
 		}
 		c.checkedDeclRef(vm.EBX, d, idx, idxConst, idxReg)
-		c.b.TagMem(refTag{decl: d, exact: true})
-		return vm.M(vm.MemRef{Seg: x86seg.DS, Base: vm.EBX, HasBase: true}), nil
+		ref := vm.MemRef{Seg: x86seg.DS, Base: vm.EBX, HasBase: true}
+		return c.tagRef(refTag{decl: d, exact: true}, ref), nil
 
 	default: // pathNone
-		c.b.TagMem(refTag{decl: d})
+		var ref vm.MemRef
 		if global {
-			ref := vm.MemRef{Seg: x86seg.DS, Disp: int32(d.Addr) + idxConst}
+			ref = vm.MemRef{Seg: x86seg.DS, Disp: int32(d.Addr) + idxConst}
 			if idxReg {
 				ref.Base = vm.EAX
 				ref.HasBase = true
 			}
-			return vm.M(ref), nil
+		} else {
+			ref = vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: c.frameOff[d] + idxConst}
+			if idxReg {
+				ref.Index = vm.EAX
+				ref.HasIndex = true
+				ref.Scale = 1
+			}
 		}
-		ref := vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: c.frameOff[d] + idxConst}
-		if idxReg {
-			ref.Index = vm.EAX
-			ref.HasIndex = true
-			ref.Scale = 1
-		}
-		return vm.M(ref), nil
+		return c.tagRef(refTag{decl: d}, ref), nil
 	}
 }
 
@@ -371,14 +371,13 @@ func (c *compiler) refPointerVar(d *minic.VarDecl, path accessPath, idx minic.Ex
 			c.b.Op(vm.MOV, vm.R(vm.EBX), vm.M(vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: rel}))
 		}
 		c.stats[StatHWChecks]++
-		c.b.TagMem(refTag{decl: d})
 		ref := vm.MemRef{Seg: seg, Base: vm.EBX, HasBase: true, Disp: idxConst}
 		if idxReg {
 			ref.Index = vm.EAX
 			ref.HasIndex = true
 			ref.Scale = 1
 		}
-		return vm.M(ref), nil
+		return c.tagRef(refTag{decl: d}, ref), nil
 
 	case pathSoft:
 		c.b.Op(vm.MOV, vm.R(vm.EBX), vm.M(c.slotRef(d, 0)))
@@ -389,19 +388,18 @@ func (c *compiler) refPointerVar(d *minic.VarDecl, path accessPath, idx minic.Ex
 			c.b.Op(vm.ADD, vm.R(vm.EBX), vm.I(idxConst))
 		}
 		c.checkedDeclRef(vm.EBX, d, idx, idxConst, idxReg)
-		c.b.TagMem(refTag{decl: d})
-		return vm.M(vm.MemRef{Seg: x86seg.DS, Base: vm.EBX, HasBase: true}), nil
+		ref := vm.MemRef{Seg: x86seg.DS, Base: vm.EBX, HasBase: true}
+		return c.tagRef(refTag{decl: d}, ref), nil
 
 	default:
 		c.b.Op(vm.MOV, vm.R(vm.EBX), vm.M(c.slotRef(d, 0)))
-		c.b.TagMem(refTag{decl: d})
 		ref := vm.MemRef{Seg: x86seg.DS, Base: vm.EBX, HasBase: true, Disp: idxConst}
 		if idxReg {
 			ref.Index = vm.EAX
 			ref.HasIndex = true
 			ref.Scale = 1
 		}
-		return vm.M(ref), nil
+		return c.tagRef(refTag{decl: d}, ref), nil
 	}
 }
 
@@ -442,6 +440,16 @@ func (c *compiler) refComputed(base minic.Expr, idx minic.Expr, elem int32, path
 	if needMeta {
 		c.strat.computedMetaCheck(c, vm.EBX)
 	}
+	ref := vm.MemRef{Seg: x86seg.DS, Base: vm.EBX, HasBase: true}
+	if c.cfg.Oracle {
+		// The base pointer is EBX minus the scaled index still in EAX.
+		site := vm.Site{Kind: vm.SiteReg, Reg: vm.EBX, Sub: vm.NumRegs}
+		if idxReg {
+			site.Sub = vm.EAX
+		}
+		c.b.TagMem(&siteTag{ref: ref, site: site})
+		return vm.M(ref), nil
+	}
 	c.b.TagMem(refTag{})
-	return vm.M(vm.MemRef{Seg: x86seg.DS, Base: vm.EBX, HasBase: true}), nil
+	return vm.M(ref), nil
 }

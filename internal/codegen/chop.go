@@ -218,10 +218,7 @@ func (c *compiler) chopFunc(fs *fnState) {
 	groups := make(map[string]*chopGroup)
 	var order []string
 
-	exactTag := func(in *ir.Instr) bool {
-		t, ok := in.Tag.(refTag)
-		return ok && t.exact
-	}
+	exactTag := func(in *ir.Instr) bool { return exactRef(in.Tag) }
 	breakRegion := func() { region++ }
 
 	prevID := 0

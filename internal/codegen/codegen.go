@@ -60,6 +60,11 @@ type Config struct {
 	// range check). Empty means the emitted program is byte-identical
 	// to the historical direct back end.
 	Passes []string
+	// Oracle attaches the overflow oracle's site table to the program
+	// (vm.SiteTable, see oracle.go): each array-reference instruction and
+	// the object it must stay inside. The emitted code is the same
+	// either way; the table only changes how machines run it.
+	Oracle bool
 }
 
 // Layout constants shared by all generated programs.

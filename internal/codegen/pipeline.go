@@ -189,6 +189,11 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 	// build — a machine uses them unless pinned to the step interpreter
 	// (Options.StepOnly).
 	p.Regions = mod.SuperblockHints()
+	if cfg.Oracle {
+		if p.Sites, err = c.siteTable(mod, len(p.Instrs)); err != nil {
+			return nil, nil, err
+		}
+	}
 	return p, mod, nil
 }
 
@@ -333,6 +338,18 @@ type refTag struct {
 	// on scalar or pointer slots. Unchecked, pointer-mediated and
 	// computed accesses are inexact: their store can hit anything.
 	exact bool
+}
+
+// exactRef reports whether an instruction's tag marks an exact
+// reference, in either tag form (refTag, or an oracle build's siteTag).
+func exactRef(tag any) bool {
+	switch t := tag.(type) {
+	case refTag:
+		return t.exact
+	case *siteTag:
+		return t.exact
+	}
+	return false
 }
 
 // condEnter / condExit bracket conditionally-executed code (if branches,

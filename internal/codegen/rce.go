@@ -115,7 +115,7 @@ func (c *compiler) rceFunc(fs *fnState, keyVars map[string][]*minic.VarDecl, key
 			// Store through a computed address: sound only when the
 			// lowering tagged it as checked against a declared array's
 			// true storage, which cannot overlap scalar or pointer slots.
-			if t, ok := in.Tag.(refTag); ok && t.exact {
+			if exactRef(in.Tag) {
 				return
 			}
 			for k := range avail {

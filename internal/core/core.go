@@ -171,6 +171,14 @@ type Options struct {
 	// identical either way; only host speed changes, so this is the off
 	// switch for the differential lanes that compare the two.
 	StepOnly bool
+	// Oracle builds the program with the overflow oracle's site table
+	// (codegen.Config.Oracle): the artifact's machines run step-only and
+	// stop at the first array reference that leaves its object after the
+	// strategy's own check let it through, with a
+	// vm.FaultUncaughtOverflow naming the reference. The emitted code is
+	// unchanged. The detector table's probes set it; everything else
+	// leaves it off, and oracle artifacts are never persisted.
+	Oracle bool
 	// EventTrace, when non-nil, receives structured machine events
 	// (segment-register loads, descriptor installs/evicts, faults, LDT
 	// traffic) from every machine the artifact creates. Nil — the
@@ -257,6 +265,7 @@ func Build(source string, mode Mode, opts Options) (*Artifact, error) {
 		SkipReadChecks: opts.SkipReadChecks,
 		UseBoundInstr:  opts.UseBoundInstr,
 		Passes:         passes,
+		Oracle:         opts.Oracle,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)

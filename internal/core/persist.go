@@ -96,11 +96,12 @@ var errUnpersistable = errors.New("core: value cannot be persisted")
 
 // EncodeArtifact serialises an artifact for the disk store. ok is
 // false — with no error — for artifacts that must stay memory-only: an
-// attached event trace, or a program the format cannot hold exactly.
+// attached event trace, an oracle build (Options.Oracle), or a program
+// the format cannot hold exactly.
 // The AST and IR module are deliberately not persisted: machines only
 // need the Program, so DumpIR on a decoded artifact returns "".
 func EncodeArtifact(a *Artifact) (data []byte, ok bool, err error) {
-	if a == nil || a.Program == nil || a.opts.EventTrace != nil {
+	if a == nil || a.Program == nil || a.opts.EventTrace != nil || a.opts.Oracle {
 		return nil, false, nil
 	}
 	e := &encoder{buf: make([]byte, 0, 256+12*len(a.Program.Instrs))}

@@ -460,6 +460,7 @@ func TestPersistedFieldSets(t *testing.T) {
 			"Name string", "Instrs []vm.Instr", "Entry int", "Funcs map[string]int",
 			"Data []uint8", "DataBase uint32", "HeapBase uint32", "StackTop uint32",
 			"Mode string", "Stats map[string]uint64", "Regions []vm.Region",
+			"Sites *vm.SiteTable",
 		},
 		reflect.TypeOf(vm.Instr{}): {
 			"Op vm.Op", "Dst vm.Operand", "Src vm.Operand", "Size uint8",
@@ -495,7 +496,7 @@ func TestPersistedFieldSets(t *testing.T) {
 		reflect.TypeOf(Options{}): {
 			"SegRegs int", "SkipReadChecks bool", "UseBoundInstr bool", "WithoutCallGate bool",
 			"ElectricFence bool", "Passes []string", "StepLimit uint64", "StepOnly bool",
-			"EventTrace *obs.Trace",
+			"Oracle bool", "EventTrace *obs.Trace",
 		},
 	}
 	for ty, fields := range want {

@@ -44,6 +44,12 @@ func buildKey(source string, mode core.Mode, opts core.Options) string {
 	if opts.StepOnly {
 		fixed[12] = 1
 	}
+	// An oracle build carries a site table and runs under the oracle.
+	// The flag takes a byte that is zero when it is off, so the keys of
+	// default builds, and the store entries filed under them, stay valid.
+	if opts.Oracle {
+		fixed[13] = 1
+	}
 	binary.LittleEndian.PutUint64(fixed[16:], opts.StepLimit)
 	binary.LittleEndian.PutUint64(fixed[24:], uint64(len(source)))
 	h.Write(fixed[:])

@@ -37,3 +37,30 @@ func TestBuildKeyStrategySeparation(t *testing.T) {
 		t.Error("different names collide")
 	}
 }
+
+// TestBuildKeyPinned pins the digest of default keys: a new build option
+// must key in bytes the option block leaves zero when it is off, so
+// every existing key — and every entry of an existing store — stays
+// valid. The oracle flag is such an option.
+func TestBuildKeyPinned(t *testing.T) {
+	src := "void main() { printi(1); }"
+	pins := []struct {
+		mode core.Mode
+		opts core.Options
+		want string
+	}{
+		{core.ModeGCC, core.Options{}, "67df0aa259cd8115b96127165347535dcbe3d1a5863453e191e399df4b460064"},
+		{core.ModeCash, core.Options{Passes: []string{"rce", "hoist"}, StepLimit: 1000},
+			"d9795e33b78a97bde4417c48f0d782923a73206e7c4755e5171f2e5d71a71eed"},
+	}
+	for _, p := range pins {
+		if got := buildKey(src, p.mode, p.opts); got != p.want {
+			t.Errorf("buildKey(%s, %+v) = %s, want %s", p.mode, p.opts, got, p.want)
+		}
+		oracle := p.opts
+		oracle.Oracle = true
+		if buildKey(src, p.mode, oracle) == p.want {
+			t.Errorf("%s: the oracle flag does not change the key", p.mode)
+		}
+	}
+}

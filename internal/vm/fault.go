@@ -28,6 +28,10 @@ const (
 	// FaultCanceled means the run's context (WithCancel) was canceled;
 	// the serving layer maps it back to the context's error.
 	FaultCanceled
+	// FaultUncaughtOverflow is the overflow oracle's verdict (see
+	// oracle.go): an array reference left its object and the checking
+	// strategy let it through. IP names the reference.
+	FaultUncaughtOverflow
 )
 
 func (k FaultKind) String() string {
@@ -48,6 +52,8 @@ func (k FaultKind) String() string {
 		return "transient kernel failure"
 	case FaultCanceled:
 		return "run canceled"
+	case FaultUncaughtOverflow:
+		return "uncaught overflow"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}

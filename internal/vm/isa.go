@@ -303,6 +303,11 @@ type Program struct {
 	// identical with or without them.
 	Regions []Region
 
+	// Sites is the overflow oracle's site table (see oracle.go), present
+	// only on programs compiled with codegen.Config.Oracle. A machine for
+	// a program that carries one runs step-only under the oracle.
+	Sites *SiteTable
+
 	// pre caches the predecoded execution form (see predecode.go), built
 	// lazily on first Run and shared by every Machine executing this
 	// program. Programs must not be copied by value once running.

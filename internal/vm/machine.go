@@ -301,6 +301,10 @@ type Machine struct {
 	sbw       segWindows // cached sbWindows, valid while sbwGen == mmu.Gen()
 	sbwGen    uint64
 
+	// oracle is the overflow oracle's state (see oracle.go), nil unless
+	// the program carries a site table.
+	oracle *oracle
+
 	// Fault-injection mechanisms (see the With* chaos options). At most
 	// one of the one-shot corruptions fires per run (chaosFired latches).
 	ldtAudit           bool
@@ -338,6 +342,10 @@ func New(prog *Program, mode Mode, opts ...Option) (*Machine, error) {
 		o(m)
 	}
 	m.plain = m.pages == nil && m.trace == nil
+	if prog.Sites != nil {
+		m.stepOnly = true
+		m.oracle = newOracle(prog)
+	}
 	if !m.stepOnly && len(prog.Regions) > 0 {
 		m.sbt = prog.superblocks()
 	}
@@ -501,6 +509,9 @@ const cancelStride = 4096
 // IsBoundViolation() == true.
 func (m *Machine) Run() (res *Result, err error) {
 	c := m.prog.compiledProgram()
+	if m.oracle != nil {
+		c = m.oracle.code
+	}
 	n := len(c.exec)
 	startInstrs, startCycles := m.stats.Instructions, m.cycles
 	startSBEntries, startSBDeopts, startSBRetired := m.sbEntries, m.sbDeopts, m.sbRetired
