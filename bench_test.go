@@ -42,7 +42,7 @@ func BenchmarkTable1Kernels(b *testing.B) {
 			var cmp *core.Comparison
 			var err error
 			for i := 0; i < b.N; i++ {
-				cmp, err = core.Compare(w.Name, w.Source, core.Options{SegRegs: 4, StepOnly: *benchStep})
+				cmp, err = core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: 4, StepOnly: *benchStep}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -63,7 +63,7 @@ func BenchmarkAblationSegRegs(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				worst, sum, swTotal = 0, 0, 0
 				for _, w := range workload.Kernels() {
-					cmp, err := core.Compare(w.Name, w.Source, core.Options{SegRegs: regs})
+					cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: regs}})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -115,7 +115,7 @@ func BenchmarkTable3Scaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j, n := range s.sizes {
 					w := s.mk(n)
-					cmp, err := core.Compare(w.Name, w.Source, core.Options{SegRegs: 4})
+					cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SegRegs: 4}})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -157,7 +157,7 @@ func BenchmarkTable5Macro(b *testing.B) {
 			var cmp *core.Comparison
 			var err error
 			for i := 0; i < b.N; i++ {
-				cmp, err = core.Compare(w.Name, w.Source, core.Options{})
+				cmp, err = core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -338,7 +338,7 @@ func BenchmarkSimulator(b *testing.B) {
 func BenchmarkSecurityOnlyMode(b *testing.B) {
 	w := workload.MatMul(32)
 	run := func(skipReads bool) float64 {
-		cmp, err := core.Compare(w.Name, w.Source, core.Options{SkipReadChecks: skipReads})
+		cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{SkipReadChecks: skipReads}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -208,8 +208,7 @@ func MeasureOverheadConstants() (OverheadConstants, error) {
 
 // EngineConfig tunes a serving Engine. The zero value gives the
 // defaults: a 64 MiB artifact/run cache, in-flight admission bounded by
-// the parallelism budget, GOMAXPROCS parallelism, and the process-wide
-// event trace.
+// the parallelism budget, GOMAXPROCS parallelism, and no disk store.
 type EngineConfig = serve.EngineConfig
 
 // Engine is the serving runtime: it owns every piece of cross-request
@@ -231,16 +230,15 @@ type Engine struct {
 	eng *serve.Engine
 }
 
-// NewEngine builds a serving Engine from cfg. An unusable StoreDir is
-// degraded silently to a memory-only cache; use OpenEngine to observe
-// the failure instead.
+// NewEngine builds a serving Engine from cfg and panics where
+// OpenEngine would return an error; use OpenEngine for a cfg with a
+// StoreDir.
 func NewEngine(cfg EngineConfig) *Engine {
 	return &Engine{eng: serve.NewEngine(cfg)}
 }
 
-// OpenEngine builds a serving Engine from cfg, reporting an unusable
-// EngineConfig.StoreDir as an error instead of silently dropping the
-// persistent layer.
+// OpenEngine builds a serving Engine from cfg. It reports an unusable
+// EngineConfig.StoreDir, or one set with caching disabled, as an error.
 func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	eng, err := serve.Open(cfg)
 	if err != nil {
@@ -443,9 +441,8 @@ type MetricsSnapshot = obs.Snapshot
 func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
 
 // EventTrace is a bounded ring buffer of structured machine events:
-// segment-register loads, descriptor installs and evictions, faults,
-// LDT allocation traffic, and the resilient server's retry/shed/
-// degrade/re-arm decisions. A nil *EventTrace is valid everywhere and
+// segment-register loads, descriptor installs and evictions, faults
+// and LDT allocation traffic. A nil *EventTrace is valid everywhere and
 // disables emission; tracing is strictly opt-in.
 type EventTrace = obs.Trace
 
@@ -453,7 +450,7 @@ type EventTrace = obs.Trace
 type TraceEvent = obs.Event
 
 // NewEventTrace returns a trace retaining up to capacity events
-// (0 means the default capacity). Attach it to machine runs with
-// Options.EventTrace, or to an Engine's serving decisions with
-// EngineConfig.EventTrace.
+// (0 means the default capacity). Attach it to an artifact's machine
+// runs with Options.EventTrace; an Engine compiles a traced build
+// afresh and never caches it.
 func NewEventTrace(capacity int) *EventTrace { return obs.NewTrace(capacity) }

@@ -8,8 +8,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cash/internal/codegen"
 	"cash/internal/ir"
@@ -34,14 +32,9 @@ var (
 	mFlatFalls  = obs.Default().Counter("core.flat_fallbacks")
 )
 
-// mBuildsOther counts builds of strategies beyond the classic three
-// (Mode -> *atomic.Uint64). Deliberately NOT in the obs registry: the
-// registry's metric set is static per process — the metrics-delta
-// goldens and the parallel-determinism diff depend on that — so a
-// strategy registered after those goldens were pinned must not add a
-// registry line. BuildsOf exposes the counts to tests.
-var mBuildsOther sync.Map
-
+// countBuild counts a build of one of the classic three strategies.
+// Other strategies get no counter: the registry's metric set is static
+// per process, and the metrics goldens print all of it.
 func countBuild(mode Mode) {
 	switch mode {
 	case ModeGCC:
@@ -50,32 +43,7 @@ func countBuild(mode Mode) {
 		mBuildsBCC.Inc()
 	case ModeCash:
 		mBuildsCash.Inc()
-	default:
-		c, ok := mBuildsOther.Load(mode)
-		if !ok {
-			c, _ = mBuildsOther.LoadOrStore(mode, new(atomic.Uint64))
-		}
-		c.(*atomic.Uint64).Add(1)
 	}
-}
-
-// BuildsOf reports how many builds (including cached ones, see
-// NoteCachedBuild) this process requested under the given strategy.
-// For the classic three the count is also published as the
-// core.builds.* metric.
-func BuildsOf(mode Mode) uint64 {
-	switch mode {
-	case ModeGCC:
-		return mBuildsGCC.Value()
-	case ModeBCC:
-		return mBuildsBCC.Value()
-	case ModeCash:
-		return mBuildsCash.Value()
-	}
-	if c, ok := mBuildsOther.Load(mode); ok {
-		return c.(*atomic.Uint64).Load()
-	}
-	return 0
 }
 
 // NoteCachedBuild records a logical build that was satisfied without
@@ -280,16 +248,6 @@ func (a *Artifact) CodeSize() int { return a.Program.CodeSize() }
 // Options returns the build options the artifact was compiled with.
 func (a *Artifact) Options() Options { return a.opts }
 
-// WithEventTrace returns a shallow copy of the artifact whose machines
-// emit into tr (the compiled Program is shared — predecoding happens
-// once). The serving engine uses it to attach a request's trace to a
-// cached, trace-free artifact.
-func (a *Artifact) WithEventTrace(tr *obs.Trace) *Artifact {
-	clone := *a
-	clone.opts.EventTrace = tr
-	return &clone
-}
-
 // StaticStats exposes the code generator's static counters.
 func (a *Artifact) StaticStats() map[string]uint64 { return a.Program.Stats }
 
@@ -324,7 +282,7 @@ func (a *Artifact) NewMachine(extra ...vm.Option) (*vm.Machine, error) {
 		opts = append(opts, vm.WithStepLimit(a.opts.StepLimit))
 	}
 	if a.opts.EventTrace != nil {
-		opts = append(opts, vm.WithEventTrace(a.opts.EventTrace))
+		opts = append(opts, vm.WithEvents(a.opts.EventTrace))
 	}
 	if a.opts.WithoutCallGate {
 		opts = append(opts, vm.WithoutCallGate())
@@ -565,15 +523,6 @@ func CompareStrategiesUsing(r Runner, name, source string, cfg CompareConfig) (*
 		}
 	}
 	return cmp, nil
-}
-
-// Compare builds and runs source under the classic three modes and checks
-// that the three executions produce identical program output.
-//
-// Deprecated: Use CompareStrategies, which accepts any registered
-// strategy set. This wrapper keeps working and compares gcc, bcc, cash.
-func Compare(name, source string, opts Options) (*Comparison, error) {
-	return CompareStrategies(name, source, CompareConfig{Options: opts})
 }
 
 func sameOutput(a, b []int32) error {

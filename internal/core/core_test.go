@@ -70,7 +70,7 @@ void main() {
 }
 
 func TestCompare(t *testing.T) {
-	cmp, err := Compare("sum", sumKernel, Options{})
+	cmp, err := CompareStrategies("sum", sumKernel, CompareConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestCompareRejectsViolatingProgram(t *testing.T) {
 	src := `
 int a[4];
 void main() { for (int i = 0; i <= 4; i++) a[i] = 0; }`
-	if _, err := Compare("bad", src, Options{}); err == nil {
-		t.Fatal("Compare must reject programs that violate bounds")
+	if _, err := CompareStrategies("bad", src, CompareConfig{}); err == nil {
+		t.Fatal("CompareStrategies must reject programs that violate bounds")
 	}
 }
 

@@ -16,16 +16,16 @@
 // against the input that remains — or, for the data image, against
 // maxDataImage — before anything is allocated, so a hostile blob costs
 // an error, never a panic or an unbounded allocation. The store's own
-// content hash protects the bytes at rest; the disk layer treats a
-// decode error as a miss and removes the entry.
+// content hash protects the bytes at rest; the serving cache's disk
+// tier treats a decode error as a miss and removes the entry.
 //
 // Persistence is strictly host-side: a decoded artifact produces
 // machines (and therefore tables, counters and faults) byte-identical
 // to a freshly compiled one. What cannot be made identical is refused
 // at encode time — an attached event trace, a non-Fault run error, an
 // operand field its Kind does not use, a value the format cannot hold —
-// so the disk layer silently skips those entries and the memory layer
-// still serves them for the life of the process.
+// so the serving cache's disk tier silently skips those entries and its
+// memory tier still serves them for the life of the process.
 package core
 
 import (

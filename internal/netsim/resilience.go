@@ -224,7 +224,6 @@ type modeServer struct {
 	windowBad   int
 	mr          *ModeResilience
 	lat         *obs.Histogram // served-request latencies, in cycles
-	tr          *obs.Trace     // resilience decision trace (nil when off)
 	shedArmed   bool
 	sinceDegron int // requests since entering degraded mode, for probing
 }
@@ -385,9 +384,7 @@ func (s *modeServer) serveInjected(req int, inj chaos.Injection) (requestOutcome
 			switch f.Kind {
 			case vm.FaultTransient:
 				s.mr.Retries++
-				s.tr.Emit(obs.EvRetry, uint64(req), uint64(attempt), "transient modify_ldt failure")
 				if attempt+1 >= MaxAttempts {
-					s.tr.Emit(obs.EvShed, uint64(req), uint64(attempt), "retries exhausted")
 					return outcomeShed, latency
 				}
 				b := uint64(BackoffBaseCycles) << uint(attempt)
@@ -450,7 +447,6 @@ func (s *modeServer) noteExhaustion() {
 	if s.consecExh >= DegradeThreshold && !s.degraded {
 		s.degraded = true
 		s.sinceDegron = 0
-		s.tr.Emit(obs.EvDegrade, uint64(s.consecExh), 0, "enter flat-segment mode")
 	}
 }
 
@@ -459,7 +455,6 @@ func (s *modeServer) serve(i int) {
 	if s.shedArmed {
 		// Load shedding: refuse the request, give the window one
 		// neutral slot so the server can recover.
-		s.tr.Emit(obs.EvShed, uint64(i), uint64(s.windowBad), "shed window tripped")
 		s.record(outcomeShed, 0, false)
 		return
 	}
@@ -480,7 +475,6 @@ func (s *modeServer) serve(i int) {
 			// re-arms checking.
 			s.degraded = false
 			s.consecExh = 0
-			s.tr.Emit(obs.EvRearm, uint64(i), 0, "clean probe re-armed checking")
 			s.record(outcomeOK, s.clean.cycles, false)
 			return
 		}
@@ -551,7 +545,6 @@ func measureModeResilience(ctx context.Context, eng *serve.Engine, w workload.Wo
 		clean:  clean,
 		mr:     &mr,
 		lat:    obs.NewCycleHistogram(),
-		tr:     eng.EventTrace(),
 	}
 	if mode == core.ModeCash {
 		s.sites = chaos.AllSites()

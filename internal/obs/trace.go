@@ -35,18 +35,6 @@ const (
 	// watchdog, transient). Arg0 = vm fault kind, Arg1 = instruction
 	// index; Note is the fault text.
 	EvFault
-	// EvRetry is a resilient-server retry of a transient kernel failure.
-	// Arg0 = request index, Arg1 = attempt number.
-	EvRetry
-	// EvShed is a refused request. Arg0 = request index; Note says why
-	// (load shedding window or retries exhausted).
-	EvShed
-	// EvDegrade is the server entering flat-segment degraded mode
-	// (§3.4). Arg0 = request index.
-	EvDegrade
-	// EvRearm is the server leaving degraded mode after a clean probe.
-	// Arg0 = request index.
-	EvRearm
 )
 
 func (k EventKind) String() string {
@@ -63,14 +51,6 @@ func (k EventKind) String() string {
 		return "ldt-free"
 	case EvFault:
 		return "fault"
-	case EvRetry:
-		return "retry"
-	case EvShed:
-		return "shed"
-	case EvDegrade:
-		return "degrade"
-	case EvRearm:
-		return "rearm"
 	default:
 		return fmt.Sprintf("EventKind(%d)", uint8(k))
 	}

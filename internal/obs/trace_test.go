@@ -43,7 +43,7 @@ func TestTraceOrderAndSeq(t *testing.T) {
 func TestTraceRingOverwrite(t *testing.T) {
 	tr := NewTrace(4)
 	for i := 0; i < 10; i++ {
-		tr.Emit(EvRetry, uint64(i), 0, "")
+		tr.Emit(EvLDTFree, uint64(i), 0, "")
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("dropped = %d, want 6", got)
@@ -62,12 +62,12 @@ func TestTraceRingOverwrite(t *testing.T) {
 
 func TestTraceDrain(t *testing.T) {
 	tr := NewTrace(8)
-	tr.Emit(EvShed, 1, 0, "window")
+	tr.Emit(EvLDTAlloc, 1, 0, "cache-hit")
 	got := tr.Drain()
 	if len(got) != 1 || tr.Len() != 0 {
 		t.Fatalf("drain returned %d events, left %d", len(got), tr.Len())
 	}
-	tr.Emit(EvShed, 2, 0, "")
+	tr.Emit(EvLDTFree, 2, 0, "")
 	if e := tr.Events()[0]; e.Seq != 2 {
 		t.Fatalf("sequence must continue across Drain, got %d", e.Seq)
 	}
@@ -75,9 +75,9 @@ func TestTraceDrain(t *testing.T) {
 
 func TestTraceFormatAndJSON(t *testing.T) {
 	tr := NewTrace(8)
-	tr.Emit(EvDegrade, 42, 0, "enter flat-segment mode")
+	tr.Emit(EvLDTAlloc, 42, 0, "exhausted")
 	text := tr.Format()
-	if !strings.Contains(text, "degrade") || !strings.Contains(text, "enter flat-segment mode") {
+	if !strings.Contains(text, "ldt-alloc") || !strings.Contains(text, "exhausted") {
 		t.Fatalf("Format missing content:\n%s", text)
 	}
 	data, err := tr.JSON()
@@ -94,7 +94,7 @@ func TestTraceFormatAndJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &parsed); err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed.Events) != 1 || parsed.Events[0].Note != "enter flat-segment mode" {
+	if len(parsed.Events) != 1 || parsed.Events[0].Note != "exhausted" {
 		t.Fatalf("JSON = %s", data)
 	}
 }

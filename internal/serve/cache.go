@@ -1,24 +1,26 @@
 package serve
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"sync"
 
 	"cash/internal/core"
+	"cash/internal/obs"
+	"cash/internal/store"
 )
 
 // buildKey derives the content address of an artifact: a SHA-256 over
 // the source text, the strategy name, and every semantic build option.
 // The strategy is hashed by name, so a Mode constant and its string
 // spelling (core.ModeCash and "cash") address the same cache entry.
-// Options.EventTrace is deliberately excluded (the caller nils it
-// first): a trace changes what is observed, never what is built, so
-// traced and untraced requests share one compiled artifact.
+// Options.EventTrace is not keyed: a traced build never reaches the
+// cache (see Engine.BuildContext).
 //
-// The key addresses the same artifact in every layer of the store —
-// and, through the disk layer, across processes: a restarted server
+// The key addresses the same artifact in both tiers of the cache —
+// and, through the disk tier, across processes: a restarted server
 // computes the same key and finds the previous process's artifact.
 func buildKey(source string, mode core.Mode, opts core.Options) string {
 	h := sha256.New()
@@ -65,7 +67,34 @@ func buildKey(source string, mode core.Mode, opts core.Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// entry is one memory-layer cached value: an artifact ("a:"-prefixed
+// Disk-tier metrics. Registered lazily — the first engine that opens a
+// disk store creates them — so engines without a StoreDir publish
+// nothing new and every pre-existing metrics golden stays byte-
+// identical.
+var (
+	diskMetricsOnce sync.Once
+	mDiskHits       *obs.Counter
+	mDiskMisses     *obs.Counter
+	mDiskWrites     *obs.Counter
+	mDiskEvictions  *obs.Counter
+)
+
+// openDisk opens (or creates) the content-addressed file store rooted
+// at dirPath as the cache's disk tier.
+func openDisk(dirPath string, budget int64) (*store.Dir, error) {
+	diskMetricsOnce.Do(func() {
+		mDiskHits = obs.Default().Counter("store.disk.hits")
+		mDiskMisses = obs.Default().Counter("store.disk.misses")
+		mDiskWrites = obs.Default().Counter("store.disk.writes")
+		mDiskEvictions = obs.Default().Counter("store.disk.evictions")
+	})
+	return store.Open(dirPath, store.Options{
+		Budget:  budget,
+		OnEvict: func(string) { mDiskEvictions.Inc() },
+	})
+}
+
+// entry is one cached value held in memory: an artifact ("a:"-prefixed
 // key) or a run result ("r:"-prefixed key). Both kinds share the single
 // LRU list and byte budget.
 type entry struct {
@@ -86,71 +115,161 @@ type flight struct {
 	err  error
 }
 
-// cache front-ends the engine's layered Store with the pieces that are
-// engine policy rather than storage: the singleflight table that
-// coalesces concurrent identical builds, and the artifact→key table
-// that makes runs of canonical cached artifacts memoisable.
+// cache is the engine's content-addressed cache, in two tiers. Memory
+// holds artifacts and run results in one byte-budgeted LRU; disk, when
+// the engine has a StoreDir, holds their encoded bytes across processes
+// (internal/store, keyed by the same "a:"/"r:"-prefixed build keys).
+// Reads try memory, then disk, promoting disk hits into memory; writes
+// go to memory and through to disk.
+//
+// The cache also holds the two pieces of engine policy that sit on the
+// same keys: the singleflight table that coalesces concurrent identical
+// builds, and the artifact→key table that makes runs of canonical
+// cached artifacts memoisable. Everything in memory is under one mutex;
+// disk I/O and the codecs run outside it.
+//
+// A cache is a cache, not a database: unpersistable values (oracle or
+// traced artifacts, non-deterministic outcomes) and disk I/O failures
+// degrade to "not cached", and callers always fall back to rebuilding
+// or rerunning.
 type cache struct {
-	store Store
+	disk *store.Dir // nil for a memory-only engine
 
-	mu sync.Mutex
-	// artKeys maps canonical cached artifacts back to their build key,
-	// enabling the run-result cache. Trace-bearing clones are absent by
-	// construction, so their runs are never memoised. Artifacts promoted
-	// from the disk layer register here exactly like compiled ones.
+	mu      sync.Mutex
+	budget  int64
+	bytes   int64
+	lru     *list.List // of *entry; front = most recently used
+	entries map[string]*list.Element
+	// artKeys maps each artifact the LRU holds back to its build key,
+	// enabling the run-result cache. An artifact leaves it when it
+	// leaves memory: holders of the old pointer run for real, and the
+	// next lookup registers a canonical artifact again.
 	artKeys map[*core.Artifact]string
 	flights map[string]*flight
 }
 
-// newCache builds the memory-only cache (no disk layer).
-func newCache(budget int64) *cache {
-	c := &cache{
+// newCache builds a cache with the given memory budget over an
+// optional disk tier (nil for memory-only).
+func newCache(budget int64, disk *store.Dir) *cache {
+	return &cache{
+		disk:    disk,
+		budget:  budget,
+		lru:     list.New(),
+		entries: make(map[string]*list.Element),
 		artKeys: make(map[*core.Artifact]string),
 		flights: make(map[string]*flight),
 	}
-	c.store = newMemStore(budget, c.dropEntry)
-	return c
 }
 
-// newLayeredCache stacks the memory layer over a disk layer: reads
-// fall through to disk on a memory miss (promoting hits), writes go
-// through both, so compiled artifacts and deterministic run outcomes
-// survive the process.
-func newLayeredCache(budget int64, disk Store) *cache {
-	c := &cache{
-		artKeys: make(map[*core.Artifact]string),
-		flights: make(map[string]*flight),
+// lookupLocked returns the memory entry under fullKey, marking it most
+// recently used.
+func (c *cache) lookupLocked(fullKey string) (*entry, bool) {
+	el, ok := c.entries[fullKey]
+	if !ok {
+		return nil, false
 	}
-	mem := newMemStore(budget, c.dropEntry)
-	c.store = newLayered(mem, disk, c.registerArtifact)
-	return c
+	c.lru.MoveToFront(el)
+	return el.Value.(*entry), true
 }
 
-// dropEntry is the memory layer's eviction hook: an artifact leaving
-// memory loses its run-memoisation registration (holders of the old
-// pointer run for real; the next build-key lookup re-registers a
-// canonical artifact, from disk or a fresh compile).
-func (c *cache) dropEntry(ent *entry) {
-	if ent.art == nil {
+// insertLocked adds an entry and evicts from the LRU tail until the
+// byte budget holds. The newest entry always stays, even when it alone
+// exceeds the budget — an over-budget singleton is more useful than an
+// empty cache that recompiles forever.
+//
+// Replacement is exact: an existing entry under fullKey is removed
+// first, its bytes come off the account, so re-inserting a key can
+// never leak budget. Only budget evictions count into
+// serve.cache.evictions; a replacement is an overwrite, not an
+// eviction. Either way an artifact leaving memory leaves artKeys too.
+func (c *cache) insertLocked(fullKey string, ent *entry) {
+	if el, ok := c.entries[fullKey]; ok {
+		c.removeLocked(el)
+	}
+	ent.key = fullKey
+	c.entries[fullKey] = c.lru.PushFront(ent)
+	c.bytes += ent.size
+	for c.bytes > c.budget && c.lru.Len() > 1 {
+		c.removeLocked(c.lru.Back())
+		mCacheEvictions.Inc()
+	}
+	gCacheBytes.Set(c.bytes)
+}
+
+func (c *cache) removeLocked(el *list.Element) {
+	ent := el.Value.(*entry)
+	c.lru.Remove(el)
+	delete(c.entries, ent.key)
+	c.bytes -= ent.size
+	if ent.art != nil {
+		delete(c.artKeys, ent.art)
+	}
+}
+
+// putArtifactLocked holds art in memory as the canonical artifact for
+// key, registering it for run memoisation.
+func (c *cache) putArtifactLocked(key string, art *core.Artifact) {
+	c.insertLocked("a:"+key, &entry{art: art, size: artifactSize(art)})
+	c.artKeys[art] = key
+}
+
+// getArtifact returns the cached artifact for a build key from memory
+// or, failing that, from disk. A disk hit is promoted into memory and
+// registered under the same lock, so it can never stay registered
+// after an eviction.
+func (c *cache) getArtifact(key string) (*core.Artifact, bool) {
+	c.mu.Lock()
+	if ent, ok := c.lookupLocked("a:" + key); ok {
+		c.mu.Unlock()
+		return ent.art, true
+	}
+	c.mu.Unlock()
+	art, ok := c.readArtifact(key)
+	if !ok {
+		return nil, false
+	}
+	c.mu.Lock()
+	c.putArtifactLocked(key, art)
+	c.mu.Unlock()
+	return art, true
+}
+
+// readArtifact reads and decodes the disk tier's artifact for key.
+// Undecodable bytes (an older format, an unregistered strategy) are a
+// miss; the entry is removed so that it stops counting as recently
+// used and the rebuild's write replaces it.
+func (c *cache) readArtifact(key string) (*core.Artifact, bool) {
+	if c.disk == nil {
+		return nil, false
+	}
+	payload, ok := c.disk.Get("a:" + key)
+	if !ok {
+		mDiskMisses.Inc()
+		return nil, false
+	}
+	art, err := core.DecodeArtifact(payload)
+	if err != nil {
+		c.disk.Remove("a:" + key)
+		mDiskMisses.Inc()
+		return nil, false
+	}
+	mDiskHits.Inc()
+	return art, true
+}
+
+// writeArtifact writes art through to the disk tier, if it is
+// persistable.
+func (c *cache) writeArtifact(key string, art *core.Artifact) {
+	if c.disk == nil {
 		return
 	}
-	c.mu.Lock()
-	delete(c.artKeys, ent.art)
-	c.mu.Unlock()
-}
-
-// registerArtifact marks art as the canonical artifact for a build key
-// so its runs hit the run cache.
-func (c *cache) registerArtifact(key string, art *core.Artifact) {
-	c.mu.Lock()
-	c.artKeys[art] = key
-	c.mu.Unlock()
-}
-
-// getArtifact returns the cached artifact for a build key, from any
-// layer.
-func (c *cache) getArtifact(key string) (*core.Artifact, bool) {
-	return c.store.GetArtifact(key)
+	payload, ok, err := core.EncodeArtifact(art)
+	if err != nil || !ok {
+		return
+	}
+	if c.disk.Put("a:"+key, payload) == nil {
+		mDiskWrites.Inc()
+	}
 }
 
 // startFlight joins or starts the singleflight for key. The second
@@ -168,17 +287,17 @@ func (c *cache) startFlight(key string) (*flight, bool) {
 }
 
 // finishFlight records the leader's build outcome, stores a successful
-// artifact (through every layer — a failed build writes nothing, to
-// memory or disk), and releases every waiter. The artifact is stored
-// before the flight ends, so a leader that started its flight after
-// this one ended finds the artifact when it looks again (see
-// Engine.BuildContext) instead of compiling the key a second time.
+// artifact in both tiers (a failed build writes nothing), and releases
+// every waiter. The artifact is stored before the flight ends, so a
+// leader that started its flight after this one ended finds the
+// artifact when it looks again (see Engine.BuildContext) instead of
+// compiling the key a second time.
 func (c *cache) finishFlight(key string, f *flight, art *core.Artifact, err error) {
 	if err == nil {
-		c.registerArtifact(key, art)
-		// Outside c.mu: the disk layer does real I/O and the memory
-		// layer's eviction hook takes c.mu itself.
-		c.store.PutArtifact(key, art)
+		c.mu.Lock()
+		c.putArtifactLocked(key, art)
+		c.mu.Unlock()
+		c.writeArtifact(key, art)
 	}
 	c.endFlight(key, f, art, err)
 }
@@ -194,8 +313,8 @@ func (c *cache) endFlight(key string, f *flight, art *core.Artifact, err error) 
 }
 
 // runKey returns the run-cache key for an artifact and whether its runs
-// are memoisable (only canonical cached artifacts are; trace-bearing
-// clones and uncached artifacts run for real every time).
+// are memoisable (only canonical cached artifacts are; uncached
+// artifacts run for real every time).
 func (c *cache) runKey(art *core.Artifact) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,21 +322,87 @@ func (c *cache) runKey(art *core.Artifact) (string, bool) {
 	return key, ok
 }
 
-// getRun returns the memoised run outcome for a run key. The result is
-// a private copy per call, so callers may mutate what they receive.
+// getRun returns the memoised run outcome for a run key, from memory
+// or, failing that, from disk (promoting the hit). The result is a
+// private copy per call, so callers may mutate what they receive.
 func (c *cache) getRun(key string) (*core.RunResult, error, bool) {
-	return c.store.GetRun(key)
+	c.mu.Lock()
+	if ent, ok := c.lookupLocked("r:" + key); ok {
+		res, runErr := cloneRunResult(ent.res), ent.runErr
+		c.mu.Unlock()
+		return res, runErr, true
+	}
+	c.mu.Unlock()
+	res, runErr, ok := c.readRun(key)
+	if !ok {
+		return nil, nil, false
+	}
+	// Memory clones on put, so the decoded copy stays private to this
+	// caller.
+	c.putMemRun(key, res, runErr)
+	return res, runErr, true
 }
 
-// putRun memoises a run outcome (result, error, or both).
+// readRun reads and decodes the disk tier's run outcome for key. As in
+// readArtifact, undecodable bytes are a miss and are removed: writeRun
+// skips keys still present, so the entry must go for the rerun's
+// outcome to be written.
+func (c *cache) readRun(key string) (*core.RunResult, error, bool) {
+	if c.disk == nil {
+		return nil, nil, false
+	}
+	payload, ok := c.disk.Get("r:" + key)
+	if !ok {
+		mDiskMisses.Inc()
+		return nil, nil, false
+	}
+	res, runErr, err := core.DecodeRunOutcome(payload)
+	if err != nil {
+		c.disk.Remove("r:" + key)
+		mDiskMisses.Inc()
+		return nil, nil, false
+	}
+	mDiskHits.Inc()
+	return res, runErr, true
+}
+
+// putRun memoises a run outcome (result, error, or both) in both tiers.
+// First writer wins in each: a key already present keeps its value.
 func (c *cache) putRun(key string, res *core.RunResult, runErr error) {
-	c.store.PutRun(key, res, runErr)
+	c.putMemRun(key, res, runErr)
+	c.writeRun(key, res, runErr)
 }
 
-// close releases the cache's store layers (the disk layer, when
-// present; the memory layer is a no-op).
+func (c *cache) putMemRun(key string, res *core.RunResult, runErr error) {
+	ent := &entry{res: cloneRunResult(res), runErr: runErr, size: runResultSize(res)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries["r:"+key]; !ok {
+		c.insertLocked("r:"+key, ent)
+	}
+}
+
+// writeRun writes a run outcome through to the disk tier, if it is
+// persistable and not already there.
+func (c *cache) writeRun(key string, res *core.RunResult, runErr error) {
+	if c.disk == nil || c.disk.Has("r:"+key) {
+		return // deterministic outcome, identical bytes: skip the rewrite
+	}
+	payload, ok := core.EncodeRunOutcome(res, runErr)
+	if !ok {
+		return
+	}
+	if c.disk.Put("r:"+key, payload) == nil {
+		mDiskWrites.Inc()
+	}
+}
+
+// close releases the disk tier, when there is one.
 func (c *cache) close() error {
-	return c.store.Close()
+	if c.disk == nil {
+		return nil
+	}
+	return c.disk.Close()
 }
 
 // artifactSize estimates an artifact's retained bytes for the cache

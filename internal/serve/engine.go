@@ -26,6 +26,7 @@ import (
 	"cash/internal/core"
 	"cash/internal/obs"
 	"cash/internal/par"
+	"cash/internal/store"
 	"cash/internal/vm"
 )
 
@@ -72,16 +73,12 @@ type EngineConfig struct {
 	// Parallelism is the worker budget for this Engine's table fan-outs.
 	// 0 means GOMAXPROCS.
 	Parallelism int
-	// EventTrace receives the Engine's consumers' structured events
-	// (netsim serving decisions). Nil records none.
-	EventTrace *obs.Trace
 	// StoreDir, when non-empty, roots a content-addressed on-disk store
-	// layered under the in-memory cache: compiled artifacts and
-	// deterministic run outcomes are written through to disk and survive
-	// the process, so a restarted engine warm-starts from its
-	// predecessor's work. Requires caching (CacheBytes >= 0); ignored
-	// when caching is disabled. Open reports an unusable directory as an
-	// error; NewEngine degrades to a memory-only engine.
+	// under the in-memory cache: compiled artifacts and deterministic
+	// run outcomes are written through to disk and survive the process,
+	// so a restarted engine warm-starts from its predecessor's work.
+	// Requires caching: Open rejects it with a negative CacheBytes, and
+	// reports an unusable directory as an error.
 	StoreDir string
 	// StoreBytes bounds the on-disk store. 0 means DefaultStoreBytes;
 	// negative means unlimited.
@@ -96,44 +93,46 @@ type Engine struct {
 	adm   admission
 }
 
-// NewEngine returns an Engine for the given configuration. A StoreDir
-// that cannot be opened is dropped: the engine runs memory-only rather
-// than failing (use Open to observe the error).
+// NewEngine returns an Engine for the given configuration and panics
+// where Open would return an error. Open a configuration with a
+// StoreDir instead, to handle an unusable directory.
 func NewEngine(cfg EngineConfig) *Engine {
 	e, err := Open(cfg)
 	if err != nil {
-		cfg.StoreDir = ""
-		e, _ = Open(cfg)
+		panic(err)
 	}
 	return e
 }
 
-// Open returns an Engine for the given configuration, reporting an
-// unusable StoreDir as an error instead of degrading silently.
+// Open returns an Engine for the given configuration. It fails when
+// the StoreDir cannot be opened, or is set with caching disabled.
 func Open(cfg EngineConfig) (*Engine, error) {
 	e := &Engine{cfg: cfg}
-	if cfg.CacheBytes >= 0 {
-		budget := cfg.CacheBytes
-		if budget == 0 {
-			budget = DefaultCacheBytes
-		}
+	if cfg.CacheBytes < 0 {
 		if cfg.StoreDir != "" {
-			storeBudget := cfg.StoreBytes
-			if storeBudget == 0 {
-				storeBudget = DefaultStoreBytes
-			}
-			if storeBudget < 0 {
-				storeBudget = 0 // unlimited
-			}
-			disk, err := newDiskStore(cfg.StoreDir, storeBudget)
-			if err != nil {
-				return nil, err
-			}
-			e.cache = newLayeredCache(budget, disk)
-		} else {
-			e.cache = newCache(budget)
+			return nil, errors.New("serve: StoreDir requires caching (CacheBytes >= 0)")
+		}
+		return e, nil
+	}
+	budget := cfg.CacheBytes
+	if budget == 0 {
+		budget = DefaultCacheBytes
+	}
+	var disk *store.Dir
+	if cfg.StoreDir != "" {
+		storeBudget := cfg.StoreBytes
+		if storeBudget == 0 {
+			storeBudget = DefaultStoreBytes
+		}
+		if storeBudget < 0 {
+			storeBudget = 0 // unlimited
+		}
+		var err error
+		if disk, err = openDisk(cfg.StoreDir, storeBudget); err != nil {
+			return nil, err
 		}
 	}
+	e.cache = newCache(budget, disk)
 	return e, nil
 }
 
@@ -203,18 +202,12 @@ func (e *Engine) DoCollect(n int, f func(i int) error) []error {
 	return par.DoCollectN(e.workers(), n, f)
 }
 
-// EventTrace returns the trace the Engine's consumers should emit into
-// (EngineConfig.EventTrace; nil when none is configured).
-func (e *Engine) EventTrace() *obs.Trace {
-	return e.cfg.EventTrace
-}
-
 // BuildContext returns the artifact for (source, mode, opts), serving
 // it from the content-addressed cache when possible. Concurrent misses
 // for the same key compile once (singleflight); waiters block on the
-// flight or ctx, whichever finishes first. The cache key excludes
-// opts.EventTrace — a requested trace is attached to a clone of the
-// cached artifact, and such clones bypass the run-result cache so their
+// flight or ctx, whichever finishes first. A build that requests an
+// event trace (opts.EventTrace) is compiled afresh and never cached, as
+// when caching is disabled, so its runs are never memoised and its
 // events always fire.
 //
 // Logical-build accounting: cache hits and coalesced waiters still
@@ -228,11 +221,9 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	if e.closed() {
 		return nil, ErrEngineClosed
 	}
-	if e.cache == nil {
+	if e.cache == nil || opts.EventTrace != nil {
 		return buildForServing(source, mode, opts)
 	}
-	reqTrace := opts.EventTrace
-	opts.EventTrace = nil
 	passes, err := core.NormalizePasses(opts.Passes)
 	if err != nil {
 		return nil, err
@@ -243,7 +234,7 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	if art, ok := e.cache.getArtifact(key); ok {
 		mCacheHits.Inc()
 		core.NoteCachedBuild(mode)
-		return withTrace(art, reqTrace), nil
+		return art, nil
 	}
 	f, leader := e.cache.startFlight(key)
 	if !leader {
@@ -257,7 +248,7 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 			return nil, f.err
 		}
 		core.NoteCachedBuild(mode)
-		return withTrace(f.art, reqTrace), nil
+		return f.art, nil
 	}
 	// A flight for the key can end between the lookup above and
 	// startFlight; its artifact is stored before it ends, so look once
@@ -266,7 +257,7 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 		e.cache.endFlight(key, f, art, nil)
 		mCacheHits.Inc()
 		core.NoteCachedBuild(mode)
-		return withTrace(art, reqTrace), nil
+		return art, nil
 	}
 	mCacheMisses.Inc()
 	mBuildCompiles.Inc()
@@ -275,7 +266,7 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	if err != nil {
 		return nil, err
 	}
-	return withTrace(art, reqTrace), nil
+	return art, nil
 }
 
 // buildForServing compiles an artifact without its IR module: only
@@ -288,14 +279,6 @@ func buildForServing(source string, mode core.Mode, opts core.Options) (*core.Ar
 	}
 	art.DropIR()
 	return art, nil
-}
-
-// withTrace attaches a requested event trace to a cached artifact.
-func withTrace(art *core.Artifact, tr *obs.Trace) *core.Artifact {
-	if tr == nil {
-		return art
-	}
-	return art.WithEventTrace(tr)
 }
 
 // NewMachine prepares a machine for the artifact; its parts come from
@@ -314,8 +297,8 @@ func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine
 // basic blocks (a canceled ctx surfaces as ctx.Err, never as a *Fault).
 // Runs of canonical cached artifacts are memoised: a repeat run returns
 // a deep copy of the recorded result — including deterministic error
-// outcomes such as step-limit faults — without simulating. Trace-
-// bearing artifact clones and engines with caching disabled always run
+// outcomes such as step-limit faults — without simulating. Uncached
+// artifacts (traced builds, engines with caching disabled) always run
 // for real. A request slot is held for the duration (admission
 // control).
 func (e *Engine) RunContext(ctx context.Context, art *core.Artifact) (*core.RunResult, error) {

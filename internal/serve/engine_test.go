@@ -161,6 +161,31 @@ func TestCacheErrorOutcomesAreCached(t *testing.T) {
 	}
 }
 
+// TestTracedBuildIsUncached pins the Engine's event-trace path: a build
+// that requests a trace is compiled afresh rather than served from the
+// cache, and its runs are never memoised, so every run emits its events.
+func TestTracedBuildIsUncached(t *testing.T) {
+	eng := NewEngine(EngineConfig{})
+	cached := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
+	tr := obs.NewTrace(0)
+	art := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{EventTrace: tr})
+	if art == cached || art == mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{EventTrace: tr}) {
+		t.Fatal("a traced build was served from the cache")
+	}
+	runHits := counter("serve.cache.run_hits")
+	res := mustRun(t, eng, art)
+	first := tr.Len()
+	if first == 0 {
+		t.Fatal("the traced run emitted no events")
+	}
+	if again := mustRun(t, eng, art); !reflect.DeepEqual(res, again) || tr.Len() != 2*first {
+		t.Fatalf("second traced run: %d events after %d, want %d", tr.Len(), first, 2*first)
+	}
+	if got := counter("serve.cache.run_hits") - runHits; got != 0 {
+		t.Fatalf("traced runs served %d run-cache hits, want 0", got)
+	}
+}
+
 // TestCacheEvictionUnderTinyBudget forces every insert over budget and
 // checks the LRU actually evicts (while always retaining the newest
 // entry, so a hot artifact larger than the whole budget still serves).

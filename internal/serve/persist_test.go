@@ -264,55 +264,25 @@ func TestPersistOldFormatIsMiss(t *testing.T) {
 	}
 }
 
-// TestMemStoreReplacementAccounting is the regression test for the
-// size-accounting leak: re-inserting a key replaces the old entry's
-// bytes instead of adding to them, replacement never counts as an
-// eviction, and budget eviction still accounts exactly.
-func TestMemStoreReplacementAccounting(t *testing.T) {
-	small, err := core.Build(sumKernel, core.ModeGCC, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestOpenRejectsStoreWithoutCache pins that a store needs the cache it
+// sits under: Open refuses StoreDir with caching disabled instead of
+// running without the store, writes nothing to the directory, and
+// NewEngine panics on the same configuration.
+func TestOpenRejectsStoreWithoutCache(t *testing.T) {
+	dir := t.TempDir()
+	cfg := EngineConfig{CacheBytes: -1, StoreDir: dir}
+	if eng, err := Open(cfg); err == nil || eng != nil {
+		t.Fatalf("Open(StoreDir, CacheBytes -1) = %v, %v; want an error", eng, err)
 	}
-	big, err := core.Build(heapKernel, core.ModeGCC, core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("rejected store directory was touched: %v, %v", entries, err)
 	}
-
-	evictions := counter("serve.cache.evictions")
-	s := newMemStore(1<<30, nil)
-	s.PutArtifact("k", big)
-	s.PutArtifact("k", small)
-	if got, want := s.Bytes(), artifactSize(small); got != want {
-		t.Fatalf("bytes after replacement = %d, want %d (old size leaked)", got, want)
-	}
-	for i := 0; i < 10; i++ {
-		s.PutArtifact("k", big)
-		s.PutArtifact("k", small)
-	}
-	if got, want := s.Bytes(), artifactSize(small); got != want {
-		t.Fatalf("bytes after repeated replacement = %d, want %d", got, want)
-	}
-	if got := counter("serve.cache.evictions") - evictions; got != 0 {
-		t.Fatalf("replacements counted as %d evictions, want 0", got)
-	}
-
-	// Budget eviction: a second entry pushes the first out, and the
-	// account tracks exactly the survivor.
-	tiny := newMemStore(artifactSize(big)+artifactSize(small)/2, nil)
-	tiny.PutArtifact("k1", small)
-	tiny.PutArtifact("k2", big)
-	if got := counter("serve.cache.evictions") - evictions; got != 1 {
-		t.Fatalf("evictions delta = %d, want 1", got)
-	}
-	if got, want := tiny.Bytes(), artifactSize(big); got != want {
-		t.Fatalf("bytes after eviction = %d, want %d", got, want)
-	}
-	if _, ok := tiny.GetArtifact("k1"); ok {
-		t.Fatal("evicted entry still served")
-	}
-	if _, ok := tiny.GetArtifact("k2"); !ok {
-		t.Fatal("surviving entry missing")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewEngine accepted StoreDir with caching disabled")
+		}
+	}()
+	NewEngine(cfg)
 }
 
 // BenchmarkRunRecycledMachine measures RunContext throughput on one

@@ -1,7 +1,7 @@
 // Package store implements a content-addressed on-disk artifact store
-// with a crash-safe write protocol. It is the bottom layer of the
-// serving stack's layered cache: the in-memory LRU sits above it and
-// consults it on miss, so a process restart finds its compiled
+// with a crash-safe write protocol. It is the disk tier of the serving
+// engine's cache: the in-memory LRU sits above it and consults it on
+// miss, so a process restart finds its compiled
 // artifacts and deterministic run results already on disk.
 //
 // Every entry is one file named by the SHA-256 of its key, under a
@@ -437,7 +437,7 @@ func (d *Dir) Bytes() int64 {
 }
 
 // Close releases the store. The Dir holds no descriptors between
-// operations, so Close is a no-op kept for the layered-store contract;
+// operations, so Close is a no-op kept for the engine's shutdown path;
 // operations after Close still work.
 func (d *Dir) Close() error { return nil }
 

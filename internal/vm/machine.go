@@ -166,12 +166,12 @@ func WithTrace(fn func(TraceEntry)) Option {
 	return func(m *Machine) { m.trace = fn }
 }
 
-// WithEventTrace attaches a structured event trace (internal/obs): the
+// WithEvents attaches a structured event trace (internal/obs): the
 // machine emits segment-register loads and run-ending faults, and wires
 // the trace into the LDT manager for allocation/descriptor events.
 // Event emission is a nil check when no trace is attached, so the
 // simulated numbers are identical either way.
-func WithEventTrace(tr *obs.Trace) Option {
+func WithEvents(tr *obs.Trace) Option {
 	return func(m *Machine) { m.etrace = tr }
 }
 

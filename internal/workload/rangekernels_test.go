@@ -18,7 +18,7 @@ func TestRangeKernelsRunIdenticallyAcrossModes(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				cmp, err := core.Compare(w.Name, w.Source, core.Options{Passes: passes})
+				cmp, err := core.CompareStrategies(w.Name, w.Source, core.CompareConfig{Options: core.Options{Passes: passes}})
 				if err != nil {
 					t.Fatal(err)
 				}
