@@ -174,6 +174,16 @@ func Build(source string, mode Mode, opts Options) (*Artifact, error) {
 	return core.Build(source, mode, opts)
 }
 
+// DumpIR compiles source like Build and renders the optimized IR the
+// program is emitted from; artifacts do not keep it.
+func DumpIR(source string, mode Mode, opts Options) (string, error) {
+	return core.DumpIR(source, mode, opts)
+}
+
+// ParseMode resolves a strategy name; empty means cash, and an unknown
+// name yields an error listing the valid names.
+func ParseMode(name string) (Mode, error) { return core.ParseMode(name) }
+
 // PassNames lists the IR optimization passes Options.Passes accepts, in
 // execution order: "rce" (redundant-check elimination), "hoist"
 // (loop-invariant check hoisting), "affine" (convex-hull endpoint checks
@@ -450,7 +460,8 @@ type EventTrace = obs.Trace
 type TraceEvent = obs.Event
 
 // NewEventTrace returns a trace retaining up to capacity events
-// (0 means the default capacity). Attach it to an artifact's machine
-// runs with Options.EventTrace; an Engine compiles a traced build
-// afresh and never caches it.
+// (0 means the default capacity). The trace belongs to a run, not to a
+// build: pass vm.WithEvents(trace) to Artifact.Run or
+// Artifact.NewMachine, and the trace records exactly those machines.
+// The artifact stays the same value, cacheable as any other.
 func NewEventTrace(capacity int) *EventTrace { return obs.NewTrace(capacity) }

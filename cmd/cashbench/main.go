@@ -16,7 +16,6 @@
 //	-repeat N    with -all, serve the suite N times through the same
 //	             Engine; pass 1 is printed, later (cache-warm) passes
 //	             must be byte-identical or the run fails
-//	-no-cache    disable the artifact/run cache
 //	-store DIR   persist compiled artifacts and deterministic run
 //	             outcomes under DIR; a later process pointed at the same
 //	             DIR warm-starts from them (tables stay byte-identical)
@@ -123,7 +122,6 @@ func run() (err error) {
 		metricsOut  = flag.String("metrics-out", "", "write the observability-registry delta to this file as text")
 		metricsJSON = flag.String("metrics-json", "", "write the observability-registry delta to this file as JSON")
 		repeat      = flag.Int("repeat", 1, "with -all, serve the suite this many times through one Engine (later passes must match pass 1)")
-		noCache     = flag.Bool("no-cache", false, "disable the Engine's artifact/run cache")
 		passesFlag  = flag.String("passes", "", "comma-separated IR optimization passes (rce,hoist,affine,chop) applied to every experiment")
 		step        = flag.Bool("step", false, "pin every experiment to the step interpreter instead of the tier-2 superblock engine (tables stay byte-identical)")
 		strategy    = flag.String("strategy", "", "comma-separated checking strategies restricting -table strategy-matrix (default: every registered strategy)")
@@ -132,15 +130,11 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	cfg := cash.EngineConfig{
+	eng, err := cash.OpenEngine(cash.EngineConfig{
 		Parallelism: *parallel,
 		StoreDir:    *storeDir,
 		StoreBytes:  *storeBudget,
-	}
-	if *noCache {
-		cfg.CacheBytes = -1
-	}
-	eng, err := cash.OpenEngine(cfg)
+	})
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"cash"
 )
@@ -43,7 +42,7 @@ func run() error {
 		}
 		return nil
 	}
-	mode, err := pickStrategy(*strategy)
+	mode, err := cash.ParseMode(*strategy)
 	if err != nil {
 		return err
 	}
@@ -71,21 +70,6 @@ func run() error {
 		fmt.Printf("# %s: %d\n", k, stats[k])
 	}
 	return nil
-}
-
-// pickStrategy resolves the -strategy flag against the strategy
-// registry; empty means cash.
-func pickStrategy(s string) (cash.Mode, error) {
-	if s == "" {
-		s = "cash"
-	}
-	for _, name := range cash.StrategyNames() {
-		if s == name {
-			return cash.Mode(s), nil
-		}
-	}
-	return "", fmt.Errorf("unknown strategy %q (valid: %s)",
-		s, strings.Join(cash.StrategyNames(), ", "))
 }
 
 func loadSource(wlName string, args []string) (source, name string, err error) {

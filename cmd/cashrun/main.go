@@ -18,10 +18,10 @@
 // prints the compiled traces to stderr. A run that executed superblocks
 // reports their activity on the trailing `# superblocks:` line.
 //
-// With -events the run records a structured machine-event trace —
-// segment-register loads, LDT descriptor installs and evictions,
-// allocation/free traffic, faults — and prints it to stderr after the
-// program's output; -events-json FILE writes the same records as JSON.
+// With -events every run (each strategy's, under -compare) records into
+// a structured machine-event trace — segment-register loads, LDT
+// descriptor installs and evictions, allocation/free traffic, faults —
+// printed to stderr after the program's output; -events-json FILE writes the same records as JSON.
 // Tracing is off by default and costs the simulation nothing when off.
 //
 //	cashrun -events -workload toast
@@ -37,6 +37,8 @@ import (
 	"strings"
 
 	"cash"
+	"cash/internal/core"
+	"cash/internal/vm"
 )
 
 // errViolation signals a detected bound violation: already reported on
@@ -105,10 +107,11 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	opts := cash.Options{SegRegs: *segRegs, EventTrace: tr, Passes: splitPasses(*passes), StepOnly: *step}
+	opts := cash.Options{SegRegs: *segRegs, Passes: splitPasses(*passes), StepOnly: *step}
+	runner := tracedRunner{tr}
 
 	if *compare {
-		cmp, err := cash.CompareStrategies(name, source, cash.CompareConfig{Options: opts})
+		cmp, err := core.CompareStrategiesUsing(runner, name, source, cash.CompareConfig{Options: opts})
 		if err != nil {
 			return err
 		}
@@ -123,7 +126,7 @@ func run() (err error) {
 		return nil
 	}
 
-	mode, err := pickStrategy(*strategy)
+	mode, err := cash.ParseMode(*strategy)
 	if err != nil {
 		return err
 	}
@@ -132,12 +135,16 @@ func run() (err error) {
 		return err
 	}
 	if *dumpIR {
-		fmt.Fprint(os.Stderr, art.DumpIR())
+		ir, err := cash.DumpIR(source, mode, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(os.Stderr, ir)
 	}
 	if *dumpSB {
 		fmt.Fprint(os.Stderr, art.DumpSuperblocks())
 	}
-	res, err := art.Run()
+	res, err := runner.RunArtifact(art)
 	if err != nil {
 		return err
 	}
@@ -193,19 +200,17 @@ func splitPasses(s string) []string {
 	return out
 }
 
-// pickStrategy resolves the -strategy flag against the strategy
-// registry; empty means cash.
-func pickStrategy(s string) (cash.Mode, error) {
-	if s == "" {
-		s = "cash"
-	}
-	for _, name := range cash.StrategyNames() {
-		if s == name {
-			return cash.Mode(s), nil
-		}
-	}
-	return "", fmt.Errorf("unknown strategy %q (valid: %s)",
-		s, strings.Join(cash.StrategyNames(), ", "))
+// tracedRunner builds and runs each artifact afresh, as
+// cash.CompareStrategies does, recording every run into the -events
+// trace (a nil trace records nothing).
+type tracedRunner struct{ tr *cash.EventTrace }
+
+func (tracedRunner) BuildArtifact(source string, mode core.Mode, opts core.Options) (*core.Artifact, error) {
+	return core.Build(source, mode, opts)
+}
+
+func (r tracedRunner) RunArtifact(art *core.Artifact) (*core.RunResult, error) {
+	return art.Run(vm.WithEvents(r.tr))
 }
 
 func loadSource(wlName string, args []string) (source, name string, err error) {

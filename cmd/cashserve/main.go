@@ -21,7 +21,7 @@
 // Cache and persistence knobs:
 //
 //	-cache-budget N   in-memory artifact/run cache byte budget
-//	                  (0 = 64 MiB default, negative = cache disabled)
+//	                  (0 = 64 MiB default; negative is an error)
 //	-store DIR        persist compiled artifacts and deterministic run
 //	                  outcomes under DIR; a restarted server pointed at
 //	                  the same DIR warm-starts from them
@@ -65,7 +65,7 @@ func main() {
 		maxInFlight  = flag.Int("max-in-flight", 0, "engine admission bound (0 = derived)")
 		chaosRate    = flag.Float64("chaos-rate", 0, "wire-fault injection probability (0 = off)")
 		chaosSeed    = flag.Uint64("chaos-seed", chaos.DefaultSeed, "wire-fault schedule seed")
-		cacheBudget  = flag.Int64("cache-budget", 0, "in-memory artifact/run cache byte budget (0 = 64 MiB default, negative = disabled)")
+		cacheBudget  = flag.Int64("cache-budget", 0, "in-memory artifact/run cache byte budget (0 = 64 MiB default; negative is an error)")
 		storeDir     = flag.String("store", "", "root a persistent on-disk artifact/run store at this directory; a restarted server warm-starts from it")
 		storeBudget  = flag.Int64("store-budget", 0, "on-disk store byte budget (0 = 1 GiB default, negative = unlimited); only with -store")
 	)

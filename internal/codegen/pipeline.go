@@ -184,6 +184,12 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 	for k, v := range c.stats {
 		p.Stats[k] = v
 	}
+	p.Globals = make(map[string]vm.Global)
+	for _, g := range prog.Globals {
+		if g.Type.Kind == minic.TypeArray {
+			p.Globals[g.Name] = vm.Global{Addr: g.Addr, Size: uint32(g.Type.Size())}
+		}
+	}
 	// Superblock hints for tier-2 execution: advisory loop spans in the
 	// exact offsets the EmitTo replay above assigned. Attached for every
 	// build — a machine uses them unless pinned to the step interpreter

@@ -118,7 +118,7 @@ func TestPokeChangesObservableOutput(t *testing.T) {
 		if f != nil {
 			t.Fatalf("[%v] clean run faulted: %v", mode, f)
 		}
-		reqAddr := art.AST.Globals[0].Addr
+		reqAddr := art.Program.Globals["request"].Addr
 		garbage := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
 		_, poked, _ := runMachine(t, art, vm.WithPoke(reqAddr, garbage))
 		if len(poked.Output) == len(clean.Output) {
@@ -138,7 +138,7 @@ func TestPokeChangesObservableOutput(t *testing.T) {
 
 func TestPageUnmapFaultsOnRequestAccess(t *testing.T) {
 	art := buildSites(t, ModeGCC)
-	reqAddr := art.AST.Globals[0].Addr
+	reqAddr := art.Program.Globals["request"].Addr
 	_, _, f := runMachine(t, art, vm.WithPaging(64<<20), vm.WithPageUnmap(reqAddr))
 	if f == nil {
 		t.Fatal("request page unmapped but the handler completed")

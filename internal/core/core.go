@@ -147,11 +147,6 @@ type Options struct {
 	// unchanged. The detector table's probes set it; everything else
 	// leaves it off, and oracle artifacts are never persisted.
 	Oracle bool
-	// EventTrace, when non-nil, receives structured machine events
-	// (segment-register loads, descriptor installs/evicts, faults, LDT
-	// traffic) from every machine the artifact creates. Nil — the
-	// default — keeps event emission entirely off the hot paths.
-	EventTrace *obs.Trace
 }
 
 func (o Options) segRegs() ([]x86seg.SegReg, error) {
@@ -195,36 +190,72 @@ func NormalizePasses(passes []string) ([]string, error) {
 	return out, nil
 }
 
-// Artifact is a compiled program for one checking strategy.
+// Artifact is a compiled program for one checking strategy: the
+// Program plus the mode and options that produced it. It is the same
+// value however it was obtained — from Build, from a serving Engine or
+// decoded from the disk store.
 type Artifact struct {
 	Mode    Mode
 	Program *vm.Program
-	AST     *minic.Program
-	ir      *ir.Module
 	vmMode  vm.Mode
 	opts    Options
 }
 
+// ParseMode resolves a strategy name, as a flag or a wire request
+// spells it; empty means cash. An unknown name fails with the error
+// that lists the valid ones.
+func ParseMode(name string) (Mode, error) {
+	if name == "" {
+		return ModeCash, nil
+	}
+	mode := Mode(name)
+	if _, err := mode.resolve(); err != nil {
+		return "", err
+	}
+	return mode, nil
+}
+
 // Build parses, checks and compiles source for the named strategy.
 func Build(source string, mode Mode, opts Options) (*Artifact, error) {
-	info, err := mode.resolve()
+	art, _, err := compile(source, mode, opts)
 	if err != nil {
 		return nil, err
+	}
+	countBuild(mode)
+	return art, nil
+}
+
+// DumpIR compiles source as Build does and renders the optimized IR
+// module the program is emitted from. Artifacts do not keep the IR:
+// it outweighs the Program, and nothing that runs reads it.
+func DumpIR(source string, mode Mode, opts Options) (string, error) {
+	_, mod, err := compile(source, mode, opts)
+	if err != nil {
+		return "", err
+	}
+	return mod.Dump(), nil
+}
+
+// compile is Build and DumpIR's shared front and back end.
+func compile(source string, mode Mode, opts Options) (*Artifact, *ir.Module, error) {
+	info, err := mode.resolve()
+	if err != nil {
+		return nil, nil, err
 	}
 	ast, err := minic.Parse(source)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+		return nil, nil, fmt.Errorf("parse: %w", err)
 	}
 	if err := minic.Check(ast); err != nil {
-		return nil, fmt.Errorf("check: %w", err)
+		return nil, nil, fmt.Errorf("check: %w", err)
 	}
 	regs, err := opts.segRegs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	passes, err := NormalizePasses(opts.Passes)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts.Passes = passes
 	prog, mod, err := codegen.CompileIR(ast, codegen.Config{
@@ -236,10 +267,9 @@ func Build(source string, mode Mode, opts Options) (*Artifact, error) {
 		Oracle:         opts.Oracle,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
+		return nil, nil, fmt.Errorf("compile: %w", err)
 	}
-	countBuild(mode)
-	return &Artifact{Mode: mode, Program: prog, AST: ast, ir: mod, vmMode: info.Mode, opts: opts}, nil
+	return &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts}, mod, nil
 }
 
 // CodeSize returns the estimated binary text size in bytes.
@@ -251,22 +281,6 @@ func (a *Artifact) Options() Options { return a.opts }
 // StaticStats exposes the code generator's static counters.
 func (a *Artifact) StaticStats() map[string]uint64 { return a.Program.Stats }
 
-// DumpIR renders the optimized IR module the program was emitted from.
-// Artifacts decoded from the disk store or served by an Engine carry no
-// IR and render as the empty string.
-func (a *Artifact) DumpIR() string {
-	if a.ir == nil {
-		return ""
-	}
-	return a.ir.Dump()
-}
-
-// DropIR releases the optimized IR module, which only DumpIR reads and
-// which outweighs the compiled Program. Callers that retain artifacts
-// (the serving engine's cache) drop it before publishing the artifact;
-// DumpIR then returns "".
-func (a *Artifact) DropIR() { a.ir = nil }
-
 // DumpSuperblocks renders the tier-2 superblocks compiled from the
 // program's region hints (compiling them if no machine has yet).
 func (a *Artifact) DumpSuperblocks() string { return a.Program.DumpSuperblocks() }
@@ -275,14 +289,13 @@ func (a *Artifact) DumpSuperblocks() string { return a.Program.DumpSuperblocks()
 func (a *Artifact) Disassemble() string { return a.Program.Disassemble() }
 
 // NewMachine prepares a machine for the artifact; release it with
-// Machine.Release after its last use.
+// Machine.Release after its last use. The extra options apply to this
+// machine alone: vm.WithEvents records its events into a trace and
+// vm.WithCancel lets a context stop it, and the artifact is unchanged.
 func (a *Artifact) NewMachine(extra ...vm.Option) (*vm.Machine, error) {
 	opts := make([]vm.Option, 0, 4+len(extra))
 	if a.opts.StepLimit > 0 {
 		opts = append(opts, vm.WithStepLimit(a.opts.StepLimit))
-	}
-	if a.opts.EventTrace != nil {
-		opts = append(opts, vm.WithEvents(a.opts.EventTrace))
 	}
 	if a.opts.WithoutCallGate {
 		opts = append(opts, vm.WithoutCallGate())

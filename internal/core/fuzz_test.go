@@ -12,8 +12,9 @@ import (
 // never panic, and because the format is canonical, whatever decodes
 // must re-encode to exactly the input. The corpus is seeded with the
 // encodings of the small workload kernels (range and stencil) under
-// every strategy, with and without the pass pipeline; small seeds keep
-// the fuzzer's mutations and minimisation fast.
+// every strategy, with and without the pass pipeline, plus a hand-written
+// blob of global arrays; small seeds keep the fuzzer's mutations and
+// minimisation fast.
 func FuzzDecodeArtifact(f *testing.F) {
 	ws := append(workload.RangeKernels(), workload.StencilKernels()...)
 	for _, w := range ws {
@@ -33,6 +34,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	f.Add(globalsBlob(blobGlobal{"request", 0x1000, 3}, blobGlobal{"sum", 0x1003, 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		art, err := DecodeArtifact(data)
 		if err != nil {

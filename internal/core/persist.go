@@ -22,10 +22,10 @@
 // Persistence is strictly host-side: a decoded artifact produces
 // machines (and therefore tables, counters and faults) byte-identical
 // to a freshly compiled one. What cannot be made identical is refused
-// at encode time — an attached event trace, a non-Fault run error, an
-// operand field its Kind does not use, a value the format cannot hold —
-// so the serving cache's disk tier silently skips those entries and its
-// memory tier still serves them for the life of the process.
+// at encode time — a non-Fault run error, an operand field its Kind
+// does not use, a value the format cannot hold — so the serving cache's
+// disk tier silently skips those entries and its memory tier still
+// serves them for the life of the process.
 package core
 
 import (
@@ -45,8 +45,9 @@ import (
 // value, so a format change after an upgrade degrades to a cache miss
 // and a rebuild, never a wrong answer. Version 2 marked the flip of the
 // execution default to tier 2 (Options.StepOnly replaced Tier2);
-// version 3 replaced gob with the codec in this file.
-const persistVersion = 3
+// version 3 replaced gob with the codec in this file; version 4 added
+// Program.Globals.
+const persistVersion = 4
 
 // Blob tags: the first byte of every encoded artifact and run outcome.
 const (
@@ -96,12 +97,10 @@ var errUnpersistable = errors.New("core: value cannot be persisted")
 
 // EncodeArtifact serialises an artifact for the disk store. ok is
 // false — with no error — for artifacts that must stay memory-only: an
-// attached event trace, an oracle build (Options.Oracle), or a program
-// the format cannot hold exactly.
-// The AST and IR module are deliberately not persisted: machines only
-// need the Program, so DumpIR on a decoded artifact returns "".
+// oracle build (Options.Oracle), or a program the format cannot hold
+// exactly.
 func EncodeArtifact(a *Artifact) (data []byte, ok bool, err error) {
-	if a == nil || a.Program == nil || a.opts.EventTrace != nil || a.opts.Oracle {
+	if a == nil || a.Program == nil || a.opts.Oracle {
 		return nil, false, nil
 	}
 	e := &encoder{buf: make([]byte, 0, 256+12*len(a.Program.Instrs))}
@@ -261,6 +260,16 @@ func (e *encoder) program(p *vm.Program) error {
 	for _, k := range sortedKeys(p.Funcs) {
 		e.str(k)
 		e.int(int64(p.Funcs[k]))
+	}
+	e.count(len(p.Globals), p.Globals == nil)
+	for _, k := range sortedKeys(p.Globals) {
+		g := p.Globals[k]
+		if !inImage(g, p) {
+			return errUnpersistable
+		}
+		e.str(k)
+		e.uint(uint64(g.Addr))
+		e.uint(uint64(g.Size))
 	}
 	if err := e.data(p.Data); err != nil {
 		return err
@@ -609,8 +618,22 @@ func (d *decoder) program() *vm.Program {
 			prev = k
 		}
 	}
+	if n, isNil := d.count(3); !isNil {
+		p.Globals = make(map[string]vm.Global, n)
+		prev := ""
+		for i := 0; i < n; i++ {
+			k := d.key(i, prev)
+			p.Globals[k] = vm.Global{Addr: d.u32(), Size: d.u32()}
+			prev = k
+		}
+	}
 	p.Data = d.dataImage()
 	p.DataBase = d.u32()
+	for _, g := range p.Globals {
+		if !inImage(g, p) {
+			d.fail("global array outside the data image")
+		}
+	}
 	p.HeapBase = d.u32()
 	p.StackTop = d.u32()
 	p.Mode = d.str()
@@ -797,6 +820,11 @@ func bit(on bool, mask byte) byte {
 		return mask
 	}
 	return 0
+}
+
+// inImage reports whether a global array lies inside p's data image.
+func inImage(g vm.Global, p *vm.Program) bool {
+	return g.Addr >= p.DataBase && uint64(g.Addr-p.DataBase)+uint64(g.Size) <= uint64(len(p.Data))
 }
 
 func validSeg(s x86seg.SegReg) bool { return s >= 0 && s < x86seg.NumSegRegs }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"cash/internal/ldt"
-	"cash/internal/obs"
 	"cash/internal/vm"
 	"cash/internal/workload"
 	"cash/internal/x86seg"
@@ -72,9 +71,6 @@ func assertArtifactRoundtrip(t *testing.T, label string, art *Artifact, run bool
 		t.Fatalf("%s: options drifted: %+v vs %+v", label, back.Options(), art.Options())
 	}
 	assertSameProgram(t, label, back.Program, art.Program)
-	if back.DumpIR() != "" {
-		t.Fatalf("%s: decoded artifact should have no IR", label)
-	}
 	if re, _, _ := EncodeArtifact(back); !bytes.Equal(re, data) {
 		t.Fatalf("%s: decoded artifact re-encodes differently", label)
 	}
@@ -138,11 +134,11 @@ func TestArtifactCodecKeepsNilAndEmpty(t *testing.T) {
 	}
 	for _, empty := range []bool{false, true} {
 		p := copyProgram(t, art)
-		p.Instrs, p.Funcs, p.Data, p.Stats, p.Regions = nil, nil, nil, nil, nil
+		p.Instrs, p.Funcs, p.Globals, p.Data, p.Stats, p.Regions = nil, nil, nil, nil, nil, nil
 		opts := art.opts
 		opts.Passes = nil
 		if empty {
-			p.Instrs, p.Funcs, p.Data = []vm.Instr{}, map[string]int{}, []byte{}
+			p.Instrs, p.Funcs, p.Globals, p.Data = []vm.Instr{}, map[string]int{}, map[string]vm.Global{}, []byte{}
 			p.Stats, p.Regions = map[string]uint64{}, []vm.Region{}
 			opts.Passes = []string{}
 		}
@@ -151,15 +147,81 @@ func TestArtifactCodecKeepsNilAndEmpty(t *testing.T) {
 	}
 }
 
-// TestArtifactCodecRefusesTrace pins that a trace-bearing artifact is
-// never persisted — the trace is a live pointer into this process.
-func TestArtifactCodecRefusesTrace(t *testing.T) {
-	art, err := Build(sumKernel, ModeCash, Options{EventTrace: obs.NewTrace(8)})
+// blobGlobal is one global array of globalsBlob's program.
+type blobGlobal struct {
+	name       string
+	addr, size uint32
+}
+
+// globalsBlob hand-encodes an artifact whose program is a 4-byte data
+// image at 0x1000 plus the given global arrays, written in the order
+// given — so a test can write what the encoder never would.
+func globalsBlob(globals ...blobGlobal) []byte {
+	e := &encoder{}
+	e.byte(tagArtifact)
+	e.uint(persistVersion)
+	e.str(string(ModeCash))
+	e.options(&Options{})
+	e.str("globals")
+	e.count(0, false) // no instructions
+	e.int(0)          // entry
+	e.count(0, true)  // nil funcs
+	e.count(len(globals), false)
+	for _, g := range globals {
+		e.str(g.name)
+		e.uint(uint64(g.addr))
+		e.uint(uint64(g.size))
+	}
+	e.count(4, false) // an all-zero data image: no nonzero runs
+	e.uint(0)
+	e.uint(0x1000) // data base
+	e.uint(0x2000) // heap base
+	e.uint(0x3000) // stack top
+	e.str(string(ModeCash))
+	e.count(0, true) // nil stats
+	e.count(0, true) // nil regions
+	return e.buf
+}
+
+// TestArtifactCodecGlobals pins Program.Globals through the codec: a
+// compiled program's request buffer round-trips, a hand-written blob
+// whose arrays fill the image exactly decodes and re-encodes to itself,
+// and unsorted or duplicate names and arrays outside the data image
+// fail to decode.
+func TestArtifactCodecGlobals(t *testing.T) {
+	art, err := Build(`
+char request[16] = "GET /index HTTP";
+int sum[3];
+void main() { sum[0] = request[0]; printi(sum[0]); }`, ModeCash, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := EncodeArtifact(art); ok || err != nil {
-		t.Fatalf("trace-bearing artifact must not encode: ok=%v err=%v", ok, err)
+	if g := art.Program.Globals; len(g) != 2 || g["request"].Size != 16 || g["sum"].Size != 12 {
+		t.Fatalf("globals %+v, want request (16 bytes) and sum (12 bytes)", g)
+	}
+	assertArtifactRoundtrip(t, "request buffer", art, true)
+
+	valid := globalsBlob(blobGlobal{"a", 0x1000, 1}, blobGlobal{"b", 0x1001, 3})
+	back, err := DecodeArtifact(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]vm.Global{"a": {Addr: 0x1000, Size: 1}, "b": {Addr: 0x1001, Size: 3}}; !reflect.DeepEqual(back.Program.Globals, want) {
+		t.Fatalf("decoded globals %+v, want %+v", back.Program.Globals, want)
+	}
+	if re, ok, err := EncodeArtifact(back); err != nil || !ok || !bytes.Equal(re, valid) {
+		t.Fatalf("decoded globals re-encode differently: ok=%v err=%v", ok, err)
+	}
+	for name, blob := range map[string][]byte{
+		"past the image end": globalsBlob(blobGlobal{"a", 0x1001, 4}),
+		"below the image":    globalsBlob(blobGlobal{"a", 0xfff, 1}),
+		"address wraps":      globalsBlob(blobGlobal{"a", math.MaxUint32, 2}),
+		"unsorted names":     globalsBlob(blobGlobal{"b", 0x1000, 1}, blobGlobal{"a", 0x1001, 1}),
+		"duplicate names":    globalsBlob(blobGlobal{"a", 0x1000, 1}, blobGlobal{"a", 0x1001, 1}),
+	} {
+		if _, err := DecodeArtifact(blob); err == nil {
+			t.Errorf("%s: decode must fail", name)
+		}
 	}
 }
 
@@ -188,6 +250,9 @@ func TestArtifactCodecRefusesLossyPrograms(t *testing.T) {
 		},
 		"data image above the cap": func(p *vm.Program) {
 			p.Data = make([]byte, maxDataImage+1)
+		},
+		"global array outside the data image": func(p *vm.Program) {
+			p.Globals = map[string]vm.Global{"x": {Addr: p.DataBase + uint32(len(p.Data)), Size: 1}}
 		},
 	}
 	for name, mutate := range cases {
@@ -295,6 +360,7 @@ func TestDecodeHostileLengthsDoNotAllocate(t *testing.T) {
 	image.count(0, false) // no instructions
 	image.int(0)          // entry
 	image.count(0, true)  // nil funcs
+	image.count(0, true)  // nil globals
 	image.count(maxDataImage+1, false)
 	image.uint(0) // no runs
 
@@ -458,7 +524,7 @@ func TestPersistedFieldSets(t *testing.T) {
 	want := map[reflect.Type][]string{
 		reflect.TypeOf(vm.Program{}): {
 			"Name string", "Instrs []vm.Instr", "Entry int", "Funcs map[string]int",
-			"Data []uint8", "DataBase uint32", "HeapBase uint32", "StackTop uint32",
+			"Globals map[string]vm.Global", "Data []uint8", "DataBase uint32", "HeapBase uint32", "StackTop uint32",
 			"Mode string", "Stats map[string]uint64", "Regions []vm.Region",
 			"Sites *vm.SiteTable",
 		},
@@ -473,6 +539,7 @@ func TestPersistedFieldSets(t *testing.T) {
 			"Seg x86seg.SegReg", "Base vm.Reg", "HasBase bool", "Index vm.Reg",
 			"HasIndex bool", "Scale uint8", "Disp int32",
 		},
+		reflect.TypeOf(vm.Global{}): {"Addr uint32", "Size uint32"},
 		reflect.TypeOf(vm.Region{}): {"Start int", "End int", "Name string"},
 		reflect.TypeOf(vm.Result{}): {
 			"Cycles uint64", "ExitCode int32", "Output []int32", "Stats vm.Stats",
@@ -496,7 +563,7 @@ func TestPersistedFieldSets(t *testing.T) {
 		reflect.TypeOf(Options{}): {
 			"SegRegs int", "SkipReadChecks bool", "UseBoundInstr bool", "WithoutCallGate bool",
 			"ElectricFence bool", "Passes []string", "StepLimit uint64", "StepOnly bool",
-			"Oracle bool", "EventTrace *obs.Trace",
+			"Oracle bool",
 		},
 	}
 	for ty, fields := range want {

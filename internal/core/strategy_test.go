@@ -27,6 +27,25 @@ func TestStrategiesExposed(t *testing.T) {
 	}
 }
 
+// TestParseMode: every registered name resolves to itself, empty means
+// cash, and an unknown name fails with the registry's error.
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{{"gcc", ModeGCC, true}, {"bcc", ModeBCC, true}, {"cash", ModeCash, true},
+		{"mpx", ModeMPX, true}, {"", ModeCash, true}, {"llvm", "", false}} {
+		got, err := ParseMode(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Fatalf("ParseMode(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+	if _, err := ParseMode("asan"); err == nil || !strings.Contains(err.Error(), `unknown strategy "asan"`) {
+		t.Fatalf("want unknown-strategy error, got %v", err)
+	}
+}
+
 // TestBuildUnknownStrategy: an unregistered name fails with an error
 // listing the valid names.
 func TestBuildUnknownStrategy(t *testing.T) {

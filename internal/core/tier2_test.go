@@ -209,7 +209,7 @@ void main() {
 // under step execution.
 func TestTier2ChaosDeoptSites(t *testing.T) {
 	a1, a2 := tierPair(t, sitesProgram, ModeCash, Options{StepLimit: 1_000_000})
-	reqAddr := a1.AST.Globals[0].Addr
+	reqAddr := a1.Program.Globals["request"].Addr
 	garbage := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
 	cases := []struct {
 		name  string

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cash/internal/chaos"
 	"cash/internal/core"
@@ -153,11 +154,15 @@ func (o requestOutcome) bad() bool {
 }
 
 // inputGlobal locates the application's embedded request buffer: the
-// first global array with an initialiser (every network workload in the
-// corpus embeds its request bytes that way). Returns ok=false for
-// programs without one; buffer-targeting injection sites are then
-// inapplicable.
-func inputGlobal(ast *minic.Program) (addr uint32, size int, ok bool) {
+// first global array of source with an initialiser (every network
+// workload in the corpus embeds its request bytes that way), placed
+// where prog's data image holds it. Returns ok=false for programs
+// without one; buffer-targeting injection sites are then inapplicable.
+func inputGlobal(source string, prog *vm.Program) (addr uint32, size int, ok bool) {
+	ast, err := minic.Parse(source)
+	if err != nil {
+		return 0, 0, false
+	}
 	for _, g := range ast.Globals {
 		if g.Type.Kind != minic.TypeArray {
 			continue
@@ -165,7 +170,8 @@ func inputGlobal(ast *minic.Program) (addr uint32, size int, ok bool) {
 		if g.InitStr == "" && len(g.InitList) == 0 {
 			continue
 		}
-		return g.Addr, g.Type.Size(), true
+		pg, found := prog.Globals[g.Name]
+		return pg.Addr, int(pg.Size), found
 	}
 	return 0, 0, false
 }
@@ -226,19 +232,6 @@ type modeServer struct {
 	lat         *obs.Histogram // served-request latencies, in cycles
 	shedArmed   bool
 	sinceDegron int // requests since entering degraded mode, for probing
-}
-
-// equalOutput compares two handler transcripts.
-func equalOutput(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // vmOptions maps one injection decision to the machine options that
@@ -419,7 +412,7 @@ func (s *modeServer) serveInjected(req int, inj chaos.Injection) (requestOutcome
 			s.noteExhaustion()
 			return outcomeDegraded, latency
 		}
-		if s.hasReq && !equalOutput(res.Output, s.clean.output) {
+		if s.hasReq && !slices.Equal(res.Output, s.clean.output) {
 			// Malformed input changed the response: the handler's own
 			// validation path rejected it. Count as detected.
 			return outcomeDetected, latency
@@ -553,7 +546,7 @@ func measureModeResilience(ctx context.Context, eng *serve.Engine, w workload.Wo
 		// sites cannot bite the other modes.
 		s.sites = chaos.UniversalSites()
 	}
-	s.reqAddr, s.reqSize, s.hasReq = inputGlobal(art.AST)
+	s.reqAddr, s.reqSize, s.hasReq = inputGlobal(w.Source, art.Program)
 	if mode == core.ModeCash && plan.Enabled() {
 		// Degradation needs the flat handler; build it up front so the
 		// serving loop never hits a build error mid-run.

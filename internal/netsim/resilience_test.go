@@ -7,6 +7,7 @@ import (
 
 	"cash/internal/chaos"
 	"cash/internal/core"
+	"cash/internal/obs"
 	"cash/internal/serve"
 	"cash/internal/workload"
 )
@@ -198,5 +199,38 @@ func TestMeasureResilienceRejectsNonNetwork(t *testing.T) {
 	ker := workload.Kernels()[0]
 	if _, err := measureResilience(ker, 10, core.Options{}, nil); err == nil {
 		t.Fatal("expected category error")
+	}
+}
+
+// TestResilienceRestartFromStore pins the resilience harness on
+// artifacts read back from the disk store, which hold only their
+// Program: for every network app, an Engine over an empty StoreDir and
+// a second Engine restarted on the same directory — which compiles
+// nothing — produce identical reports, request-buffer sites included.
+func TestResilienceRestartFromStore(t *testing.T) {
+	ctx := context.Background()
+	for _, w := range workload.NetworkApps() {
+		dir := t.TempDir()
+		measure := func() *ResilienceReport {
+			eng, err := serve.Open(serve.EngineConfig{StoreDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			rep, err := MeasureResilienceContext(ctx, eng, w, 100, core.Options{}, chaosPlan(1, 0.05))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		cold := measure()
+		compiles := obs.Default().Counter("serve.build.compiles").Value()
+		warm := measure()
+		if n := obs.Default().Counter("serve.build.compiles").Value() - compiles; n != 0 {
+			t.Fatalf("%s: the restarted engine compiled %d artifacts, want all read from the store", w.Name, n)
+		}
+		if !reflect.DeepEqual(cold, warm) {
+			t.Fatalf("%s: report from the store differs:\n%+v\nvs\n%+v", w.Name, warm, cold)
+		}
 	}
 }

@@ -16,8 +16,6 @@ import (
 // the source text, the strategy name, and every semantic build option.
 // The strategy is hashed by name, so a Mode constant and its string
 // spelling (core.ModeCash and "cash") address the same cache entry.
-// Options.EventTrace is not keyed: a traced build never reaches the
-// cache (see Engine.BuildContext).
 //
 // The key addresses the same artifact in both tiers of the cache —
 // and, through the disk tier, across processes: a restarted server
@@ -128,8 +126,8 @@ type flight struct {
 // cached artifacts memoisable. Everything in memory is under one mutex;
 // disk I/O and the codecs run outside it.
 //
-// A cache is a cache, not a database: unpersistable values (oracle or
-// traced artifacts, non-deterministic outcomes) and disk I/O failures
+// A cache is a cache, not a database: unpersistable values (oracle
+// artifacts, non-deterministic outcomes) and disk I/O failures
 // degrade to "not cached", and callers always fall back to rebuilding
 // or rerunning.
 type cache struct {
@@ -407,7 +405,8 @@ func (c *cache) close() error {
 
 // artifactSize estimates an artifact's retained bytes for the cache
 // budget: the predecoded program dominates, at roughly one exec closure
-// plus cost/note bytes per instruction, plus the data image and AST.
+// plus cost/note bytes per instruction, plus the data image and a fixed
+// overhead.
 func artifactSize(art *core.Artifact) int64 {
 	p := art.Program
 	return int64(len(p.Instrs))*96 + int64(len(p.Data)) + 4096

@@ -21,6 +21,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 
 	"cash/internal/core"
@@ -65,7 +66,7 @@ const DefaultStoreBytes = 1 << 30
 // faster.
 type EngineConfig struct {
 	// CacheBytes bounds the artifact + run-result cache. 0 means
-	// DefaultCacheBytes; negative disables caching entirely.
+	// DefaultCacheBytes; Open rejects a negative budget.
 	CacheBytes int64
 	// MaxInFlight bounds concurrently admitted requests. 0 derives the
 	// bound from Parallelism.
@@ -77,8 +78,7 @@ type EngineConfig struct {
 	// under the in-memory cache: compiled artifacts and deterministic
 	// run outcomes are written through to disk and survive the process,
 	// so a restarted engine warm-starts from its predecessor's work.
-	// Requires caching: Open rejects it with a negative CacheBytes, and
-	// reports an unusable directory as an error.
+	// Open reports an unusable directory as an error.
 	StoreDir string
 	// StoreBytes bounds the on-disk store. 0 means DefaultStoreBytes;
 	// negative means unlimited.
@@ -104,15 +104,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 	return e
 }
 
-// Open returns an Engine for the given configuration. It fails when
-// the StoreDir cannot be opened, or is set with caching disabled.
+// Open returns an Engine for the given configuration. It fails on a
+// negative CacheBytes, and when the StoreDir cannot be opened.
 func Open(cfg EngineConfig) (*Engine, error) {
-	e := &Engine{cfg: cfg}
 	if cfg.CacheBytes < 0 {
-		if cfg.StoreDir != "" {
-			return nil, errors.New("serve: StoreDir requires caching (CacheBytes >= 0)")
-		}
-		return e, nil
+		return nil, fmt.Errorf("serve: negative CacheBytes %d", cfg.CacheBytes)
 	}
 	budget := cfg.CacheBytes
 	if budget == 0 {
@@ -132,8 +128,7 @@ func Open(cfg EngineConfig) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.cache = newCache(budget, disk)
-	return e, nil
+	return &Engine{cfg: cfg, cache: newCache(budget, disk)}, nil
 }
 
 // Close shuts the Engine down: new work — builds, runs, comparisons —
@@ -146,10 +141,7 @@ func Open(cfg EngineConfig) (*Engine, error) {
 // the last reference to the Engine drops.
 func (e *Engine) Close() error {
 	e.adm.closeAndDrain()
-	if e.cache != nil {
-		return e.cache.close()
-	}
-	return nil
+	return e.cache.close()
 }
 
 // closed reports whether Close has begun.
@@ -205,10 +197,7 @@ func (e *Engine) DoCollect(n int, f func(i int) error) []error {
 // BuildContext returns the artifact for (source, mode, opts), serving
 // it from the content-addressed cache when possible. Concurrent misses
 // for the same key compile once (singleflight); waiters block on the
-// flight or ctx, whichever finishes first. A build that requests an
-// event trace (opts.EventTrace) is compiled afresh and never cached, as
-// when caching is disabled, so its runs are never memoised and its
-// events always fire.
+// flight or ctx, whichever finishes first.
 //
 // Logical-build accounting: cache hits and coalesced waiters still
 // count into core.builds.* (via core.NoteCachedBuild), so those
@@ -220,9 +209,6 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	}
 	if e.closed() {
 		return nil, ErrEngineClosed
-	}
-	if e.cache == nil || opts.EventTrace != nil {
-		return buildForServing(source, mode, opts)
 	}
 	passes, err := core.NormalizePasses(opts.Passes)
 	if err != nil {
@@ -261,7 +247,7 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	}
 	mCacheMisses.Inc()
 	mBuildCompiles.Inc()
-	art, err := buildForServing(source, mode, opts)
+	art, err := core.Build(source, mode, opts)
 	e.cache.finishFlight(key, f, art, err)
 	if err != nil {
 		return nil, err
@@ -269,22 +255,11 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	return art, nil
 }
 
-// buildForServing compiles an artifact without its IR module: only
-// DumpIR reads the IR, and it would nearly double a cached artifact's
-// footprint. Engine artifacts thus match store-decoded ones.
-func buildForServing(source string, mode core.Mode, opts core.Options) (*core.Artifact, error) {
-	art, err := core.Build(source, mode, opts)
-	if err != nil {
-		return nil, err
-	}
-	art.DropIR()
-	return art, nil
-}
-
 // NewMachine prepares a machine for the artifact; its parts come from
-// the vm recycler when a released set fits. The returned release func
-// is the machine's Release: idempotent, and not to be called before
-// the machine's last use.
+// the vm recycler when a released set fits. The extra options apply to
+// this machine alone (vm.WithEvents traces it). The returned release
+// func is the machine's Release: idempotent, and not to be called
+// before the machine's last use.
 func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine, func(), error) {
 	m, err := art.NewMachine(extra...)
 	if err != nil {
@@ -297,10 +272,9 @@ func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine
 // basic blocks (a canceled ctx surfaces as ctx.Err, never as a *Fault).
 // Runs of canonical cached artifacts are memoised: a repeat run returns
 // a deep copy of the recorded result — including deterministic error
-// outcomes such as step-limit faults — without simulating. Uncached
-// artifacts (traced builds, engines with caching disabled) always run
-// for real. A request slot is held for the duration (admission
-// control).
+// outcomes such as step-limit faults — without simulating. Artifacts
+// the cache does not hold (built elsewhere, or evicted) always run for
+// real. A request slot is held for the duration (admission control).
 func (e *Engine) RunContext(ctx context.Context, art *core.Artifact) (*core.RunResult, error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, err
@@ -315,10 +289,7 @@ func (e *Engine) runNoAdmission(ctx context.Context, art *core.Artifact) (*core.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key, cacheable := "", false
-	if e.cache != nil {
-		key, cacheable = e.cache.runKey(art)
-	}
+	key, cacheable := e.cache.runKey(art)
 	if cacheable {
 		if res, err, ok := e.cache.getRun(key); ok {
 			mCacheRunHits.Inc()

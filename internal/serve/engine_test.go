@@ -68,12 +68,28 @@ func mustRun(t *testing.T, e *Engine, art *core.Artifact) *core.RunResult {
 	return res
 }
 
+// coldRun is the reference an Engine's results must equal: a direct
+// build and run, with the machine polling a context as every Engine run
+// does. The poll moves superblock entry counts (DESIGN.md §12), so a
+// reference without it would differ in Result.SB alone.
+func coldRun(t *testing.T, src string, mode core.Mode) *core.RunResult {
+	t.Helper()
+	art, err := core.Build(src, mode, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := art.Run(vm.WithCancel(context.Background()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestCacheHitIsByteIdentical pins the core cache contract: a cached
 // build is the same artifact, a cached run is indistinguishable from a
-// real one, and both match an engine with caching disabled.
+// real one, and both match a direct build and run.
 func TestCacheHitIsByteIdentical(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
-	cold := NewEngine(EngineConfig{CacheBytes: -1})
 	for _, mode := range []core.Mode{core.ModeGCC, core.ModeBCC, core.ModeCash} {
 		art1 := mustBuild(t, eng, heapKernel, mode, core.Options{})
 		art2 := mustBuild(t, eng, heapKernel, mode, core.Options{})
@@ -92,9 +108,8 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(res1, res2) {
 			t.Fatalf("[%v] cached run result differs from the real one:\n%+v\nvs\n%+v", mode, res1, res2)
 		}
-		resCold := mustRun(t, cold, mustBuild(t, cold, heapKernel, mode, core.Options{}))
-		if !reflect.DeepEqual(res1, resCold) {
-			t.Fatalf("[%v] cached engine result differs from cache-disabled engine:\n%+v\nvs\n%+v", mode, res1, resCold)
+		if resCold := coldRun(t, heapKernel, mode); !reflect.DeepEqual(res1, resCold) {
+			t.Fatalf("[%v] cached engine result differs from a direct run:\n%+v\nvs\n%+v", mode, res1, resCold)
 		}
 		// A caller mutating its copy — output or superblock stats — must
 		// not poison later hits.
@@ -161,28 +176,46 @@ func TestCacheErrorOutcomesAreCached(t *testing.T) {
 	}
 }
 
-// TestTracedBuildIsUncached pins the Engine's event-trace path: a build
-// that requests a trace is compiled afresh rather than served from the
-// cache, and its runs are never memoised, so every run emits its events.
-func TestTracedBuildIsUncached(t *testing.T) {
+// TestTracedEngineRun pins the event trace as an option of the run: a
+// cached Engine artifact traced through Engine.NewMachine records
+// events on every run and reproduces the result the run cache memoised,
+// and tracing leaves the artifact the cached one.
+func TestTracedEngineRun(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
-	cached := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
-	tr := obs.NewTrace(0)
-	art := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{EventTrace: tr})
-	if art == cached || art == mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{EventTrace: tr}) {
-		t.Fatal("a traced build was served from the cache")
-	}
+	ctx := context.Background()
+	art := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
+	want := mustRun(t, eng, art)
 	runHits := counter("serve.cache.run_hits")
-	res := mustRun(t, eng, art)
-	first := tr.Len()
-	if first == 0 {
-		t.Fatal("the traced run emitted no events")
+	if again := mustRun(t, eng, art); !reflect.DeepEqual(want, again) {
+		t.Fatal("memoised run differs from the real one")
 	}
-	if again := mustRun(t, eng, art); !reflect.DeepEqual(res, again) || tr.Len() != 2*first {
-		t.Fatalf("second traced run: %d events after %d, want %d", tr.Len(), first, 2*first)
+	if got := counter("serve.cache.run_hits") - runHits; got != 1 {
+		t.Fatalf("run_hits delta = %d, want 1: the reference was not memoised", got)
 	}
-	if got := counter("serve.cache.run_hits") - runHits; got != 0 {
-		t.Fatalf("traced runs served %d run-cache hits, want 0", got)
+	tr := obs.NewTrace(0)
+	first := 0
+	for i := 1; i <= 2; i++ {
+		m, release, err := eng.NewMachine(art, vm.WithEvents(tr), vm.WithCancel(ctx))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := art.RunOn(m)
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("traced run %d differs from the memoised run:\n%+v\nvs\n%+v", i, got, want)
+		}
+		if first == 0 {
+			first = tr.Len()
+		}
+		if first == 0 || tr.Len() != i*first {
+			t.Fatalf("after traced run %d: %d events, want %d (%d per run)", i, tr.Len(), i*first, first)
+		}
+	}
+	if again := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{}); again != art {
+		t.Fatal("tracing a run changed the cached artifact")
 	}
 }
 
@@ -290,7 +323,7 @@ func TestBuildErrorsPropagateToWaiters(t *testing.T) {
 // released is indistinguishable from one built fresh, for all three
 // modes, with each of two programs as the earlier tenant.
 func TestPooledMachineEquivalence(t *testing.T) {
-	eng := NewEngine(EngineConfig{CacheBytes: -1})
+	eng := NewEngine(EngineConfig{})
 	for _, mode := range []core.Mode{core.ModeGCC, core.ModeBCC, core.ModeCash} {
 		artA := mustBuild(t, eng, heapKernel, mode, core.Options{})
 		artB := mustBuild(t, eng, sumKernel, mode, core.Options{})
@@ -403,7 +436,7 @@ func TestBuildContextPreCanceled(t *testing.T) {
 // one-slot engine: a second request waits, a canceled waiter leaves the
 // queue (counted), and the slot is handed on intact.
 func TestAdmissionQueuesAndCancels(t *testing.T) {
-	eng := NewEngine(EngineConfig{MaxInFlight: 1, CacheBytes: -1})
+	eng := NewEngine(EngineConfig{MaxInFlight: 1})
 	waits := counter("serve.admission.waits")
 	canceled := counter("serve.admission.canceled")
 

@@ -73,11 +73,11 @@ func TestPersistRestartWarm(t *testing.T) {
 		t.Fatal("first engine persisted nothing")
 	}
 
-	hits := counter("store.disk.hits")
+	hits, compiles := counter("store.disk.hits"), counter("serve.build.compiles")
 	eng2 := mustOpen(t, EngineConfig{StoreDir: dir})
 	art2 := mustBuild(t, eng2, heapKernel, core.ModeCash, core.Options{})
-	if art2.AST != nil {
-		t.Fatal("warm build has an AST: it was recompiled, not loaded from disk")
+	if got := counter("serve.build.compiles") - compiles; got != 0 {
+		t.Fatalf("warm build compiled %d times: it was recompiled, not loaded from disk", got)
 	}
 	res2 := mustRun(t, eng2, art2)
 	if !reflect.DeepEqual(res1, res2) {
@@ -91,12 +91,9 @@ func TestPersistRestartWarm(t *testing.T) {
 		t.Fatalf("disk hits delta = %d, want >= 2 (artifact + run)", got)
 	}
 
-	// Ground truth: the disk-served outcome equals a from-scratch engine
-	// with caching disabled.
-	cold := mustOpen(t, EngineConfig{CacheBytes: -1})
-	resCold := mustRun(t, cold, mustBuild(t, cold, heapKernel, core.ModeCash, core.Options{}))
-	if !reflect.DeepEqual(res2, resCold) {
-		t.Fatalf("disk-served result differs from cache-disabled engine:\n%+v\nvs\n%+v", res2, resCold)
+	// Ground truth: the disk-served outcome equals a direct build and run.
+	if resCold := coldRun(t, heapKernel, core.ModeCash); !reflect.DeepEqual(res2, resCold) {
+		t.Fatalf("disk-served result differs from a direct run:\n%+v\nvs\n%+v", res2, resCold)
 	}
 }
 
@@ -225,10 +222,11 @@ func TestPersistOldFormatIsMiss(t *testing.T) {
 	}
 
 	misses, writes := counter("store.disk.misses"), counter("store.disk.writes")
+	compiles := counter("serve.build.compiles")
 	eng := mustOpen(t, EngineConfig{StoreDir: dir})
 	got := mustBuild(t, eng, sumKernel, core.ModeCash, core.Options{})
-	if got.AST == nil {
-		t.Fatal("old-format entry was served instead of rebuilt")
+	if n := counter("serve.build.compiles") - compiles; n != 1 {
+		t.Fatalf("compiles delta = %d, want 1: the old-format entry was served instead of rebuilt", n)
 	}
 	if gotRes := mustRun(t, eng, got); !reflect.DeepEqual(gotRes.Result, res.Result) {
 		t.Fatal("rerun result differs from a direct run")
@@ -264,11 +262,14 @@ func TestPersistOldFormatIsMiss(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsStoreWithoutCache pins that a store needs the cache it
-// sits under: Open refuses StoreDir with caching disabled instead of
-// running without the store, writes nothing to the directory, and
-// NewEngine panics on the same configuration.
-func TestOpenRejectsStoreWithoutCache(t *testing.T) {
+// TestOpenRejectsNegativeCacheBytes pins that every Engine caches: Open
+// refuses a negative CacheBytes, with or without a StoreDir, writes
+// nothing to the directory, and NewEngine panics on the same
+// configuration.
+func TestOpenRejectsNegativeCacheBytes(t *testing.T) {
+	if eng, err := Open(EngineConfig{CacheBytes: -1}); err == nil || eng != nil {
+		t.Fatalf("Open(CacheBytes -1) = %v, %v; want an error", eng, err)
+	}
 	dir := t.TempDir()
 	cfg := EngineConfig{CacheBytes: -1, StoreDir: dir}
 	if eng, err := Open(cfg); err == nil || eng != nil {
@@ -279,31 +280,35 @@ func TestOpenRejectsStoreWithoutCache(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewEngine accepted StoreDir with caching disabled")
+			t.Fatal("NewEngine accepted a negative CacheBytes")
 		}
 	}()
 	NewEngine(cfg)
 }
 
-// BenchmarkRunRecycledMachine measures RunContext throughput on one
-// cached artifact with run memoisation off, so every iteration builds a
-// machine on recycled parts and simulates for real.
+// BenchmarkRunRecycledMachine measures machine throughput on one cached
+// artifact: every iteration builds a machine from Engine.NewMachine on
+// recycled parts and simulates for real, past the run cache.
 func BenchmarkRunRecycledMachine(b *testing.B) {
-	eng, err := Open(EngineConfig{CacheBytes: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	eng := NewEngine(EngineConfig{})
 	art, err := eng.BuildContext(context.Background(), sumKernel, core.ModeCash, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.RunContext(context.Background(), art); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.RunContext(context.Background(), art); err != nil {
+	run := func() {
+		m, release, err := eng.NewMachine(art)
+		if err != nil {
 			b.Fatal(err)
 		}
+		_, err = art.RunOn(m)
+		release()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }

@@ -88,10 +88,10 @@ type header struct {
 }
 
 // WireOptions is the serializable subset of core.Options a remote
-// client may set. Option fields that carry process-local state (event
-// traces) deliberately have no wire form, and neither does StepOnly: the
-// execution engine is the server's choice, never a client's. A "tier2"
-// field from an older client is ignored.
+// client may set. StepOnly has no wire form: the execution engine is
+// the server's choice, never a client's. Neither has Oracle, which only
+// the detector probes build with. A "tier2" field from an older client
+// is ignored.
 type WireOptions struct {
 	SegRegs         int      `json:"seg_regs,omitempty"`
 	SkipReadChecks  bool     `json:"skip_read_checks,omitempty"`
@@ -113,20 +113,6 @@ func (w WireOptions) Options() core.Options {
 		Passes:          w.Passes,
 		StepLimit:       w.StepLimit,
 	}
-}
-
-// ParseMode maps a wire strategy name onto a compiler mode. Any
-// registered strategy is accepted; empty defaults to cash.
-func ParseMode(s string) (core.Mode, error) {
-	if s == "" {
-		return core.ModeCash, nil
-	}
-	for _, name := range core.StrategyNames() {
-		if s == name {
-			return core.Mode(s), nil
-		}
-	}
-	return "", fmt.Errorf("unknown strategy %q (want one of %v)", s, core.StrategyNames())
 }
 
 // BuildRequest asks for a compilation.

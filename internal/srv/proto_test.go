@@ -64,17 +64,6 @@ func TestFrameShorterThanHeaderRejected(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in string
-		ok bool
-	}{{"gcc", true}, {"bcc", true}, {"cash", true}, {"", true}, {"llvm", false}} {
-		if _, err := ParseMode(tc.in); (err == nil) != tc.ok {
-			t.Fatalf("ParseMode(%q): err=%v, want ok=%v", tc.in, err, tc.ok)
-		}
-	}
-}
-
 func TestBucketQuota(t *testing.T) {
 	b := newBucket(2, 3) // 2 tokens/s, burst 3
 	now := ref()

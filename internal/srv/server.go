@@ -392,7 +392,7 @@ func (s *Server) execute(ctx context.Context, t *task) (any, error) {
 		if err := decode(t.body, &req); err != nil {
 			return nil, err
 		}
-		mode, err := ParseMode(req.Mode)
+		mode, err := core.ParseMode(req.Mode)
 		if err != nil {
 			return nil, badRequest{err}
 		}
@@ -407,7 +407,7 @@ func (s *Server) execute(ctx context.Context, t *task) (any, error) {
 		if err := decode(t.body, &req); err != nil {
 			return nil, err
 		}
-		mode, err := ParseMode(req.Mode)
+		mode, err := core.ParseMode(req.Mode)
 		if err != nil {
 			return nil, badRequest{err}
 		}

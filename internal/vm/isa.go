@@ -291,6 +291,7 @@ type Program struct {
 	Instrs   []Instr
 	Entry    int               // instruction index of the entry point
 	Funcs    map[string]int    // function name -> entry instruction
+	Globals  map[string]Global // global array name -> its place in Data
 	Data     []byte            // initial data segment image
 	DataBase uint32            // linear address the data image loads at
 	HeapBase uint32            // first heap address (after data)
@@ -319,6 +320,13 @@ type Program struct {
 	// sb caches the compiled superblock table (see superblock.go) the
 	// same way, built lazily on the first tier-2 machine.
 	sb sbCache
+}
+
+// Global is where a global array lives in the data image: Size bytes
+// from linear address Addr.
+type Global struct {
+	Addr uint32
+	Size uint32
 }
 
 // Disassemble renders the program as an AT&T-style listing.
