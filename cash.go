@@ -248,7 +248,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 }
 
 // OpenEngine builds a serving Engine from cfg. It reports an unusable
-// EngineConfig.StoreDir, or one set with caching disabled, as an error.
+// EngineConfig.StoreDir or a negative CacheBytes as an error.
 func OpenEngine(cfg EngineConfig) (*Engine, error) {
 	eng, err := serve.Open(cfg)
 	if err != nil {
@@ -461,7 +461,12 @@ type TraceEvent = obs.Event
 
 // NewEventTrace returns a trace retaining up to capacity events
 // (0 means the default capacity). The trace belongs to a run, not to a
-// build: pass vm.WithEvents(trace) to Artifact.Run or
-// Artifact.NewMachine, and the trace records exactly those machines.
-// The artifact stays the same value, cacheable as any other.
+// build: pass WithEvents(trace) to Artifact.Run or Artifact.NewMachine,
+// and the trace records exactly those machines. The artifact stays the
+// same value, cacheable as any other.
 func NewEventTrace(capacity int) *EventTrace { return obs.NewTrace(capacity) }
+
+// WithEvents is the run option that attaches tr to a machine:
+// art.Run(WithEvents(tr)). The simulated numbers are identical with and
+// without it.
+func WithEvents(tr *EventTrace) vm.Option { return vm.WithEvents(tr) }

@@ -43,6 +43,35 @@ func TestPublicBuildRunCatchesOverflow(t *testing.T) {
 	}
 }
 
+// TestPublicEventTrace attaches a trace through the public run option:
+// the overflow run records its segment-register loads and the fault
+// that ends it, and its numbers equal an untraced run's.
+func TestPublicEventTrace(t *testing.T) {
+	art, err := Build(demoOverflow, ModeCash, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewEventTrace(0)
+	traced, err := art.Run(WithEvents(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := art.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[string]int)
+	for _, ev := range tr.Events() {
+		kinds[ev.Kind.String()]++
+	}
+	if tr.Len() == 0 || kinds["seg-load"] == 0 || kinds["fault"] != 1 {
+		t.Fatalf("trace of the overflow run: %d events %v, want segment-register loads and one fault", tr.Len(), kinds)
+	}
+	if traced.Cycles != plain.Cycles || traced.Violation.Error() != plain.Violation.Error() {
+		t.Fatalf("traced run %d cycles (%v), untraced %d (%v)", traced.Cycles, traced.Violation, plain.Cycles, plain.Violation)
+	}
+}
+
 func TestPublicCompare(t *testing.T) {
 	cmp, err := CompareStrategies("demo", demoSafe, CompareConfig{})
 	if err != nil {

@@ -37,6 +37,7 @@ var goldenSuites = []struct {
 	{"default", testSuite, "testdata/golden_all_200.txt"},
 	{"step", Suite{Engine: testEngine, StepOnly: true}, "testdata/golden_all_200.txt"},
 	{"passes", Suite{Engine: testEngine, Passes: []string{"rce", "hoist"}}, "testdata/golden_all_passes_200.txt"},
+	{"fullpipe", Suite{Engine: testEngine, Passes: []string{"rce", "hoist", "affine", "chop"}}, "testdata/golden_all_fullpipe_200.txt"},
 }
 
 // renderAll reproduces exactly what `cashbench -all` writes to stdout
@@ -65,12 +66,13 @@ func renderAll(t *testing.T, s Suite, requests int) string {
 // TestGoldenAllTables pins the full benchmark output byte-for-byte under
 // each suite configuration: the TLB, the dense memory arenas, the
 // predecoded dispatch, tier-2 and the parallel harness are host-side
-// optimisations that must not move a single simulated number. The three
+// optimisations that must not move a single simulated number. The four
 // suites run concurrently on one Engine. Regenerate a golden file only
 // for a change that is *supposed* to alter results:
 //
 //	go run ./cmd/cashbench -all -requests 200 > internal/bench/testdata/golden_all_200.txt
 //	go run ./cmd/cashbench -all -requests 200 -passes rce,hoist > internal/bench/testdata/golden_all_passes_200.txt
+//	go run ./cmd/cashbench -all -requests 200 -passes rce,hoist,affine,chop > internal/bench/testdata/golden_all_fullpipe_200.txt
 func TestGoldenAllTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table regeneration is slow; run without -short")
@@ -90,7 +92,7 @@ func TestGoldenAllTables(t *testing.T) {
 	}
 }
 
-// TestConcurrentSuites runs the three golden suite configurations at
+// TestConcurrentSuites runs the four golden suite configurations at
 // once on one shared Engine and requires every table each of them
 // generates to appear verbatim in that suite's golden: a suite's
 // settings must reach only its own builds. It is short enough for the

@@ -213,7 +213,7 @@ func affineChainRect(eff []*hoistCand) bool {
 // invariant symbols and the runtime bounds of inner chain members — is
 // written (assigned, incremented, or re-declared) anywhere inside the
 // effective chain's outermost For statement. Unconfined stores cannot
-// reach them (hoistExprSafe admits only scalar and direct-array
+// reach them (loopBodySafe admits only scalar and direct-array
 // stores), and calls cannot either (support variables are local and
 // never address-taken), so a direct write scan is complete.
 func (c *compiler) affineInvariantOK(eff []*hoistCand, syms map[ir.Sym]*minic.VarDecl) bool {
@@ -233,83 +233,25 @@ func (c *compiler) affineInvariantOK(eff []*hoistCand, syms map[ir.Sym]*minic.Va
 }
 
 func affineWrites(s minic.Stmt, support map[*minic.VarDecl]bool) bool {
-	var expr func(e minic.Expr) bool
-	expr = func(e minic.Expr) bool {
-		switch e := e.(type) {
+	writes := false
+	minic.Inspect(s, func(n any) bool {
+		var target minic.Expr
+		switch n := n.(type) {
 		case *minic.Assign:
-			if vr, ok := e.LHS.(*minic.VarRef); ok && support[vr.Decl] {
-				return true
-			}
-			return expr(e.LHS) || expr(e.RHS)
+			target = n.LHS
 		case *minic.IncDec:
-			if vr, ok := e.X.(*minic.VarRef); ok && support[vr.Decl] {
-				return true
-			}
-			return expr(e.X)
-		case *minic.Unary:
-			return expr(e.X)
-		case *minic.Cast:
-			return expr(e.X)
-		case *minic.Binary:
-			return expr(e.X) || expr(e.Y)
-		case *minic.Index:
-			return expr(e.Base) || expr(e.Index)
-		case *minic.Call:
-			for _, a := range e.Args {
-				if expr(a) {
-					return true
-				}
-			}
-			return false
-		default:
-			return false
+			target = n.X
+		case *minic.VarDecl:
+			// Re-declaring a support variable inside the chain means its
+			// preheader-time slot value is not the body's value.
+			writes = writes || support[n]
 		}
-	}
-	var stmt func(s minic.Stmt) bool
-	stmt = func(s minic.Stmt) bool {
-		switch s := s.(type) {
-		case *minic.BlockStmt:
-			for _, sub := range s.Stmts {
-				if stmt(sub) {
-					return true
-				}
-			}
-			return false
-		case *minic.DeclStmt:
-			for _, d := range s.Decls {
-				// Re-declaring a support variable inside the chain means
-				// its preheader-time slot value is not the body's value.
-				if support[d] {
-					return true
-				}
-				if d.Init != nil && expr(d.Init) {
-					return true
-				}
-				for _, e := range d.InitList {
-					if expr(e) {
-						return true
-					}
-				}
-			}
-			return false
-		case *minic.ExprStmt:
-			return expr(s.X)
-		case *minic.IfStmt:
-			return expr(s.Cond) || (s.Then != nil && stmt(s.Then)) || (s.Else != nil && stmt(s.Else))
-		case *minic.WhileStmt:
-			return expr(s.Cond) || (s.Body != nil && stmt(s.Body))
-		case *minic.ForStmt:
-			return (s.Init != nil && stmt(s.Init)) ||
-				(s.Cond != nil && expr(s.Cond)) ||
-				(s.Post != nil && expr(s.Post)) ||
-				(s.Body != nil && stmt(s.Body))
-		case *minic.ReturnStmt:
-			return s.X != nil && expr(s.X)
-		default:
-			return false
+		if vr, ok := target.(*minic.VarRef); ok && support[vr.Decl] {
+			writes = true
 		}
-	}
-	return s != nil && stmt(s)
+		return !writes
+	})
+	return writes
 }
 
 // ---------------------------------------------------------------------

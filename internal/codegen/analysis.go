@@ -57,35 +57,20 @@ type funcAnalysis struct {
 func analyzeFunc(fn *minic.FuncDecl, segRegs []x86seg.SegReg) *funcAnalysis {
 	fa := &funcAnalysis{loops: make(map[minic.Stmt]*loopInfo)}
 	used := make(map[x86seg.SegReg]bool)
-	var walk func(s minic.Stmt)
-	walk = func(s minic.Stmt) {
-		switch s := s.(type) {
-		case *minic.BlockStmt:
-			for _, sub := range s.Stmts {
-				walk(sub)
-			}
-		case *minic.IfStmt:
-			if s.Then != nil {
-				walk(s.Then)
-			}
-			if s.Else != nil {
-				walk(s.Else)
-			}
-		case *minic.WhileStmt:
-			li := analyzeLoop(s.Body, nil, segRegs)
-			fa.loops[s] = li
-			for _, r := range li.assigned {
-				used[r] = true
-			}
-		case *minic.ForStmt:
-			li := analyzeLoop(s.Body, s, segRegs)
-			fa.loops[s] = li
+	minic.Inspect(fn.Body, func(n any) bool {
+		switch n.(type) {
+		case *minic.BlockStmt, *minic.IfStmt:
+			return true
+		case *minic.WhileStmt, *minic.ForStmt:
+			loop := n.(minic.Stmt)
+			li := analyzeLoop(loop, segRegs)
+			fa.loops[loop] = li
 			for _, r := range li.assigned {
 				used[r] = true
 			}
 		}
-	}
-	walk(fn.Body)
+		return false
+	})
 	for _, r := range segRegs {
 		if used[r] {
 			fa.segRegsUsed = append(fa.segRegsUsed, r)
@@ -97,7 +82,7 @@ func analyzeFunc(fn *minic.FuncDecl, segRegs []x86seg.SegReg) *funcAnalysis {
 // analyzeLoop collects array objects referenced within an outermost loop
 // (body plus, for a for-loop, its condition and post expressions) and
 // assigns segment registers FCFS.
-func analyzeLoop(body minic.Stmt, forStmt *minic.ForStmt, segRegs []x86seg.SegReg) *loopInfo {
+func analyzeLoop(loop minic.Stmt, segRegs []x86seg.SegReg) *loopInfo {
 	li := &loopInfo{
 		assigned: make(map[*minic.VarDecl]x86seg.SegReg),
 		spilled:  make(map[*minic.VarDecl]bool),
@@ -113,118 +98,57 @@ func analyzeLoop(body minic.Stmt, forStmt *minic.ForStmt, segRegs []x86seg.SegRe
 		seen[d] = true
 		li.order = append(li.order, d)
 	}
+	// pointerVar returns the declaration of e when e names a pointer
+	// variable.
+	pointerVar := func(e minic.Expr) *minic.VarDecl {
+		if v, ok := e.(*minic.VarRef); ok && v.Decl != nil && v.Decl.Type.Kind == minic.TypePointer {
+			return v.Decl
+		}
+		return nil
+	}
 
-	var walkExpr func(e minic.Expr)
-	var walkStmt func(s minic.Stmt)
-
-	walkExpr = func(e minic.Expr) {
-		switch e := e.(type) {
+	visit := func(n any) bool {
+		switch n := n.(type) {
 		case *minic.Index:
-			note(refObject(e.Base))
-			walkExpr(e.Base)
-			walkExpr(e.Index)
+			note(refObject(n.Base))
 		case *minic.Unary:
-			if e.Op == "*" {
-				note(refObject(e.X))
+			if n.Op == "*" {
+				note(refObject(n.X))
 			}
-			walkExpr(e.X)
 		case *minic.IncDec:
-			if v, ok := e.X.(*minic.VarRef); ok && v.Decl != nil &&
-				v.Decl.Type.Kind == minic.TypePointer {
-				li.modified[v.Decl] = true
+			if d := pointerVar(n.X); d != nil {
+				li.modified[d] = true
 			}
-			walkExpr(e.X)
-		case *minic.Binary:
-			walkExpr(e.X)
-			walkExpr(e.Y)
 		case *minic.Assign:
 			// Wholesale reassignment of a pointer variable invalidates a
 			// segment register held over it.
-			if v, ok := e.LHS.(*minic.VarRef); ok && v.Decl != nil &&
-				v.Decl.Type.Kind == minic.TypePointer {
-				if e.Op == "=" {
-					reassigned[v.Decl] = true
-				} else {
-					li.modified[v.Decl] = true
-				}
-			}
-			walkExpr(e.LHS)
-			walkExpr(e.RHS)
-		case *minic.Call:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *minic.Cast:
-			walkExpr(e.X)
-		}
-	}
-	walkStmt = func(s minic.Stmt) {
-		switch s := s.(type) {
-		case *minic.BlockStmt:
-			for _, sub := range s.Stmts {
-				walkStmt(sub)
-			}
-		case *minic.DeclStmt:
-			for _, d := range s.Decls {
-				// A pointer declared inside the loop body has no value
-				// when the loop preamble runs, so it cannot hold a
-				// hoisted segment register: treat it like a reassigned
-				// pointer (software-checked).
-				if d.Type.Kind == minic.TypePointer {
+			if d := pointerVar(n.LHS); d != nil {
+				if n.Op == "=" {
 					reassigned[d] = true
-				}
-				if d.Init != nil {
-					walkExpr(d.Init)
-				}
-				for _, e := range d.InitList {
-					walkExpr(e)
+				} else {
+					li.modified[d] = true
 				}
 			}
-		case *minic.ExprStmt:
-			walkExpr(s.X)
-		case *minic.IfStmt:
-			walkExpr(s.Cond)
-			if s.Then != nil {
-				walkStmt(s.Then)
-			}
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *minic.WhileStmt:
-			walkExpr(s.Cond)
-			if s.Body != nil {
-				walkStmt(s.Body)
-			}
-		case *minic.ForStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			if s.Cond != nil {
-				walkExpr(s.Cond)
-			}
-			if s.Post != nil {
-				walkExpr(s.Post)
-			}
-			if s.Body != nil {
-				walkStmt(s.Body)
-			}
-		case *minic.ReturnStmt:
-			if s.X != nil {
-				walkExpr(s.X)
+		case *minic.VarDecl:
+			// A pointer declared inside the loop body has no value when
+			// the loop preamble runs, so it cannot hold a hoisted segment
+			// register: treat it like a reassigned pointer
+			// (software-checked).
+			if n.Type.Kind == minic.TypePointer {
+				reassigned[n] = true
 			}
 		}
+		return true
 	}
-
-	if forStmt != nil {
-		if forStmt.Cond != nil {
-			walkExpr(forStmt.Cond)
-		}
-		if forStmt.Post != nil {
-			walkExpr(forStmt.Post)
-		}
-	}
-	if body != nil {
-		walkStmt(body)
+	switch s := loop.(type) {
+	case *minic.ForStmt:
+		minic.Inspect(s.Cond, visit)
+		minic.Inspect(s.Post, visit)
+		minic.Inspect(s.Body, visit)
+	case *minic.WhileStmt:
+		// Only the body: unlike a for loop's condition, a while loop's
+		// condition is not part of the analysis.
+		minic.Inspect(s.Body, visit)
 	}
 
 	li.distinct = len(li.order)
@@ -270,43 +194,20 @@ type LoopStats struct {
 // characteristics tables do.
 func AnalyzeLoopStats(prog *minic.Program, budget int) LoopStats {
 	var st LoopStats
-	var walkStmt func(s minic.Stmt)
-	countLoop := func(body minic.Stmt, forStmt *minic.ForStmt) {
-		li := analyzeLoop(body, forStmt, nil)
-		if li.distinct > 0 {
-			st.ArrayUsingLoops++
-		}
-		if li.distinct > budget {
-			st.SpilledLoops++
-		}
-	}
-	walkStmt = func(s minic.Stmt) {
-		switch s := s.(type) {
-		case *minic.BlockStmt:
-			for _, sub := range s.Stmts {
-				walkStmt(sub)
-			}
-		case *minic.IfStmt:
-			if s.Then != nil {
-				walkStmt(s.Then)
-			}
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *minic.WhileStmt:
-			countLoop(s.Body, nil)
-			if s.Body != nil {
-				walkStmt(s.Body)
-			}
-		case *minic.ForStmt:
-			countLoop(s.Body, s)
-			if s.Body != nil {
-				walkStmt(s.Body)
-			}
-		}
-	}
 	for _, fn := range prog.Funcs {
-		walkStmt(fn.Body)
+		minic.Inspect(fn.Body, func(n any) bool {
+			switch n.(type) {
+			case *minic.WhileStmt, *minic.ForStmt:
+				li := analyzeLoop(n.(minic.Stmt), nil)
+				if li.distinct > 0 {
+					st.ArrayUsingLoops++
+				}
+				if li.distinct > budget {
+					st.SpilledLoops++
+				}
+			}
+			return true
+		})
 	}
 	return st
 }

@@ -54,88 +54,14 @@ type hoistCand struct {
 // in the function; such variables can alias through pointers and are
 // disqualified as induction or bound variables.
 func (c *compiler) scanAddrTaken(s minic.Stmt) {
-	var walkExpr func(e minic.Expr)
-	walkExpr = func(e minic.Expr) {
-		switch e := e.(type) {
-		case *minic.Unary:
-			if e.Op == "&" {
-				if vr, ok := e.X.(*minic.VarRef); ok && vr.Decl != nil {
-					c.addrTaken[vr.Decl] = true
-				}
-			}
-			walkExpr(e.X)
-		case *minic.IncDec:
-			walkExpr(e.X)
-		case *minic.Binary:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *minic.Assign:
-			walkExpr(e.LHS)
-			walkExpr(e.RHS)
-		case *minic.Index:
-			walkExpr(e.Base)
-			walkExpr(e.Index)
-		case *minic.Call:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		case *minic.Cast:
-			walkExpr(e.X)
-		}
-	}
-	var walkStmt func(s minic.Stmt)
-	walkStmt = func(s minic.Stmt) {
-		switch s := s.(type) {
-		case *minic.BlockStmt:
-			for _, sub := range s.Stmts {
-				walkStmt(sub)
-			}
-		case *minic.DeclStmt:
-			for _, d := range s.Decls {
-				if d.Init != nil {
-					walkExpr(d.Init)
-				}
-				for _, e := range d.InitList {
-					walkExpr(e)
-				}
-			}
-		case *minic.ExprStmt:
-			walkExpr(s.X)
-		case *minic.IfStmt:
-			walkExpr(s.Cond)
-			if s.Then != nil {
-				walkStmt(s.Then)
-			}
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *minic.WhileStmt:
-			walkExpr(s.Cond)
-			if s.Body != nil {
-				walkStmt(s.Body)
-			}
-		case *minic.ForStmt:
-			if s.Init != nil {
-				walkStmt(s.Init)
-			}
-			if s.Cond != nil {
-				walkExpr(s.Cond)
-			}
-			if s.Post != nil {
-				walkExpr(s.Post)
-			}
-			if s.Body != nil {
-				walkStmt(s.Body)
-			}
-		case *minic.ReturnStmt:
-			if s.X != nil {
-				walkExpr(s.X)
+	minic.Inspect(s, func(n any) bool {
+		if u, ok := n.(*minic.Unary); ok && u.Op == "&" {
+			if vr, ok := u.X.(*minic.VarRef); ok && vr.Decl != nil {
+				c.addrTaken[vr.Decl] = true
 			}
 		}
-	}
-	if s != nil {
-		walkStmt(s)
-	}
+		return true
+	})
 }
 
 // matchCountedLoop recognizes `for (v = LO; v < H; v++)` (also `<=` and
@@ -229,117 +155,44 @@ func (c *compiler) matchCountedLoop(s *minic.ForStmt) (countedLoop, bool) {
 // continue, return) or disturb the trip count: writes to v or the bound
 // variable, and stores whose target the checker cannot confine (pointer
 // or computed stores; direct array stores are bound-checked inside loops
-// and cannot reach a scalar slot).
+// and cannot reach a scalar slot). Reads (& and * rvalues included) are
+// safe.
 func (c *compiler) loopBodySafe(s minic.Stmt, v, hiVar *minic.VarDecl) bool {
-	switch s := s.(type) {
-	case *minic.BlockStmt:
-		for _, sub := range s.Stmts {
-			if !c.loopBodySafe(sub, v, hiVar) {
-				return false
+	safe := true
+	minic.Inspect(s, func(n any) bool {
+		if !safe {
+			return false // a false return prunes only this subtree
+		}
+		switch n := n.(type) {
+		case *minic.BreakStmt, *minic.ContinueStmt, *minic.ReturnStmt:
+			safe = false
+		case *minic.IncDec:
+			// A read-modify-write through memory is not confined.
+			vr, ok := n.X.(*minic.VarRef)
+			safe = ok && vr.Decl != v && vr.Decl != hiVar
+		case *minic.Call:
+			// Builtins cannot write program variables. Other functions
+			// can write globals, which only matters for a variable trip
+			// count.
+			safe = minic.IsBuiltin(n.Name) || hiVar == nil
+		case *minic.Assign:
+			switch lhs := n.LHS.(type) {
+			case *minic.VarRef:
+				safe = lhs.Decl != v && lhs.Decl != hiVar
+			case *minic.Index:
+				// A store through a direct array reference is
+				// bound-checked inside a loop (software or segment), so
+				// it stays inside the array; pointer or computed bases
+				// can land anywhere.
+				d := refObject(lhs.Base)
+				safe = d != nil && d.Type.Kind == minic.TypeArray
+			default:
+				safe = false
 			}
 		}
-		return true
-	case *minic.DeclStmt:
-		for _, d := range s.Decls {
-			if d.Init != nil && !c.hoistExprSafe(d.Init, v, hiVar) {
-				return false
-			}
-			for _, e := range d.InitList {
-				if !c.hoistExprSafe(e, v, hiVar) {
-					return false
-				}
-			}
-		}
-		return true
-	case *minic.ExprStmt:
-		return c.hoistExprSafe(s.X, v, hiVar)
-	case *minic.IfStmt:
-		if !c.hoistExprSafe(s.Cond, v, hiVar) {
-			return false
-		}
-		if s.Then != nil && !c.loopBodySafe(s.Then, v, hiVar) {
-			return false
-		}
-		if s.Else != nil && !c.loopBodySafe(s.Else, v, hiVar) {
-			return false
-		}
-		return true
-	case *minic.WhileStmt:
-		if !c.hoistExprSafe(s.Cond, v, hiVar) {
-			return false
-		}
-		return s.Body == nil || c.loopBodySafe(s.Body, v, hiVar)
-	case *minic.ForStmt:
-		if s.Init != nil && !c.loopBodySafe(s.Init, v, hiVar) {
-			return false
-		}
-		if s.Cond != nil && !c.hoistExprSafe(s.Cond, v, hiVar) {
-			return false
-		}
-		if s.Post != nil && !c.hoistExprSafe(s.Post, v, hiVar) {
-			return false
-		}
-		return s.Body == nil || c.loopBodySafe(s.Body, v, hiVar)
-	default:
-		// break, continue, return, anything unrecognized.
-		return false
-	}
-}
-
-func (c *compiler) hoistExprSafe(e minic.Expr, v, hiVar *minic.VarDecl) bool {
-	switch e := e.(type) {
-	case nil:
-		return true
-	case *minic.NumberLit, *minic.StringLit, *minic.VarRef:
-		return true
-	case *minic.Unary:
-		return c.hoistExprSafe(e.X, v, hiVar) // reads only (& / * rvalues)
-	case *minic.Cast:
-		return c.hoistExprSafe(e.X, v, hiVar)
-	case *minic.Binary:
-		return c.hoistExprSafe(e.X, v, hiVar) && c.hoistExprSafe(e.Y, v, hiVar)
-	case *minic.Index:
-		return c.hoistExprSafe(e.Base, v, hiVar) && c.hoistExprSafe(e.Index, v, hiVar)
-	case *minic.IncDec:
-		vr, ok := e.X.(*minic.VarRef)
-		if !ok {
-			return false // read-modify-write through memory
-		}
-		return vr.Decl != v && vr.Decl != hiVar
-	case *minic.Call:
-		// Builtins cannot write program variables. Other functions can
-		// write globals, which only matters for a variable trip count.
-		if !minic.IsBuiltin(e.Name) && hiVar != nil {
-			return false
-		}
-		for _, a := range e.Args {
-			if !c.hoistExprSafe(a, v, hiVar) {
-				return false
-			}
-		}
-		return true
-	case *minic.Assign:
-		switch lhs := e.LHS.(type) {
-		case *minic.VarRef:
-			if lhs.Decl == v || lhs.Decl == hiVar {
-				return false
-			}
-			return c.hoistExprSafe(e.RHS, v, hiVar)
-		case *minic.Index:
-			// A store through a direct array reference is bound-checked
-			// inside a loop (software or segment), so it stays inside
-			// the array; pointer or computed bases can land anywhere.
-			d := refObject(lhs.Base)
-			if d == nil || d.Type.Kind != minic.TypeArray {
-				return false
-			}
-			return c.hoistExprSafe(lhs.Index, v, hiVar) && c.hoistExprSafe(e.RHS, v, hiVar)
-		default:
-			return false
-		}
-	default:
-		return false
-	}
+		return safe
+	})
+	return safe
 }
 
 // enterHoistLoop opens a hoisting candidate when the For statement has

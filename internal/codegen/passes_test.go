@@ -146,6 +146,47 @@ func TestHoistMovesLoopChecks(t *testing.T) {
 	}
 }
 
+// TestHoistBodySafety pins loopBodySafe's verdicts on a loop with a
+// variable bound: each unsafe body keeps its per-iteration checks, and
+// one unsafe node anywhere in the body is enough, whatever follows it.
+func TestHoistBodySafety(t *testing.T) {
+	const tmpl = `
+int a[10];
+int g() { return 1; }
+int main() {
+	int i; int n = 10; int k = 0; int *p = &k;
+	for (i = 0; i < n; i++) {
+		a[i] = i;
+		%s
+	}
+	printi(k);
+	return 0;
+}
+`
+	cases := []struct {
+		body  string
+		hoist bool
+	}{
+		{"k++; k = k + a[i];", true},
+		{"g();", false},           // a non-builtin call may write the bound
+		{"k = g() + k++;", false}, // ... also when a safe node follows it
+		{"n++;", false},
+		{"n = 5;", false},
+		{"i += 0;", false},
+		{"*p = 1;", false},
+		{"(*p)++;", false},
+		{"if (k > 100) break;", false},
+		{"if (k > 100) continue;", false},
+		{"if (k > 100) return 1;", false},
+	}
+	for _, tc := range cases {
+		prog := compile(t, strings.Replace(tmpl, "%s", tc.body, 1), Config{Mode: vm.ModeBCC, Passes: []string{"hoist"}})
+		if got := prog.Stats[StatChecksHoisted] > 0; got != tc.hoist {
+			t.Errorf("body %q: hoisted %v, want %v", tc.body, got, tc.hoist)
+		}
+	}
+}
+
 // hoistViolationSrc walks past the end of the array; hoisting must not
 // lose the violation (it may trap earlier, at the preheader).
 const hoistViolationSrc = `

@@ -40,9 +40,16 @@ func (c *compiler) genFunc(fn *minic.FuncDecl) error {
 	// immediately below the array storage (§3.2).
 	cur := int32(0)
 	var localArrays []*minic.VarDecl
-	var collect func(s minic.Stmt)
-	collectDecl := func(d *minic.VarDecl) {
-		if d.Type.Kind == minic.TypeArray {
+	minic.Inspect(fn.Body, func(n any) bool {
+		switch d := n.(type) {
+		case minic.Expr:
+			return false
+		case *minic.VarDecl:
+			if d.Type.Kind != minic.TypeArray {
+				cur -= c.slotSize(d.Type)
+				c.frameOff[d] = cur
+				return false
+			}
 			cur -= int32((d.Type.Size() + 3) &^ 3)
 			c.frameOff[d] = cur
 			var track bool
@@ -50,42 +57,10 @@ func (c *compiler) genFunc(fn *minic.FuncDecl) error {
 			if track {
 				localArrays = append(localArrays, d)
 			}
-			return
+			return false
 		}
-		cur -= c.slotSize(d.Type)
-		c.frameOff[d] = cur
-	}
-	collect = func(s minic.Stmt) {
-		switch s := s.(type) {
-		case *minic.BlockStmt:
-			for _, sub := range s.Stmts {
-				collect(sub)
-			}
-		case *minic.DeclStmt:
-			for _, d := range s.Decls {
-				collectDecl(d)
-			}
-		case *minic.IfStmt:
-			if s.Then != nil {
-				collect(s.Then)
-			}
-			if s.Else != nil {
-				collect(s.Else)
-			}
-		case *minic.WhileStmt:
-			if s.Body != nil {
-				collect(s.Body)
-			}
-		case *minic.ForStmt:
-			if s.Init != nil {
-				collect(s.Init)
-			}
-			if s.Body != nil {
-				collect(s.Body)
-			}
-		}
-	}
-	collect(fn.Body)
+		return true
+	})
 
 	// Hoisting slots for the per-loop segment set-up (§3.3).
 	temps := make(map[int32]bool)
@@ -285,7 +260,7 @@ func (c *compiler) genStmt(s minic.Stmt) error {
 				return err
 			}
 		}
-		c.markBackedge(c.b.Jump(vm.JMP, condLbl), s.Body, nil)
+		c.markBackedge(c.b.Jump(vm.JMP, condLbl), s)
 		c.b.EndLoop()
 		c.b.Label(endLbl)
 		c.condExit()
@@ -333,7 +308,7 @@ func (c *compiler) genStmt(s minic.Stmt) error {
 			}
 		}
 		c.leaveHoistLoop(cand)
-		c.markBackedge(c.b.Jump(vm.JMP, condLbl), s.Body, s)
+		c.markBackedge(c.b.Jump(vm.JMP, condLbl), s)
 		c.b.EndLoop()
 		c.b.Label(endLbl)
 		c.condExit()
@@ -369,9 +344,9 @@ func (c *compiler) genStmt(s minic.Stmt) error {
 // count loop iterations — and specifically iterations of "spilled" loops
 // (more distinct arrays than segment registers), the dynamic percentage
 // the paper's Tables 4 and 7 report.
-func (c *compiler) markBackedge(idx int, body minic.Stmt, forStmt *minic.ForStmt) {
+func (c *compiler) markBackedge(idx int, loop minic.Stmt) {
 	note := vm.NoteLoopBackedge
-	if analyzeLoop(body, forStmt, nil).distinct > len(c.segRegs) {
+	if analyzeLoop(loop, nil).distinct > len(c.segRegs) {
 		note = vm.NoteSpilledBackedge
 	}
 	c.b.Instr(idx).Note = note

@@ -125,7 +125,9 @@ type Options struct {
 	// (see codegen.PassNames): "rce" eliminates redundant software
 	// checks, "hoist" moves loop-invariant checks into a preheader,
 	// "affine" replaces checks on affine computed indices (i*c1 + j*c2
-	// + c3 over counted-loop nests) with convex-hull endpoint checks.
+	// + c3 over counted-loop nests) with convex-hull endpoint checks,
+	// and "chop" folds checks on one array whose indices differ by a
+	// constant into one widened check at the first of them.
 	// Order and duplicates are normalised away; empty keeps the output
 	// byte-identical to the historical direct back end.
 	Passes []string
@@ -445,15 +447,15 @@ func overheadPct(v, base uint64) float64 {
 }
 
 // Runner abstracts how a comparison obtains and executes artifacts, so
-// the same three-mode workflow can run either directly (build and run
-// from scratch, the Compare default) or through a serving engine that
-// caches artifacts and pools machines.
+// the same multi-strategy workflow can run either directly (build and
+// run from scratch, as CompareStrategies does) or through a serving
+// engine that caches artifacts and run results.
 type Runner interface {
 	BuildArtifact(source string, mode Mode, opts Options) (*Artifact, error)
 	RunArtifact(art *Artifact) (*RunResult, error)
 }
 
-// directRunner is the Runner Compare uses: no caching, fresh machines.
+// directRunner is the Runner CompareStrategies uses: no caching.
 type directRunner struct{}
 
 func (directRunner) BuildArtifact(source string, mode Mode, opts Options) (*Artifact, error) {

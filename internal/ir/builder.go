@@ -152,10 +152,6 @@ func (b *Builder) Instr(i int) *vm.Instr {
 	return &r.blk.Instrs[r.idx].Instr
 }
 
-// CurrentBlock returns the open block, materializing it if needed (so a
-// just-bound label's block can be captured).
-func (b *Builder) CurrentBlock() *Block { return b.block() }
-
 // BeginLoop opens a loop nested in the innermost open loop. Blocks
 // created while it is open become members. The caller marks the header
 // with SetLoopHeader after binding the condition label.

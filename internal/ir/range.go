@@ -1,23 +1,19 @@
 package ir
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // range.go is a small SCEV-style symbolic value-range domain. The back
 // end's affine check-consolidation pass ("affine", codegen/affine.go)
 // derives {base, stride, trip-count} chains for counted-loop induction
 // variables and represents each array-index expression as an Affine
-// form over symbols; this file owns the algebra — normalization,
-// canonical keys, and checked interval evaluation — while the pass owns
-// the mapping from program variables to symbols and the soundness
-// conditions for using the resulting ranges.
+// form over symbols; this file owns the algebra — normalization and
+// checked arithmetic — while the pass owns the mapping from program
+// variables to symbols and the soundness conditions for using the
+// resulting ranges.
 //
 // All arithmetic is performed in int64 and rejected when a value leaves
-// ±RangeBudget, so evaluation can never silently wrap: callers either
-// get exact integer intervals or an explicit failure.
+// ±RangeBudget, so it can never silently wrap: callers either get an
+// exact form or an explicit failure.
 
 // Sym identifies a symbolic quantity — an induction variable or a
 // loop-invariant scalar — inside an Affine form. Symbol identity and
@@ -212,100 +208,8 @@ func (a Affine) Mul(b Affine) (Affine, bool) {
 	return out.normalize()
 }
 
-// Key renders the form canonically: equal forms produce equal keys, so
-// the pass can group references covered by the same endpoint pair.
-func (a Affine) Key() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d", a.Const)
-	for _, t := range a.Terms {
-		fmt.Fprintf(&sb, "+%d*s%d", t.Coeff, t.X)
-		if t.Y != NoSym {
-			fmt.Fprintf(&sb, "*s%d", t.Y)
-		}
-	}
-	return sb.String()
-}
-
 // Interval is a closed integer interval [Lo, Hi].
 type Interval struct{ Lo, Hi int64 }
-
-// Point returns the degenerate interval [v, v].
-func Point(v int64) Interval { return Interval{v, v} }
-
-func (iv Interval) valid() bool {
-	return iv.Lo <= iv.Hi && inBudget(iv.Lo) && inBudget(iv.Hi)
-}
-
-// addIv adds two intervals exactly.
-func addIv(a, b Interval) (Interval, bool) {
-	lo, ok1 := addCheck(a.Lo, b.Lo)
-	hi, ok2 := addCheck(a.Hi, b.Hi)
-	if !ok1 || !ok2 {
-		return Interval{}, false
-	}
-	return Interval{lo, hi}, true
-}
-
-// mulIv multiplies two intervals exactly (4-corner min/max).
-func mulIv(a, b Interval) (Interval, bool) {
-	var vals [4]int64
-	pairs := [4][2]int64{{a.Lo, b.Lo}, {a.Lo, b.Hi}, {a.Hi, b.Lo}, {a.Hi, b.Hi}}
-	for i, p := range pairs {
-		v, ok := mulCheck(p[0], p[1])
-		if !ok {
-			return Interval{}, false
-		}
-		vals[i] = v
-	}
-	lo, hi := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return Interval{lo, hi}, true
-}
-
-// Env assigns symbols known constant intervals. A symbol missing from
-// the env is unbounded, which makes evaluation fail.
-type Env map[Sym]Interval
-
-// Eval computes the exact interval of the form under env. It fails when
-// a symbol is unbounded, an interval is malformed, or any intermediate
-// leaves ±RangeBudget. The result is the true min/max of the form over
-// the box env describes: every term is monotone in each symbol, so
-// corner evaluation (via interval arithmetic on the normal form) is
-// exact, not an over-approximation — which is what lets the pass use
-// the endpoints as actually-referenced indices.
-func (a Affine) Eval(env Env) (Interval, bool) {
-	acc := Point(a.Const)
-	for _, t := range a.Terms {
-		x, ok := env[t.X]
-		if !ok || !x.valid() {
-			return Interval{}, false
-		}
-		term := x
-		if t.Y != NoSym {
-			y, ok := env[t.Y]
-			if !ok || !y.valid() {
-				return Interval{}, false
-			}
-			if term, ok = mulIv(term, y); !ok {
-				return Interval{}, false
-			}
-		}
-		if term, ok = mulIv(term, Point(t.Coeff)); !ok {
-			return Interval{}, false
-		}
-		if acc, ok = addIv(acc, term); !ok {
-			return Interval{}, false
-		}
-	}
-	return acc, true
-}
 
 // IVRange is the value range of a counted-loop induction variable
 // `for (v = Lo; v < H; v++)` (or <= when Incl): the trip-count chain's

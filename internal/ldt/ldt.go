@@ -66,10 +66,6 @@ const UsableEntries = x86seg.TableEntries - 1
 // disabling bound checking for the overflowing objects.
 var ErrExhausted = errors.New("ldt: all 8191 LDT entries in use")
 
-// ErrNoCallGate is returned when the fast path is requested before
-// InstallCallGate has run.
-var ErrNoCallGate = errors.New("ldt: call gate not installed")
-
 // cacheEntry is one slot of the 3-entry recently-freed-segment cache.
 type cacheEntry struct {
 	index int
@@ -381,9 +377,6 @@ func (m *Manager) EnableAudit() {
 	}
 	m.audit = true
 }
-
-// AuditEnabled reports whether audit bookkeeping is on.
-func (m *Manager) AuditEnabled() bool { return m.audit }
 
 // Reserve takes up to n entries off the user-space free list on behalf of
 // an external consumer (the chaos plane uses it to model other processes

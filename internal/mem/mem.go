@@ -228,7 +228,7 @@ func (m *Memory) Write16(addr uint32, v uint16) {
 	m.Write8(addr+1, uint8(v>>8))
 }
 
-// Read32Fast, Write32Fast, Read8Fast and Write8Fast are the inlinable
+// Read32Fast, Write32Fast and Write8Fast are the inlinable
 // arena fast paths for the tier-2 superblock engine: each handles only
 // accesses that land wholly inside a dense arena and reports false
 // otherwise, so the caller falls back to the full accessor. Their
@@ -271,16 +271,6 @@ func (m *Memory) Write32Fast(addr uint32, v uint32) bool {
 		return true
 	}
 	return false
-}
-
-func (m *Memory) Read8Fast(addr uint32) (uint8, bool) {
-	if addr < uint32(len(m.lo)) {
-		return m.lo[addr], true
-	}
-	if d := addr - m.hiBase; d < uint32(len(m.hi)) {
-		return m.hi[d], true
-	}
-	return 0, false
 }
 
 func (m *Memory) Write8Fast(addr uint32, v uint8) bool {

@@ -395,7 +395,7 @@ func (p *parser) stmt() (Stmt, error) {
 }
 
 // localDecl parses "type declarator (, declarator)* ;" and returns a
-// BlockStmt when several variables are declared at once.
+// single DeclStmt however many variables it declares.
 func (p *parser) localDecl() (Stmt, error) {
 	base, err := p.baseType()
 	if err != nil {

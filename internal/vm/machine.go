@@ -465,9 +465,6 @@ func (m *Machine) Memory() *mem.Memory { return m.memory }
 // Reg returns the value of a general-purpose register.
 func (m *Machine) Reg(r Reg) uint32 { return m.regs[r] }
 
-// SetReg sets a general-purpose register (for test harnesses).
-func (m *Machine) SetReg(r Reg, v uint32) { m.regs[r] = v }
-
 // Cycles returns the cycle count so far, including LDT manager charges.
 func (m *Machine) Cycles() uint64 { return m.cycles + m.ldtMgr.Cycles() }
 

@@ -23,7 +23,7 @@ import (
 // The run loop (superblock.run) interprets the micro-ops with the
 // register file, the compare flags and the hardware-check tally held in
 // host locals, translates memory references through the MMU's
-// precomputed fast path (x86seg.QuickTranslate), and accumulates
+// precomputed fast path (x86seg.QuickRef), and accumulates
 // Instructions, cycles and note-derived counters in bulk from prefix
 // sums — one reconciliation per superblock exit instead of per
 // instruction.

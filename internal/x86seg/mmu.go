@@ -45,7 +45,7 @@ type segRegister struct {
 	isLDT    bool
 
 	// quickR and quickW are the precomputed limit-check thresholds for
-	// the tier-2 inline fast path (QuickTranslate): quickR[k] is one past
+	// the tier-2 inline fast path (QuickRef): quickR[k] is one past
 	// the largest offset at which a read of 1<<k bytes stays within the
 	// cached descriptor's limit, held as uint64 so a flat 4 GiB segment
 	// does not wrap to zero. quickW likewise for writes (zero for
@@ -162,32 +162,17 @@ func (m *MMU) Load(r SegReg, sel Selector) error {
 	return nil
 }
 
-// QuickTranslate is the tier-2 inline fast path: the linear address of
-// an access of 1<<k bytes (k in 0..2) at offset through r, and true,
-// when the precomputed limit check passes. False means the caller must
-// run the full Translate — which reproduces every fault the thresholds
-// conservatively declined. Semantically QuickTranslate(…) == (lin, nil)
-// from Translate for every (true, lin) it returns; the thresholds are
-// recomputed on Load, so cached-descriptor staleness behaves identically
-// on both paths.
-func (m *MMU) QuickTranslate(r SegReg, offset uint32, k int, write bool) (uint32, bool) {
-	s := &m.regs[r]
-	lim := s.quickR[k]
-	if write {
-		lim = s.quickW[k]
-	}
-	if uint64(offset) < lim {
-		return s.cache.Base + offset, true
-	}
-	return 0, false
-}
-
-// QuickRef is QuickTranslate fused with IsLDT: one segment-register
-// lookup yields the fast-path linear address, whether the reference is
-// an LDT (hardware bound check) reference, and whether the fast path
-// applied. The ldt result is valid regardless of ok, so the caller can
-// count the hardware check before falling back to the full Translate —
-// the same order memPhys uses.
+// QuickRef is the tier-2 inline fast path, fused with IsLDT. One
+// segment-register lookup yields the linear address of an access of
+// 1<<k bytes (k in 0..2) at offset through r, whether the reference is
+// an LDT (hardware bound check) reference, and whether the precomputed
+// limit check passed. ok=false means the caller must run the full
+// Translate, which reproduces every fault the thresholds conservatively
+// declined; for every ok=true, lin is what Translate returns, and the
+// thresholds are recomputed on Load, so cached-descriptor staleness
+// behaves identically on both paths. The ldt result is valid regardless
+// of ok, so the caller can count the hardware check before falling back
+// to the full Translate — the same order memPhys uses.
 func (m *MMU) QuickRef(r SegReg, offset uint32, k int, write bool) (lin uint32, ldt, ok bool) {
 	s := &m.regs[r]
 	lim := s.quickR[k]
