@@ -275,9 +275,11 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode Mode, opt
 }
 
 // RunContext executes an artifact on a recycled machine under admission
-// control. Deterministic executions are served from the run cache;
-// ctx cancels a queued request and interrupts a running simulation
-// between basic blocks, returning ctx.Err().
+// control. Deterministic executions are served from the run cache,
+// keyed by the program and machine options rather than the build
+// request, so builds that compile to the same program share one
+// simulation; ctx cancels a queued request and interrupts a running
+// simulation between basic blocks, returning ctx.Err().
 func (e *Engine) RunContext(ctx context.Context, art *Artifact) (*RunResult, error) {
 	return e.eng.RunContext(ctx, art)
 }

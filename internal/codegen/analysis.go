@@ -25,6 +25,8 @@ import (
 
 // loopInfo is the analysis result for one outermost loop.
 type loopInfo struct {
+	// stmt is the loop statement (*minic.WhileStmt or *minic.ForStmt).
+	stmt minic.Stmt
 	// assigned maps array/pointer declarations to their segment register,
 	// in FCFS order.
 	assigned map[*minic.VarDecl]x86seg.SegReg
@@ -44,9 +46,9 @@ type loopInfo struct {
 
 // funcAnalysis is the analysis result for one function.
 type funcAnalysis struct {
-	// loops maps each outermost loop statement (*minic.WhileStmt or
-	// *minic.ForStmt) to its info.
-	loops map[minic.Stmt]*loopInfo
+	// loops holds each outermost loop's info in source order, the
+	// order the frame layout assigns their hoisting slots in.
+	loops []*loopInfo
 	// segRegsUsed is the set of segment registers the function touches
 	// (for save/restore in the prologue/epilogue, §3.7).
 	segRegsUsed []x86seg.SegReg
@@ -55,7 +57,7 @@ type funcAnalysis struct {
 // analyzeFunc walks a function body, finds outermost loops and performs
 // segment-register assignment with the given register budget.
 func analyzeFunc(fn *minic.FuncDecl, segRegs []x86seg.SegReg) *funcAnalysis {
-	fa := &funcAnalysis{loops: make(map[minic.Stmt]*loopInfo)}
+	fa := &funcAnalysis{}
 	used := make(map[x86seg.SegReg]bool)
 	minic.Inspect(fn.Body, func(n any) bool {
 		switch n.(type) {
@@ -64,7 +66,7 @@ func analyzeFunc(fn *minic.FuncDecl, segRegs []x86seg.SegReg) *funcAnalysis {
 		case *minic.WhileStmt, *minic.ForStmt:
 			loop := n.(minic.Stmt)
 			li := analyzeLoop(loop, segRegs)
-			fa.loops[loop] = li
+			fa.loops = append(fa.loops, li)
 			for _, r := range li.assigned {
 				used[r] = true
 			}
@@ -84,6 +86,7 @@ func analyzeFunc(fn *minic.FuncDecl, segRegs []x86seg.SegReg) *funcAnalysis {
 // assigns segment registers FCFS.
 func analyzeLoop(loop minic.Stmt, segRegs []x86seg.SegReg) *loopInfo {
 	li := &loopInfo{
+		stmt:     loop,
 		assigned: make(map[*minic.VarDecl]x86seg.SegReg),
 		spilled:  make(map[*minic.VarDecl]bool),
 		modified: make(map[*minic.VarDecl]bool),

@@ -64,7 +64,7 @@ func (c *compiler) genFunc(fn *minic.FuncDecl) error {
 
 	// Hoisting slots for the per-loop segment set-up (§3.3).
 	temps := make(map[int32]bool)
-	for stmt, li := range c.fa.loops {
+	for _, li := range c.fa.loops {
 		lc := &loopCtx{
 			info:    li,
 			relSlot: make(map[*minic.VarDecl]int32),
@@ -83,7 +83,7 @@ func (c *compiler) genFunc(fn *minic.FuncDecl) error {
 				temps[cur] = true
 			}
 		}
-		c.loopCtxFor[stmt] = lc
+		c.loopCtxFor[li.stmt] = lc
 	}
 	frameSize := -cur
 

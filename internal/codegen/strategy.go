@@ -64,7 +64,7 @@ type strategy interface {
 
 // emptyAnalysis is the no-segment-register analysis result.
 func emptyAnalysis() *funcAnalysis {
-	return &funcAnalysis{loops: make(map[minic.Stmt]*loopInfo)}
+	return &funcAnalysis{}
 }
 
 // ---------------------------------------------------------------------

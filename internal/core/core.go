@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"cash/internal/codegen"
 	"cash/internal/ir"
@@ -201,6 +202,12 @@ type Artifact struct {
 	Program *vm.Program
 	vmMode  vm.Mode
 	opts    Options
+
+	// runKey is the artifact's run key (see RunKey), set once:
+	// DecodeArtifact sets it from the bytes it decoded, and a built
+	// artifact computes it on first use.
+	runKeyOnce sync.Once
+	runKey     string
 }
 
 // ParseMode resolves a strategy name, as a flag or a wire request

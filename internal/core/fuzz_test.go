@@ -10,7 +10,9 @@ import (
 
 // FuzzDecodeArtifact feeds arbitrary bytes to DecodeArtifact. It must
 // never panic, and because the format is canonical, whatever decodes
-// must re-encode to exactly the input. The corpus is seeded with the
+// must re-encode to exactly the input and carry the run key that
+// hashing its program's encoding gives — the key a built artifact of
+// that program has. The corpus is seeded with the
 // encodings of the small workload kernels (range and stencil) under
 // every strategy, with and without the pass pipeline, plus a hand-written
 // blob of global arrays; small seeds keep the fuzzer's mutations and
@@ -46,6 +48,13 @@ func FuzzDecodeArtifact(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding differs:\n in %x\nout %x", data, again)
+		}
+		key, ok := art.RunKey()
+		if !ok {
+			t.Fatal("decoded artifact has no run key")
+		}
+		if want := art.digest(); key != want {
+			t.Fatalf("decoded run key %s, re-encoded program hashes to %s", key, want)
 		}
 	})
 }

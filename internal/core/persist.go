@@ -30,7 +30,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -123,6 +125,9 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	d.header(tagArtifact)
 	mode := Mode(d.str())
 	opts := d.options()
+	// The program is the blob's tail: once finish has accepted the
+	// blob, these are exactly the bytes the program decoded from.
+	progBytes := d.data
 	prog := d.program()
 	if err := d.finish("artifact"); err != nil {
 		return nil, err
@@ -131,7 +136,61 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts}, nil
+	a := &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts}
+	key := runDigest(info.Mode, &opts, progBytes)
+	a.runKeyOnce.Do(func() { a.runKey = key })
+	return a, nil
+}
+
+// RunKey returns the artifact's run key: a content digest of everything
+// a run of it consumes — the vm execution mode, the options that reach
+// vm.New (StepLimit, WithoutCallGate, ElectricFence, StepOnly) and the
+// program's canonical bytes, as EncodeArtifact writes them. Build
+// requests that compile to the same program share it: SegRegs 0 and 3,
+// a gcc build at any budget its loops fit in, a bound-instruction build
+// that emits no software check, sources that differ only in comments.
+// The digest is computed once per artifact, from the decoded bytes for
+// a decoded one.
+//
+// ok is false for an artifact that has no digest: an oracle build,
+// whose site table the encoding does not hold, or a program the format
+// cannot hold exactly.
+func (a *Artifact) RunKey() (key string, ok bool) {
+	a.runKeyOnce.Do(func() { a.runKey = a.digest() })
+	return a.runKey, a.runKey != ""
+}
+
+// digest encodes the program and hashes it into the run key, or returns
+// "" where RunKey has none.
+func (a *Artifact) digest() string {
+	if a.Program == nil || a.opts.Oracle || a.Program.Sites != nil {
+		return ""
+	}
+	e := &encoder{buf: make([]byte, 0, 256+12*len(a.Program.Instrs))}
+	if e.program(a.Program) != nil {
+		return ""
+	}
+	return runDigest(a.vmMode, &a.opts, e.buf)
+}
+
+// runDigest hashes a run's inputs into its run key. A zero StepLimit is
+// hashed as the limit the machine applies for it, so the two spellings
+// of the default share a key and a change of the default changes it.
+func runDigest(mode vm.Mode, o *Options, program []byte) string {
+	limit := o.StepLimit
+	if limit == 0 {
+		limit = vm.DefaultStepLimit
+	}
+	hdr := make([]byte, 0, 32)
+	hdr = append(hdr, "run\x00"...)
+	hdr = binary.AppendUvarint(hdr, uint64(mode))
+	hdr = append(hdr, bit(o.WithoutCallGate, optWithoutCallGate)|bit(o.ElectricFence, optElectricFence)|
+		bit(o.StepOnly, optStepOnly))
+	hdr = binary.AppendUvarint(hdr, limit)
+	h := sha256.New()
+	h.Write(hdr)
+	h.Write(program)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // EncodeRunOutcome serialises a run-cache entry: the result and the

@@ -105,26 +105,34 @@ type entry struct {
 	runErr error
 }
 
-// flight is one in-progress build that concurrent identical requests
-// coalesce onto.
+// flight is one in-progress build or run that concurrent identical
+// requests coalesce onto. A build flight ends with the leader's artifact
+// or compile error; a run flight ends with the leader's outcome, which
+// waiters share only when it was memoised (a canceled or unprovisioned
+// run is not an outcome of the program).
 type flight struct {
 	done chan struct{}
 	art  *core.Artifact
-	err  error
+
+	res      *core.RunResult
+	memoised bool
+
+	err error
 }
 
 // cache is the engine's content-addressed cache, in two tiers. Memory
 // holds artifacts and run results in one byte-budgeted LRU; disk, when
 // the engine has a StoreDir, holds their encoded bytes across processes
-// (internal/store, keyed by the same "a:"/"r:"-prefixed build keys).
-// Reads try memory, then disk, promoting disk hits into memory; writes
-// go to memory and through to disk.
+// (internal/store, under the same keys). Artifacts are filed under
+// "a:" and their build key, run outcomes under "r:" and their run key
+// (see runKey). Reads try memory, then disk, promoting disk hits into
+// memory; writes go to memory and through to disk.
 //
 // The cache also holds the two pieces of engine policy that sit on the
 // same keys: the singleflight table that coalesces concurrent identical
-// builds, and the artifact→key table that makes runs of canonical
-// cached artifacts memoisable. Everything in memory is under one mutex;
-// disk I/O and the codecs run outside it.
+// builds and runs, and the artifact→key table that makes runs of
+// canonical cached artifacts memoisable. Everything in memory is under
+// one mutex; disk I/O, the codecs and run-key digests run outside it.
 //
 // A cache is a cache, not a database: unpersistable values (oracle
 // artifacts, non-deterministic outcomes) and disk I/O failures
@@ -143,6 +151,8 @@ type cache struct {
 	// leaves memory: holders of the old pointer run for real, and the
 	// next lookup registers a canonical artifact again.
 	artKeys map[*core.Artifact]string
+	// flights holds the in-progress builds and runs, under the same
+	// "a:"/"r:"-prefixed keys as their cache entries.
 	flights map[string]*flight
 }
 
@@ -270,17 +280,18 @@ func (c *cache) writeArtifact(key string, art *core.Artifact) {
 	}
 }
 
-// startFlight joins or starts the singleflight for key. The second
-// return is true for the leader — the caller that must compile and then
-// finishFlight; false means wait on the returned flight's done channel.
-func (c *cache) startFlight(key string) (*flight, bool) {
+// startFlight joins or starts the singleflight for fullKey. The second
+// return is true for the leader — the caller that must compile (or
+// run) and then end the flight; false means wait on the returned
+// flight's done channel.
+func (c *cache) startFlight(fullKey string) (*flight, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if f, ok := c.flights[key]; ok {
+	if f, ok := c.flights[fullKey]; ok {
 		return f, false
 	}
 	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
+	c.flights[fullKey] = f
 	return f, true
 }
 
@@ -297,40 +308,58 @@ func (c *cache) finishFlight(key string, f *flight, art *core.Artifact, err erro
 		c.mu.Unlock()
 		c.writeArtifact(key, art)
 	}
-	c.endFlight(key, f, art, err)
+	f.art, f.err = art, err
+	c.endFlight("a:"+key, f)
+}
+
+// finishRun is finishFlight for a run: a memoised outcome is stored in
+// both tiers before the flight ends, so a later leader finds it when it
+// looks again (see Engine.runNoAdmission), and the flight keeps a
+// private copy for its waiters.
+func (c *cache) finishRun(key string, f *flight, res *core.RunResult, runErr error, memoise bool) {
+	if memoise {
+		c.putRun(key, res, runErr)
+		f.res, f.err, f.memoised = cloneRunResult(res), runErr, true
+	}
+	c.endFlight("r:"+key, f)
 }
 
 // endFlight removes the flight and releases its waiters with the
-// outcome.
-func (c *cache) endFlight(key string, f *flight, art *core.Artifact, err error) {
-	f.art, f.err = art, err
+// outcome the leader recorded in it.
+func (c *cache) endFlight(fullKey string, f *flight) {
 	c.mu.Lock()
-	delete(c.flights, key)
+	delete(c.flights, fullKey)
 	c.mu.Unlock()
 	close(f.done)
 }
 
 // runKey returns the run-cache key for an artifact and whether its runs
-// are memoisable (only canonical cached artifacts are; uncached
-// artifacts run for real every time).
+// are memoisable. Only canonical cached artifacts are; uncached
+// artifacts run for real every time. The key is the artifact's run key
+// (core.Artifact.RunKey), a digest of the program and the machine
+// options, so every cached artifact that compiles to the same program
+// shares its runs. An artifact without one (an oracle build) keeps its
+// runs under its build key.
 func (c *cache) runKey(art *core.Artifact) (string, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	key, ok := c.artKeys[art]
-	return key, ok
+	c.mu.Unlock()
+	if !ok {
+		return "", false
+	}
+	if digest, ok := art.RunKey(); ok {
+		return digest, true
+	}
+	return key, true
 }
 
 // getRun returns the memoised run outcome for a run key, from memory
 // or, failing that, from disk (promoting the hit). The result is a
 // private copy per call, so callers may mutate what they receive.
 func (c *cache) getRun(key string) (*core.RunResult, error, bool) {
-	c.mu.Lock()
-	if ent, ok := c.lookupLocked("r:" + key); ok {
-		res, runErr := cloneRunResult(ent.res), ent.runErr
-		c.mu.Unlock()
+	if res, runErr, ok := c.getMemRun(key); ok {
 		return res, runErr, true
 	}
-	c.mu.Unlock()
 	res, runErr, ok := c.readRun(key)
 	if !ok {
 		return nil, nil, false
@@ -339,6 +368,17 @@ func (c *cache) getRun(key string) (*core.RunResult, error, bool) {
 	// caller.
 	c.putMemRun(key, res, runErr)
 	return res, runErr, true
+}
+
+// getMemRun is getRun's memory tier alone.
+func (c *cache) getMemRun(key string) (*core.RunResult, error, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ent, ok := c.lookupLocked("r:" + key)
+	if !ok {
+		return nil, nil, false
+	}
+	return cloneRunResult(ent.res), ent.runErr, true
 }
 
 // readRun reads and decodes the disk tier's run outcome for key. As in

@@ -222,7 +222,7 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 		core.NoteCachedBuild(mode)
 		return art, nil
 	}
-	f, leader := e.cache.startFlight(key)
+	f, leader := e.cache.startFlight("a:" + key)
 	if !leader {
 		mBuildCoalesced.Inc()
 		select {
@@ -240,7 +240,8 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	// startFlight; its artifact is stored before it ends, so look once
 	// more before compiling.
 	if art, ok := e.cache.getArtifact(key); ok {
-		e.cache.endFlight(key, f, art, nil)
+		f.art = art
+		e.cache.endFlight("a:"+key, f)
 		mCacheHits.Inc()
 		core.NoteCachedBuild(mode)
 		return art, nil
@@ -270,11 +271,15 @@ func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine
 
 // RunContext executes the artifact once, honoring ctx between simulated
 // basic blocks (a canceled ctx surfaces as ctx.Err, never as a *Fault).
-// Runs of canonical cached artifacts are memoised: a repeat run returns
-// a deep copy of the recorded result — including deterministic error
-// outcomes such as step-limit faults — without simulating. Artifacts
-// the cache does not hold (built elsewhere, or evicted) always run for
-// real. A request slot is held for the duration (admission control).
+// Runs of canonical cached artifacts are memoised under their run key,
+// a digest of the program and the machine options
+// (core.Artifact.RunKey): a run of any cached artifact that compiles to
+// a program already run with the same options returns a deep copy of
+// the recorded result — including deterministic error outcomes such as
+// step-limit faults — without simulating, and concurrent runs of one
+// run key share one simulation. Artifacts the cache does not hold
+// (built elsewhere, or evicted) always run for real. A request slot is
+// held for the duration (admission control).
 func (e *Engine) RunContext(ctx context.Context, art *core.Artifact) (*core.RunResult, error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, err
@@ -290,28 +295,58 @@ func (e *Engine) runNoAdmission(ctx context.Context, art *core.Artifact) (*core.
 		return nil, err
 	}
 	key, cacheable := e.cache.runKey(art)
-	if cacheable {
-		if res, err, ok := e.cache.getRun(key); ok {
+	if !cacheable {
+		res, runErr, _ := simulate(ctx, art)
+		return res, runErr
+	}
+	for {
+		if res, err, ok := e.cache.getMemRun(key); ok {
 			mCacheRunHits.Inc()
 			return res, err
 		}
+		f, leader := e.cache.startFlight("r:" + key)
+		if !leader {
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if !f.memoised {
+				continue // the leader's run ended without an outcome: look again
+			}
+			mCacheRunHits.Inc()
+			return cloneRunResult(f.res), f.err
+		}
+		// The leader looks in both tiers: memory again, since a flight
+		// can end between the lookup above and startFlight with its
+		// outcome stored, and then disk.
+		if res, err, ok := e.cache.getRun(key); ok {
+			e.cache.endFlight("r:"+key, f)
+			mCacheRunHits.Inc()
+			return res, err
+		}
+		res, runErr, memoise := simulate(ctx, art)
+		e.cache.finishRun(key, f, res, runErr, memoise)
+		return res, runErr
 	}
+}
+
+// simulate runs the artifact on a machine that polls ctx. memoise
+// reports whether the outcome belongs to the program: a deterministic
+// machine gives a deterministic outcome, so errors (e.g. a runaway
+// program's step-limit fault) are as memoisable as successes, but a
+// cancellation or a machine that could not be provisioned is not.
+func simulate(ctx context.Context, art *core.Artifact) (res *core.RunResult, runErr error, memoise bool) {
 	m, err := art.NewMachine(vm.WithCancel(ctx))
 	if err != nil {
-		return nil, err
+		return nil, err, false
 	}
-	res, runErr := art.RunOn(m)
+	res, runErr = art.RunOn(m)
 	m.Release()
 	if f := (*vm.Fault)(nil); errors.As(runErr, &f) && f.Kind == vm.FaultCanceled {
-		return nil, ctx.Err()
+		return nil, ctx.Err(), false
 	}
-	if cacheable {
-		// Deterministic machine, deterministic outcome: errors (e.g. a
-		// runaway program's step-limit fault) are as cacheable as
-		// successes. Cancellation never reaches here.
-		e.cache.putRun(key, res, runErr)
-	}
-	return res, runErr
+	return res, runErr, true
 }
 
 // engineRunner adapts the Engine to core.Runner for

@@ -166,7 +166,9 @@ func TestPersistCorruptionIsMissNotError(t *testing.T) {
 // and a run entry written by an older build — version-2 gob payloads,
 // from before the hand-written codec — are disk misses. The engine
 // rebuilds and reruns, and overwrites both entries with ones the
-// current codec decodes.
+// current codec decodes. A run entry filed under the build key, where
+// stores written before run keys kept run outcomes, is never read: it
+// stays as it was until the store's budget evicts it.
 func TestPersistOldFormatIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	art, err := core.Build(sumKernel, core.ModeCash, core.Options{})
@@ -214,8 +216,14 @@ func TestPersistOldFormatIsMiss(t *testing.T) {
 	if err := d.Put("a:"+key, old.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put("r:"+key, oldRun.Bytes()); err != nil {
-		t.Fatal(err)
+	runKey, ok := art.RunKey()
+	if !ok {
+		t.Fatal("built artifact has no run key")
+	}
+	for _, k := range []string{key, runKey} {
+		if err := d.Put("r:"+k, oldRun.Bytes()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -253,12 +261,15 @@ func TestPersistOldFormatIsMiss(t *testing.T) {
 	if _, err := core.DecodeArtifact(payload); err != nil {
 		t.Fatalf("artifact entry was not overwritten in the current format: %v", err)
 	}
-	payload, ok = d.Get("r:" + key)
+	payload, ok = d.Get("r:" + runKey)
 	if !ok {
 		t.Fatal("run entry missing after the rerun")
 	}
 	if _, _, err := core.DecodeRunOutcome(payload); err != nil {
 		t.Fatalf("run entry was not overwritten in the current format: %v", err)
+	}
+	if payload, ok = d.Get("r:" + key); !ok || !bytes.Equal(payload, oldRun.Bytes()) {
+		t.Fatal("the run entry under the build key was read or rewritten")
 	}
 }
 

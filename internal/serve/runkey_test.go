@@ -1,0 +1,191 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"cash/internal/core"
+	"cash/internal/vm"
+)
+
+// runDeltas runs each artifact once on eng and returns the results with
+// the vm.runs and serve.cache.run_hits deltas the runs caused.
+func runDeltas(t *testing.T, eng *Engine, arts ...*core.Artifact) (res []*core.RunResult, sims, hits uint64) {
+	t.Helper()
+	runs, runHits := counter("vm.runs"), counter("serve.cache.run_hits")
+	for _, art := range arts {
+		res = append(res, mustRun(t, eng, art))
+	}
+	return res, counter("vm.runs") - runs, counter("serve.cache.run_hits") - runHits
+}
+
+// TestRunsShareOneSimulation pins the run cache's address: two build
+// requests that compile to the same program with the same machine
+// options are distinct artifacts, but they share one run key, so the
+// second run is served from the first one's simulation.
+func TestRunsShareOneSimulation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mode core.Mode
+		a, b core.Options
+	}{
+		{"gcc SegRegs 2/3", core.ModeGCC, core.Options{SegRegs: 2}, core.Options{SegRegs: 3}},
+		{"cash SegRegs 0/3", core.ModeCash, core.Options{}, core.Options{SegRegs: 3}},
+	} {
+		eng := NewEngine(EngineConfig{})
+		a := mustBuild(t, eng, heapKernel, c.mode, c.a)
+		b := mustBuild(t, eng, heapKernel, c.mode, c.b)
+		if a == b {
+			t.Fatalf("%s: the two builds are one cached artifact", c.name)
+		}
+		res, sims, hits := runDeltas(t, eng, a, b)
+		if sims != 1 || hits != 1 {
+			t.Fatalf("%s: vm.runs delta %d, run_hits delta %d; want 1 and 1", c.name, sims, hits)
+		}
+		if res[0] == res[1] || !reflect.DeepEqual(res[0], res[1]) {
+			t.Fatalf("%s: shared run is not an equal private copy:\n%+v\nvs\n%+v", c.name, res[0], res[1])
+		}
+		if cold := coldRun(t, heapKernel, c.mode); !reflect.DeepEqual(res[1], cold) {
+			t.Fatalf("%s: shared run differs from a direct run:\n%+v\nvs\n%+v", c.name, res[1], cold)
+		}
+	}
+}
+
+// TestRunsThatMustNotShare pins the other side: an option that reaches
+// the machine separates two runs of one program, and oracle builds,
+// which have no run key, keep their runs under their own build keys.
+func TestRunsThatMustNotShare(t *testing.T) {
+	for name, opts := range map[string]core.Options{
+		"StepLimit":       {StepLimit: 1 << 30},
+		"WithoutCallGate": {WithoutCallGate: true},
+		"ElectricFence":   {ElectricFence: true},
+		"StepOnly":        {StepOnly: true},
+	} {
+		eng := NewEngine(EngineConfig{})
+		base := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
+		other := mustBuild(t, eng, heapKernel, core.ModeCash, opts)
+		if _, sims, hits := runDeltas(t, eng, base, other); sims != 2 || hits != 0 {
+			t.Errorf("%s: vm.runs delta %d, run_hits delta %d; want 2 and 0", name, sims, hits)
+		}
+	}
+	eng := NewEngine(EngineConfig{})
+	a := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true})
+	b := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true, SegRegs: 3})
+	if _, sims, hits := runDeltas(t, eng, a, b, a); sims != 2 || hits != 1 {
+		t.Errorf("oracle builds: vm.runs delta %d, run_hits delta %d; want 2 and 1", sims, hits)
+	}
+}
+
+// TestConcurrentRunsShareOneSimulation starts runs of 8 distinct
+// artifacts — sources that differ only in a comment — at once: they
+// share one run key, so exactly one simulation happens and the other
+// runs wait for it (or find its outcome), whatever the interleaving.
+func TestConcurrentRunsShareOneSimulation(t *testing.T) {
+	const n = 8
+	eng := NewEngine(EngineConfig{MaxInFlight: n})
+	arts := make([]*core.Artifact, n)
+	for i := range arts {
+		arts[i] = mustBuild(t, eng, fmt.Sprintf("// variant %d\n%s", i, heapKernel), core.ModeCash, core.Options{})
+		if i > 0 && arts[i] == arts[0] {
+			t.Fatal("sources differing in a comment built one artifact")
+		}
+	}
+	runs, runHits := counter("vm.runs"), counter("serve.cache.run_hits")
+	res := make([]*core.RunResult, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range arts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			res[i], errs[i] = eng.RunContext(context.Background(), arts[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(res[i], res[0]) || (i > 0 && res[i] == res[0]) {
+			t.Fatalf("run %d is not an equal private copy of run 0", i)
+		}
+	}
+	if got := counter("vm.runs") - runs; got != 1 {
+		t.Fatalf("vm.runs delta = %d, want 1", got)
+	}
+	if got := counter("serve.cache.run_hits") - runHits; got != n-1 {
+		t.Fatalf("run_hits delta = %d, want %d", got, n-1)
+	}
+}
+
+// TestCanceledRunLeaderDoesNotFailWaiters: a run that waits on another
+// caller's simulation of the same run key must not inherit that
+// caller's cancellation. The waiter runs the program itself and gets
+// the program's outcome, here a step-limit fault; nothing canceled is
+// memoised.
+func TestCanceledRunLeaderDoesNotFailWaiters(t *testing.T) {
+	eng := NewEngine(EngineConfig{MaxInFlight: 2})
+	opts := core.Options{StepLimit: 30_000_000}
+	leader := mustBuild(t, eng, runawayKernel, core.ModeGCC, opts)
+	waiter := mustBuild(t, eng, "// waiter\n"+runawayKernel, core.ModeGCC, opts)
+	key, _ := eng.cache.runKey(leader)
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := eng.RunContext(ctx, leader)
+		leaderErr <- err
+	}()
+	waitUntil("the leader's flight", func() bool {
+		eng.cache.mu.Lock()
+		defer eng.cache.mu.Unlock()
+		return eng.cache.flights["r:"+key] != nil
+	})
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, err := eng.RunContext(context.Background(), waiter)
+		waiterErr <- err
+	}()
+	waitUntil("the waiter's admission", func() bool {
+		eng.adm.mu.Lock()
+		defer eng.adm.mu.Unlock()
+		return eng.adm.inflight == 2
+	})
+	// Let the waiter reach the flight. Should it not have, it finds the
+	// flight ended without an outcome, or none, and leads the run
+	// itself: the outcome below is the same either way.
+	time.Sleep(5 * time.Millisecond)
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: err = %v, want context.Canceled", err)
+	}
+	err := <-waiterErr
+	if f := (*vm.Fault)(nil); !errors.As(err, &f) || f.Kind != vm.FaultStepLimit {
+		t.Fatalf("waiter: err = %v, want the step-limit fault", err)
+	}
+	// The waiter's outcome, not the cancellation, is what a third run
+	// finds.
+	runs := counter("vm.runs")
+	if _, again := eng.RunContext(context.Background(), leader); again == nil || again.Error() != err.Error() {
+		t.Fatalf("third run: err = %v, want %v", again, err)
+	}
+	if got := counter("vm.runs") - runs; got != 0 {
+		t.Fatalf("third run simulated (vm.runs delta %d): the waiter's outcome was not memoised", got)
+	}
+}
