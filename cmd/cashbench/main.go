@@ -256,6 +256,9 @@ func run() (err error) {
 		}
 		elapsed := time.Since(start)
 		reportThroughput(elapsed)
+		if vm.SBStatsEnabled {
+			fmt.Fprint(os.Stderr, vm.ReadUopMix())
+		}
 		if *jsonPath != "" {
 			if err := writeTimings(*jsonPath, *requests, *parallel, *step, elapsed, timings); err != nil {
 				return err

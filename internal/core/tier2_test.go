@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cash/internal/vm"
@@ -229,21 +231,184 @@ func TestTier2ChaosDeoptSites(t *testing.T) {
 	}
 }
 
-// TestTier2DumpSuperblocks pins the compiled form of the sweep
-// program's hot loops: region selection and trace layout only change
-// for a reason, and the dump is the first thing a reader sees of the
-// engine.
+// tier2CallProgram calls a function inside a hot loop: the loop trace
+// ends at the CALL, and tier 2 adds traces at the callee's entry, at its
+// epilogue (which ends in the RET) and at the return continuation.
+const tier2CallProgram = `
+int a[8];
+int f(int x) { return x * 3 + 1; }
+void main() {
+	int s = 0;
+	for (int i = 0; i < 6; i++) {
+		s = s + f(i);
+		a[i % 8] = s;
+	}
+	printi(s + a[3]);
+}`
+
+// tier2IdiomProgram exercises every idiom tier 2 fuses into a superop
+// (the GCC build all but Mov+CmpJ, which BCC's check sequences supply)
+// inside a recursive function whose frames hold a 2400-byte array.
+func tier2IdiomProgram(depth int) string {
+	return fmt.Sprintf(`
+int out[8];
+int idioms(int n, int k) {
+	int pad[600];
+	int s = 0;
+	int lim = 4;
+	for (int i = 0; i < lim; i++) {
+		int j = i * lim + k;
+		pad[i + j] = j;
+		s += (i + 1) * (j + 2);
+		s++;
+	}
+	if (n > 0) s = s + idioms(n - 1, k);
+	return s + pad[3];
+}
+void main() {
+	for (int r = 0; r < 3; r++) out[r] = idioms(%d, r);
+	printi(out[0] + out[1] + out[2]);
+}`, depth)
+}
+
+// tier2Idioms lists the superop names DumpSuperblocks prints.
+var tier2Idioms = []string{
+	"load4f+mov+add+store4f", "load4f+mov+add+store4f+jmp",
+	"load4f+cmpj", "load4f+cmprmj", "mov+cmpj", "push+load4f",
+	"pop+mul", "addmf+shl", "mulmf+addmf", "addrmwf+load4f",
+}
+
+// requireTraces fails unless the tier-2 build compiled every idiom (over
+// the given artifacts together) and traces that end in a call and a
+// return.
+func requireTraces(t *testing.T, arts ...*Artifact) {
+	t.Helper()
+	var dump strings.Builder
+	for _, a := range arts {
+		dump.WriteString(a.DumpSuperblocks())
+	}
+	for _, want := range append([]string{"(call, ", "(ret, "}, tier2Idioms...) {
+		if strings.HasPrefix(want, "(") {
+			if !strings.Contains(dump.String(), want) {
+				t.Fatalf("no %q trace compiled", want)
+			}
+			continue
+		}
+		if !strings.Contains(dump.String(), "\t# "+want+"\n") {
+			t.Fatalf("idiom %s not fused", want)
+		}
+	}
+}
+
+// TestTier2CallStepLimitEveryOffset sweeps the step limit over every
+// instruction of a program that calls a function inside a hot loop, so
+// the stop lands at every offset of the loop, callee, epilogue and
+// continuation traces — and on each traced CALL and RET.
+func TestTier2CallStepLimitEveryOffset(t *testing.T) {
+	for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
+		a1, a2 := tierPair(t, tier2CallProgram, mode, Options{})
+		if mode == ModeGCC {
+			requireTraces(t, a2, mustBuildArt(t, tier2IdiomProgram(2), ModeBCC, Options{}))
+		}
+		clean, err := runRaw(t, a1)
+		if err != nil {
+			t.Fatalf("%v clean: %v", mode, err)
+		}
+		total := clean.Stats.Instructions
+		for limit := uint64(1); limit <= total+1; limit++ {
+			compareTiers(t, fmt.Sprintf("%v limit=%d", mode, limit), a1, a2,
+				vm.WithStepLimit(limit))
+		}
+	}
+}
+
+// TestTier2DivideFaultInCallee raises a divide fault inside a callee
+// entered through a traced CALL, on the twelfth trip round the loop.
+func TestTier2DivideFaultInCallee(t *testing.T) {
+	const src = `
+int g(int d) { return 100 / d; }
+void main() {
+	int x = 0;
+	for (int i = 0; i < 20; i++) {
+		x = x + g(12 - i);
+	}
+	printi(x);
+}`
+	for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
+		a1, a2 := tierPair(t, src, mode, Options{})
+		if !strings.Contains(a2.DumpSuperblocks(), "(call, ") {
+			t.Fatalf("%v: the loop's CALL is not traced", mode)
+		}
+		compareTiers(t, fmt.Sprintf("callee-divide/%v", mode), a1, a2)
+		if _, err := runRaw(t, a2); !isFault(err, vm.FaultDivide) {
+			t.Fatalf("%v: got %v, want a divide fault", mode, err)
+		}
+	}
+}
+
+// TestTier2DeepRecursionLeavesWindow recurses until the frames lie
+// below the 2 MiB stack window, where every superop's fast path refuses
+// and its head runs as its original kind.
+func TestTier2DeepRecursionLeavesWindow(t *testing.T) {
+	src := tier2IdiomProgram(1000) // 1000 frames of about 2.4 KB
+	for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
+		a1, a2 := tierPair(t, src, mode, Options{})
+		compareTiers(t, fmt.Sprintf("deep/%v", mode), a1, a2)
+		m, err := a2.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if m.Memory().PagesAllocated() == 0 {
+			t.Fatalf("%v: the recursion never left the stack window", mode)
+		}
+		m.Release()
+	}
+}
+
+// TestTier2IdiomsPaged runs every idiom on a paged machine, where every
+// window is zero: each superop runs as its original kind, through the
+// page walk.
+func TestTier2IdiomsPaged(t *testing.T) {
+	for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
+		a1, a2 := tierPair(t, tier2IdiomProgram(5), mode, Options{})
+		compareTiers(t, fmt.Sprintf("paged/%v", mode), a1, a2, vm.WithPaging(64<<20))
+		compareTiers(t, fmt.Sprintf("plain/%v", mode), a1, a2)
+	}
+}
+
+func isFault(err error, kind vm.FaultKind) bool {
+	f, ok := err.(*vm.Fault)
+	return ok && f.Kind == kind
+}
+
+// TestTier2DumpSuperblocks pins the compiled form of the sweep programs:
+// region selection, the call and return traces, trace layout and the
+// fused idioms only change for a reason, and the dump is the first thing
+// a reader sees of the engine. On a deliberate change, replace the
+// golden with the dump the failure prints.
 func TestTier2DumpSuperblocks(t *testing.T) {
-	art, err := Build(tier2LoopProgram, ModeGCC, Options{})
+	var got strings.Builder
+	for _, src := range []string{tier2LoopProgram, tier2CallProgram} {
+		art := mustBuildArt(t, src, ModeGCC, Options{})
+		got.WriteString(art.DumpSuperblocks())
+		if _, err := art.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const golden = "testdata/tier2_superblocks.txt"
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dump := art.DumpSuperblocks()
-	if dump == "" {
-		t.Fatal("empty superblock dump")
-	}
-	t.Logf("\n%s", dump)
-	if _, err := art.Run(); err != nil {
-		t.Fatal(err)
+	if got.String() != string(want) {
+		g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		line := 0
+		for line < len(g) && line < len(w) && g[line] == w[line] {
+			line++
+		}
+		t.Fatalf("superblock dump differs from %s at line %d; the dump:\n%s", golden, line+1, got.String())
 	}
 }

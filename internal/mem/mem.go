@@ -245,6 +245,17 @@ func (m *Memory) DenseWindows() (lo, hi []byte, lo4, hiBase, hi4 uint32) {
 	return m.lo, m.hi, m.lo4, m.hiBase, m.hi4
 }
 
+// LowerHiDirty records writes a caller made directly into the hi slice
+// of DenseWindows: off is the lowest arena offset written. A caller that
+// stores into the window itself keeps its own low-water mark and
+// publishes it here before anything else can read the memory, so Reset
+// still zeroes every byte written.
+func (m *Memory) LowerHiDirty(off uint32) {
+	if off < m.hiDirty {
+		m.hiDirty = off
+	}
+}
+
 func (m *Memory) Read32Fast(addr uint32) (uint32, bool) {
 	if addr < m.lo4 {
 		return binary.LittleEndian.Uint32(m.lo[addr:]), true

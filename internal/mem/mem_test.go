@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -205,6 +206,23 @@ func TestDenseReset(t *testing.T) {
 		if got := m.Read32(addr); got != 0 {
 			t.Fatalf("after Reset, Read32(%#x) = %d, want 0", addr, got)
 		}
+	}
+}
+
+// TestLowerHiDirty writes into the stack window through the DenseWindows
+// slice, as the tier-2 run loop does, and publishes the low-water mark:
+// Reset must then zero those bytes, and a higher mark published later
+// must not raise it.
+func TestLowerHiDirty(t *testing.T) {
+	m := denseForTest()
+	_, hi, _, hiBase, _ := m.DenseWindows()
+	off := uint32(0x40)
+	binary.LittleEndian.PutUint32(hi[off:], 7)
+	m.LowerHiDirty(off)
+	m.LowerHiDirty(off + 8)
+	m.Reset()
+	if got := m.Read32(hiBase + off); got != 0 {
+		t.Fatalf("after Reset, direct window write reads %d, want 0", got)
 	}
 }
 

@@ -226,12 +226,9 @@ func (c *cache) putArtifactLocked(key string, art *core.Artifact) {
 // registered under the same lock, so it can never stay registered
 // after an eviction.
 func (c *cache) getArtifact(key string) (*core.Artifact, bool) {
-	c.mu.Lock()
-	if ent, ok := c.lookupLocked("a:" + key); ok {
-		c.mu.Unlock()
-		return ent.art, true
+	if art, ok := c.getMemArtifact(key); ok {
+		return art, true
 	}
-	c.mu.Unlock()
 	art, ok := c.readArtifact(key)
 	if !ok {
 		return nil, false
@@ -240,6 +237,16 @@ func (c *cache) getArtifact(key string) (*core.Artifact, bool) {
 	c.putArtifactLocked(key, art)
 	c.mu.Unlock()
 	return art, true
+}
+
+// getMemArtifact looks the artifact for key up in the memory tier only.
+func (c *cache) getMemArtifact(key string) (*core.Artifact, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ent, ok := c.lookupLocked("a:" + key); ok {
+		return ent.art, true
+	}
+	return nil, false
 }
 
 // readArtifact reads and decodes the disk tier's artifact for key.

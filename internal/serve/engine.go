@@ -237,9 +237,11 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 		return f.art, nil
 	}
 	// A flight for the key can end between the lookup above and
-	// startFlight; its artifact is stored before it ends, so look once
-	// more before compiling.
-	if art, ok := e.cache.getArtifact(key); ok {
+	// startFlight; its artifact is stored in memory before it ends, so
+	// look there once more before compiling. The disk tier was read
+	// above and holds nothing a finished flight did not also put in
+	// memory.
+	if art, ok := e.cache.getMemArtifact(key); ok {
 		f.art = art
 		e.cache.endFlight("a:"+key, f)
 		mCacheHits.Inc()

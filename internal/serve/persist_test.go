@@ -323,3 +323,19 @@ func BenchmarkRunRecycledMachine(b *testing.B) {
 		run()
 	}
 }
+
+// TestBuildMissReadsDiskOnce pins the disk reads of a compile: the
+// build's lookup misses the disk tier once, and the leader's re-check
+// before compiling looks in memory only.
+func TestBuildMissReadsDiskOnce(t *testing.T) {
+	eng := mustOpen(t, EngineConfig{StoreDir: t.TempDir()})
+	defer eng.Close()
+	misses, compiles := counter("store.disk.misses"), counter("serve.build.compiles")
+	mustBuild(t, eng, sumKernel, core.ModeCash, core.Options{})
+	if n := counter("serve.build.compiles") - compiles; n != 1 {
+		t.Fatalf("compiles delta = %d, want 1", n)
+	}
+	if n := counter("store.disk.misses") - misses; n != 1 {
+		t.Fatalf("disk misses delta = %d, want 1: one build on an empty store reads the disk tier once", n)
+	}
+}

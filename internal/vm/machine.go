@@ -300,6 +300,7 @@ type Machine struct {
 	sbRetired uint64
 	sbw       segWindows // cached sbWindows, valid while sbwGen == mmu.Gen()
 	sbwGen    uint64
+	mix       *uopMix // dispatch mix; sbstats builds only
 
 	// oracle is the overflow oracle's state (see oracle.go), nil unless
 	// the program carries a site table.
@@ -522,6 +523,9 @@ func (m *Machine) Run() (res *Result, err error) {
 		if m.sbt != nil {
 			countSB(m.sbEntries-startSBEntries, m.sbDeopts-startSBDeopts,
 				m.sbRetired-startSBRetired)
+			if SBStatsEnabled {
+				m.publishMix()
+			}
 		}
 		if f, ok := err.(*Fault); ok && f != nil {
 			countFault(f.Kind)

@@ -622,3 +622,34 @@ func TestBuilderDuplicateLabel(t *testing.T) {
 		t.Fatal("duplicate label must be an error")
 	}
 }
+
+// TestTier2PushESP pushes ESP itself inside a compiled loop. As in
+// Machine.push, the value pushed is ESP before the decrement, so each
+// pass adds 0 to EBX.
+func TestTier2PushESP(t *testing.T) {
+	p := buildProg(t, func(b *Builder) {
+		b.Op(MOV, R(ECX), I(0))
+		b.Op(MOV, R(EBX), I(0))
+		b.Label("loop")
+		b.Op1(PUSH, R(ESP))
+		b.Op1(POP, R(EAX))
+		b.Op(SUB, R(EAX), R(ESP))
+		b.Op(ADD, R(EBX), R(EAX))
+		b.Op(ADD, R(ECX), I(1))
+		b.Op(CMP, R(ECX), I(10))
+		b.Jump(JL, "loop")
+		b.Op(MOV, R(EAX), R(EBX))
+		b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
+		b.Emit(Instr{Op: HLT})
+	})
+	p.Regions = []Region{{Name: "loop", Start: 2, End: 9}}
+	for _, opts := range [][]Option{{WithoutTier2()}, nil} {
+		res := mustRun(t, p, ModeGCC, opts...)
+		if res.Output[0] != 0 {
+			t.Fatalf("tier2=%v: sum = %d, want 0", opts == nil, res.Output[0])
+		}
+		if opts == nil && (res.SB == nil || res.SB.InstrsRetired == 0) {
+			t.Fatalf("the loop did not run as a superblock: %+v", res.SB)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"cash/internal/x86seg"
 )
 
 // drainRecycler empties the process-wide free list, so the test decides
@@ -44,6 +46,25 @@ func tenantProg(t *testing.T) *Program {
 	return p
 }
 
+// tier2TenantProg dirties the stack arena from inside a compiled loop,
+// where pushes and stores write the window directly and the run loop
+// keeps the arena's dirty mark itself.
+func tier2TenantProg(t *testing.T) *Program {
+	t.Helper()
+	p := buildProg(t, func(b *Builder) {
+		b.Op(MOV, R(ECX), I(0))
+		b.Label("loop")
+		b.Emit(Instr{Op: PUSH, Src: I(-1)})
+		b.Op(MOV, M(MemRef{Seg: x86seg.SS, Base: ESP, HasBase: true, Disp: -64}), R(ECX))
+		b.Op(ADD, R(ECX), I(1))
+		b.Op(CMP, R(ECX), I(8))
+		b.Jump(JL, "loop")
+		b.Emit(Instr{Op: HLT})
+	})
+	p.Regions = []Region{{Name: "loop", Start: 1, End: 6}}
+	return p
+}
+
 // readerProg sums state a stale tenant would have left behind: its own
 // data image (7), a data word that starts zero, and the first heap word.
 func readerProg(t *testing.T) *Program {
@@ -80,6 +101,7 @@ func TestWithPartsResetEquivalence(t *testing.T) {
 		{"gcc", ModeGCC, tenantProg, nil},
 		{"bcc", ModeBCC, tenantProg, nil},
 		{"cash", ModeCash, tenantProg, nil},
+		{"tier2", ModeGCC, tier2TenantProg, nil},
 		{"electric-fence", ModeGCC, func(t *testing.T) *Program { return efenceProg(t, 100, 100) },
 			[]Option{WithPaging(1 << 24), WithElectricFence()}},
 		{"descriptor-corruption", ModeCash, tenantProg,

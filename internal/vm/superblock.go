@@ -46,7 +46,9 @@ import (
 
 // Region is a superblock candidate: a half-open instruction index range
 // the compiler judged hot (a loop's layout span). Regions are hints —
-// execution is correct with any, or no, regions attached.
+// execution is correct with any, or no, regions attached. Tier 2 derives
+// more of them itself: at in-region jump targets, and at the callee
+// entry and return continuation of each CALL that ends a compiled trace.
 type Region struct {
 	Start int
 	End   int
@@ -103,10 +105,63 @@ const (
 	uJAE
 	uJA
 	uJBE
-	uPush // push r[src]+imm2 through the stack reference
-	uPop
+	uPush   // push r[src]+imm2 through the stack reference
+	uPop    // pop into r[dst]
+	uCall   // trace-final CALL: push the return address (imm2), exit to tgt
+	uRet    // trace-final RET: pop the return address and exit to it
+	uCmpRMJ // uCmpRM fused with the conditional jump micro-op that follows it
+
+	// Superops: the head micro-op of one of the code generator's idioms
+	// (see fuseIdioms). Its fast path retires the whole idiom in one
+	// dispatch; when an access misses the stack window it runs as its
+	// original kind (orig) instead. "F" marks a frame slot: a 4-byte
+	// operand at EBP+disp with no index register.
+	uPostInc  // Load4F; Mov; Add; Store4F back to the same slot
+	uPostIncJ // uPostInc; Jmp
+	uLdCmpJ   // Load4F; CmpJ; Jcc
+	uLdCmpRMJ // Load4F; CmpRMJ against a frame slot; Jcc
+	uMovCmpJ  // Mov; CmpJ; Jcc
+	uPushLd   // Push; Load4F
+	uPopMul   // Pop; Mul
+	uAddMShl  // AddMF; Shl
+	uMulMAddM // MulMF; AddMF
+	uRMWLd    // AddRMWF; Load4F of the same slot
+
 	uGen // fall back to the predecoded closure for this instruction
+
+	numUKinds
 )
+
+// uopNames names every micro-op kind, for DumpSuperblocks and the
+// sbstats dispatch mix.
+var uopNames = [numUKinds]string{
+	uNop: "nop", uMov: "mov", uLea: "lea",
+	uLoad1: "load1", uLoad2: "load2", uLoad4: "load4",
+	uStore1: "store1", uStore2: "store2", uStore4: "store4",
+	uAdd: "add", uSub: "sub", uMul: "mul", uAnd: "and", uOr: "or", uXor: "xor",
+	uShl: "shl", uShr: "shr", uSar: "sar", uAlu: "alu",
+	uAddM: "addm", uSubM: "subm", uMulM: "mulm", uAluM: "alum",
+	uAluRMW: "alurmw", uAddRMW: "addrmw", uDiv: "div", uMod: "mod",
+	uNeg: "neg", uNot: "not", uCmp: "cmp", uCmpJ: "cmpj", uCmpRM: "cmprm",
+	uCmpM: "cmpm", uTest: "test", uJmp: "jmp",
+	uJE: "je", uJNE: "jne", uJL: "jl", uJLE: "jle", uJG: "jg", uJGE: "jge",
+	uJB: "jb", uJAE: "jae", uJA: "ja", uJBE: "jbe",
+	uPush: "push", uPop: "pop", uCall: "call", uRet: "ret", uCmpRMJ: "cmprmj",
+	uPostInc:  "load4f+mov+add+store4f",
+	uPostIncJ: "load4f+mov+add+store4f+jmp",
+	uLdCmpJ:   "load4f+cmpj",
+	uLdCmpRMJ: "load4f+cmprmj",
+	uMovCmpJ:  "mov+cmpj",
+	uPushLd:   "push+load4f",
+	uPopMul:   "pop+mul",
+	uAddMShl:  "addmf+shl",
+	uMulMAddM: "mulmf+addmf",
+	uRMWLd:    "addrmwf+load4f",
+	uGen:      "gen",
+}
+
+// isSuperop reports whether a micro-op kind is an idiom head.
+func isSuperop(kind uint8) bool { return kind >= uPostInc && kind <= uRMWLd }
 
 // uZero is the index of the always-zero slot in the run loop's local
 // register file. The file is sized 16 so every register field can be
@@ -125,6 +180,7 @@ type uop struct {
 	base  uint8
 	idx   uint8
 	seg   uint8 // x86seg.SegReg of the memory operand
+	orig  uint8 // a superop head's own kind, run when its fast path refuses
 	scale uint32
 	imm   uint32 // memory displacement
 	imm2  uint32 // reg-or-imm source: operand = r[src] + imm2
@@ -173,6 +229,10 @@ func (p *Program) superblocks() *sbTable {
 			t.list = append(t.list, sb)
 			return sb
 		}
+		type item struct {
+			sb *superblock
+			r  Region
+		}
 		for _, r := range p.Regions {
 			sb := add(r)
 			if sb == nil {
@@ -182,29 +242,40 @@ func (p *Program) superblocks() *sbTable {
 			// in-region branch would exit to the step interpreter for the
 			// rest of the loop body. Compile secondary traces at those
 			// side-exit targets (and at in-region jump joins) so off-trace
-			// paths land back on compiled code; the worklist closes over
-			// targets the secondaries expose in turn.
-			work := []*superblock{sb}
+			// paths land back on compiled code. A trace that ends in a
+			// CALL gets traces at the callee's entry (its region spans the
+			// rest of the program: code generators never jump between
+			// functions) and at the return continuation, so a call in a
+			// hot loop stays on compiled code. The worklist closes over
+			// the targets the new traces expose in turn.
+			work := []item{{sb, r}}
 			for len(work) > 0 {
 				cur := work[0]
 				work = work[1:]
-				for k := 0; k < cur.n; k++ {
-					in := &p.Instrs[cur.head+k]
+				push := func(r Region) {
+					if s2 := add(r); s2 != nil {
+						work = append(work, item{s2, r})
+					}
+				}
+				if last := &p.Instrs[cur.sb.head+cur.sb.n-1]; last.Op == CALL {
+					ret := cur.sb.head + cur.sb.n
+					push(Region{Name: last.Sym, Start: last.Target, End: len(p.Instrs)})
+					push(Region{Name: fmt.Sprintf("%s+%d", cur.r.Name, ret-cur.r.Start), Start: ret, End: cur.r.End})
+				}
+				for k := 0; k < cur.sb.n; k++ {
+					in := &p.Instrs[cur.sb.head+k]
 					if in.Op != JMP && !isCondJump(in.Op) {
 						continue
 					}
 					tgt := in.Target
-					if tgt <= r.Start || tgt >= r.End || t.heads[tgt] != nil {
+					if tgt <= cur.r.Start || tgt >= cur.r.End || t.heads[tgt] != nil {
 						continue
 					}
-					sec := Region{
-						Name:  fmt.Sprintf("%s+%d", r.Name, tgt-r.Start),
+					push(Region{
+						Name:  fmt.Sprintf("%s+%d", cur.r.Name, tgt-cur.r.Start),
 						Start: tgt,
-						End:   r.End,
-					}
-					if s2 := add(sec); s2 != nil {
-						work = append(work, s2)
-					}
+						End:   cur.r.End,
+					})
 				}
 			}
 		}
@@ -216,13 +287,13 @@ func (p *Program) superblocks() *sbTable {
 	return p.sb.t
 }
 
-// sbTraceable reports whether an op may appear inside a trace. Calls,
-// returns and system entries transfer control dynamically or run
-// variable-cost services; TRAP always faults; HLT ends the run — all of
-// them stay on the step interpreter.
+// sbTraceable reports whether an op may appear inside a trace. System
+// entries run variable-cost services; TRAP always faults; HLT ends the
+// run — all of them stay on the step interpreter. CALL and RET end a
+// trace: their target is the next trace's head.
 func sbTraceable(op Op) bool {
 	switch op {
-	case CALL, RET, INT, LCALL, HCALL, HLT, TRAP:
+	case INT, LCALL, HCALL, HLT, TRAP:
 		return false
 	}
 	return op < numOps
@@ -234,8 +305,9 @@ const sbMinLen = 2
 
 // buildTrace selects and compiles the trace for one candidate region:
 // the longest straight-line prefix of [Start, End) — an unconditional
-// jump terminates the trace (it is included; its target decides whether
-// the trace loops), an untraceable op stops before itself.
+// jump, a call or a return terminates the trace (it is included; a
+// jump's target decides whether the trace loops), an untraceable op
+// stops before itself.
 func buildTrace(p *Program, r Region) *superblock {
 	start, end := r.Start, r.End
 	if start < 0 || end > len(p.Instrs) || start >= end {
@@ -243,14 +315,14 @@ func buildTrace(p *Program, r Region) *superblock {
 	}
 	i := start
 	for i < end {
-		if !sbTraceable(p.Instrs[i].Op) {
-			break
-		}
-		if p.Instrs[i].Op == JMP {
-			i++
+		op := p.Instrs[i].Op
+		if !sbTraceable(op) {
 			break
 		}
 		i++
+		if op == JMP || op == CALL || op == RET {
+			break
+		}
 	}
 	n := i - start
 	if n < sbMinLen {
@@ -285,16 +357,113 @@ func buildTrace(p *Program, r Region) *superblock {
 	}
 	last := &p.Instrs[start+n-1]
 	sb.looping = (last.Op == JMP || isCondJump(last.Op)) && last.Target == start
-	// Fuse register-compare/conditional-jump pairs: the jump micro-op
-	// stays in place (its slot carries the branch targets and keeps the
+	// Fuse compare/conditional-jump pairs: the jump micro-op stays in
+	// place (its slot carries the branch targets and keeps the
 	// retired-instruction accounting one-to-one), but the compare
 	// consumes it in a single dispatch.
 	for k := 0; k+1 < n; k++ {
-		if sb.uops[k].kind == uCmp && sb.uops[k+1].kind >= uJE && sb.uops[k+1].kind <= uJBE {
-			sb.uops[k].kind = uCmpJ
+		if j := sb.uops[k+1].kind; j >= uJE && j <= uJBE {
+			switch sb.uops[k].kind {
+			case uCmp:
+				sb.uops[k].kind = uCmpJ
+			case uCmpRM:
+				sb.uops[k].kind = uCmpRMJ
+			}
 		}
 	}
+	fuseIdioms(sb.uops)
 	return sb
+}
+
+// fuseIdioms turns the head of each code-generator idiom into a superop.
+// Only the head's kind changes (its own kind moves to orig): every
+// component micro-op stays in place, so k still indexes instructions,
+// and the prefix sums, side exits and flush need no change. A superop's
+// fast path applies only when every memory access of the idiom hits the
+// stack window, which is never LDT and never faults, so the idiom
+// retires whole; otherwise the head runs as orig and dispatch goes on
+// through the components, whose arms handle faults, hardware-check
+// tallies and slow paths. The matchers therefore only accept idioms
+// whose every address is computable at the head: no component before an
+// access writes a register that access reads.
+func fuseIdioms(us []uop) {
+	for k := 0; k < len(us); {
+		kind, n := matchIdiom(us[k:])
+		if n == 0 {
+			k++
+			continue
+		}
+		us[k].orig, us[k].kind = us[k].kind, kind
+		k += n
+	}
+}
+
+// matchIdiom returns the superop kind and length of the idiom heading
+// us, or n == 0.
+func matchIdiom(us []uop) (kind uint8, n int) {
+	h := &us[0]
+	next := func(i int, kind uint8) *uop {
+		if i < len(us) && us[i].kind == kind {
+			return &us[i]
+		}
+		return nil
+	}
+	switch h.kind {
+	case uLoad4:
+		if !h.frameSlot() || h.dst == uint8(EBP) {
+			return
+		}
+		mv, add, st := next(1, uMov), next(2, uAdd), next(3, uStore4)
+		if mv != nil && add != nil && st != nil && st.sameSlot(h) &&
+			mv.dst != uint8(EBP) && add.dst != uint8(EBP) {
+			if next(4, uJmp) != nil {
+				return uPostIncJ, 5
+			}
+			return uPostInc, 4
+		}
+		if next(1, uCmpJ) != nil {
+			return uLdCmpJ, 3
+		}
+		if c := next(1, uCmpRMJ); c != nil && c.frameSlot() {
+			return uLdCmpRMJ, 3
+		}
+	case uMov:
+		if next(1, uCmpJ) != nil {
+			return uMovCmpJ, 3
+		}
+	case uPush:
+		if ld := next(1, uLoad4); ld != nil && ld.frameSlot() {
+			return uPushLd, 2
+		}
+	case uPop:
+		if next(1, uMul) != nil {
+			return uPopMul, 2
+		}
+	case uAddM:
+		if h.frameSlot() && next(1, uShl) != nil {
+			return uAddMShl, 2
+		}
+	case uMulM:
+		if a := next(1, uAddM); h.frameSlot() && h.dst != uint8(EBP) && a != nil && a.frameSlot() {
+			return uMulMAddM, 2
+		}
+	case uAddRMW:
+		if ld := next(1, uLoad4); h.frameSlot() && ld != nil && ld.sameSlot(h) {
+			return uRMWLd, 2
+		}
+	}
+	return 0, 0
+}
+
+// frameSlot reports whether a memory micro-op addresses a 4-byte frame
+// slot: an EBP base and no index register.
+func (u *uop) frameSlot() bool {
+	return u.base == uint8(EBP) && u.idx == uZero && u.k == 2
+}
+
+// sameSlot reports whether two frame-slot micro-ops address one slot.
+func (u *uop) sameSlot(v *uop) bool {
+	return u.frameSlot() && v.frameSlot() && u.seg == v.seg && u.imm == v.imm
 }
 
 func isCondJump(op Op) bool {
@@ -504,6 +673,14 @@ func buildUop(in *Instr, self, head, n int) uop {
 			return u
 		}
 
+	case CALL:
+		u.kind, u.imm2, u.tgt = uCall, uint32(self+1), int32(in.Target)
+		return u
+
+	case RET:
+		u.kind = uRet
+		return u
+
 	case POP:
 		if in.Dst.Kind == KindReg {
 			u.kind, u.dst = uPop, uint8(in.Dst.Reg)&15
@@ -588,10 +765,12 @@ func (m *Machine) sbWindows() (w segWindows) {
 // the interpreter, never mid-block.
 //
 // Machine state lives in host locals for the duration: the register
-// file (r, with uZero..15 pinned to zero), the compare flags and the
-// LDT hardware-check tally. Every exit path writes them back before
-// flushing the prefix-summed counters. Generic micro-ops (uGen) and
-// fault construction see fully reconciled machine state.
+// file (r, with uZero..15 pinned to zero), the compare flags, the LDT
+// hardware-check tally and the stack window's low-water dirty mark
+// (hid) for stores written straight into the window. Every exit path
+// writes them back before flushing the prefix-summed counters. Generic
+// micro-ops (uGen) and fault construction see fully reconciled machine
+// state.
 func (sb *superblock) run(m *Machine) error {
 	var (
 		r      [16]uint32
@@ -604,6 +783,7 @@ func (sb *superblock) run(m *Machine) error {
 		k      int
 		err    error
 		u      *uop
+		op     uint8
 	)
 	m.sbEntries++
 	budget := m.nextStop - m.stats.Instructions
@@ -615,11 +795,16 @@ func (sb *superblock) run(m *Machine) error {
 	plain := m.plain
 	uops := sb.uops
 	low, hiw, _, _, _ := memv.DenseWindows()
+	hid := uint32(len(hiw))
 	if g := mmu.Gen(); g != m.sbwGen {
 		m.sbw = m.sbWindows()
 		m.sbwGen = g
 	}
 	w := &m.sbw
+	var mix *uopMix
+	if SBStatsEnabled {
+		mix = m.uopMix()
+	}
 	copy(r[:NumRegs], m.regs[:])
 	eq, lt, below = m.eq, m.lt, m.below
 
@@ -627,7 +812,12 @@ func (sb *superblock) run(m *Machine) error {
 		k = 0
 		for k < len(uops) {
 			u = &uops[k]
-			switch u.kind {
+			op = u.kind
+		dispatch:
+			if SBStatsEnabled {
+				mix.dispatched[op]++
+			}
+			switch op {
 			case uNop:
 
 			case uMov:
@@ -711,7 +901,12 @@ func (sb *superblock) run(m *Machine) error {
 			case uStore4:
 				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
 				s := u.seg & 7
-				if ea < w.wOK[s] {
+				if d := ea - w.hiDel[s]; d < w.hiLen[s] && ea < w.wOK[s] {
+					binary.LittleEndian.PutUint32(hiw[d:], r[u.src&15]+u.imm2)
+					if d < hid {
+						hid = d
+					}
+				} else if ea < w.wOK[s] {
 					if w.ldt[s] {
 						hw++
 					}
@@ -838,7 +1033,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					b = sbReadSized(memv, lin, u.k)
 				}
-				switch u.kind {
+				switch op {
 				case uAddM:
 					r[u.dst&15] += b
 				case uSubM:
@@ -853,16 +1048,15 @@ func (sb *superblock) run(m *Machine) error {
 				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
 				s := u.seg & 7
 				if d := ea - w.hiDel[s]; d < w.hiLen[s] && ea < w.wOK[s] && u.k == 2 {
-					// hi windows are never LDT, so no hardware-check counts;
-					// the store still runs through the fast accessor for the
-					// dirty watermark.
+					// hi windows are never LDT, so no hardware-check counts.
 					a, b := binary.LittleEndian.Uint32(hiw[d:]), r[u.src&15]+u.imm2
 					v := a + b
-					if u.kind == uAluRMW {
+					if op == uAluRMW {
 						v = u.fn(a, b)
 					}
-					if !memv.Write32Fast(ea, v) {
-						memv.Write32(ea, v)
+					binary.LittleEndian.PutUint32(hiw[d:], v)
+					if d < hid {
+						hid = d
 					}
 				} else if ea < w.loR[s] && ea < w.wOK[s] && u.k == 2 {
 					if w.ldt[s] {
@@ -871,7 +1065,7 @@ func (sb *superblock) run(m *Machine) error {
 					lin := w.base[s] + ea
 					a, b := binary.LittleEndian.Uint32(low[lin:]), r[u.src&15]+u.imm2
 					v := a + b
-					if u.kind == uAluRMW {
+					if op == uAluRMW {
 						v = u.fn(a, b)
 					}
 					if !memv.Write32Fast(lin, v) {
@@ -901,7 +1095,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					b := r[u.src&15] + u.imm2
 					v := a + b
-					if u.kind == uAluRMW {
+					if op == uAluRMW {
 						v = u.fn(a, b)
 					}
 					sbWriteSized(memv, lin2, u.k, v)
@@ -914,7 +1108,7 @@ func (sb *superblock) run(m *Machine) error {
 					err = m.fault(FaultDivide, nil)
 					goto deopt
 				}
-				if u.kind == uMod {
+				if op == uMod {
 					r[u.dst&15] = uint32(int32(r[u.dst&15]) % int32(b))
 				} else {
 					r[u.dst&15] = uint32(int32(r[u.dst&15]) / int32(b))
@@ -943,31 +1137,9 @@ func (sb *superblock) run(m *Machine) error {
 				below = a < b
 				k++
 				u = &uops[k]
-				switch u.kind {
-				case uJE:
-					taken = eq
-				case uJNE:
-					taken = !eq
-				case uJL:
-					taken = lt
-				case uJLE:
-					taken = lt || eq
-				case uJG:
-					taken = !lt && !eq
-				case uJGE:
-					taken = !lt
-				case uJB:
-					taken = below
-				case uJAE:
-					taken = !below
-				case uJA:
-					taken = !below && !eq
-				default: // uJBE
-					taken = below || eq
-				}
-				goto branch
+				goto cond
 
-			case uCmpRM:
+			case uCmpRM, uCmpRMJ:
 				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
 				s := u.seg & 7
 				var b uint32
@@ -995,6 +1167,11 @@ func (sb *superblock) run(m *Machine) error {
 				eq = a == b
 				lt = int32(a) < int32(b)
 				below = a < b
+				if op == uCmpRMJ {
+					k++
+					u = &uops[k]
+					goto cond
+				}
 
 			case uCmpM:
 				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
@@ -1065,18 +1242,25 @@ func (sb *superblock) run(m *Machine) error {
 				taken = below || eq
 				goto branch
 
-			case uPush:
-				// Matches Machine.push: ESP moves before the translation,
-				// so a faulting push leaves it decremented.
+			case uPush, uCall:
+				// Matches Machine.push: the value is read first, and ESP
+				// moves before the translation, so a faulting push leaves
+				// it decremented. A CALL pushes its return address.
+				v := r[u.src&15] + u.imm2
 				r[ESP] -= 4
 				ea := r[ESP]
-				if ea < w.wOK[x86seg.DS] {
+				if d := ea - w.hiDel[x86seg.DS]; d < w.hiLen[x86seg.DS] && ea < w.wOK[x86seg.DS] {
+					binary.LittleEndian.PutUint32(hiw[d:], v)
+					if d < hid {
+						hid = d
+					}
+				} else if ea < w.wOK[x86seg.DS] {
 					if w.ldt[x86seg.DS] {
 						hw++
 					}
 					lin := w.base[x86seg.DS] + ea
-					if !memv.Write32Fast(lin, r[u.src&15]+u.imm2) {
-						memv.Write32(lin, r[u.src&15]+u.imm2)
+					if !memv.Write32Fast(lin, v) {
+						memv.Write32(lin, v)
 					}
 				} else {
 					lin, ldt, qok := mmu.QuickRef(x86seg.DS, ea, 2, true)
@@ -1089,16 +1273,23 @@ func (sb *superblock) run(m *Machine) error {
 							goto deopt
 						}
 					}
-					if !memv.Write32Fast(lin, r[u.src&15]+u.imm2) {
-						memv.Write32(lin, r[u.src&15]+u.imm2)
+					if !memv.Write32Fast(lin, v) {
+						memv.Write32(lin, v)
 					}
 				}
+				if op == uCall {
+					m.ip = int(u.tgt)
+					goto exit
+				}
 
-			case uPop:
+			case uPop, uRet:
+				// Matches Machine.pop: ESP moves only after a successful
+				// translation. A RET exits to the popped address.
 				ea := r[ESP]
+				var v uint32
 				if d := ea - w.hiDel[x86seg.DS]; d < w.hiLen[x86seg.DS] {
 					r[ESP] = ea + 4
-					r[u.dst&15] = binary.LittleEndian.Uint32(hiw[d:])
+					v = binary.LittleEndian.Uint32(hiw[d:])
 				} else {
 					lin, ldt, qok := mmu.QuickRef(x86seg.DS, ea, 2, false)
 					if ldt {
@@ -1111,18 +1302,194 @@ func (sb *superblock) run(m *Machine) error {
 						}
 					}
 					r[ESP] += 4
-					if v, fok := memv.Read32Fast(lin); fok {
-						r[u.dst&15] = v
+					if fv, fok := memv.Read32Fast(lin); fok {
+						v = fv
 					} else {
-						r[u.dst&15] = memv.Read32(lin)
+						v = memv.Read32(lin)
 					}
 				}
+				if op == uRet {
+					m.ip = int(v)
+					goto exit
+				}
+				r[u.dst&15] = v
+
+			case uPostInc, uPostIncJ:
+				ea := r[EBP] + u.imm
+				s := u.seg & 7
+				if d := ea - w.hiDel[s]; d < w.hiLen[s] && ea < w.wOK[s] {
+					r[u.dst&15] = binary.LittleEndian.Uint32(hiw[d:])
+					c := &uops[k+1]
+					r[c.dst&15] = r[c.src&15] + c.imm2
+					c = &uops[k+2]
+					r[c.dst&15] += r[c.src&15] + c.imm2
+					c = &uops[k+3]
+					binary.LittleEndian.PutUint32(hiw[d:], r[c.src&15]+c.imm2)
+					if d < hid {
+						hid = d
+					}
+					if SBStatsEnabled {
+						mix.fired[op]++
+					}
+					if op == uPostInc {
+						k += 3
+						break
+					}
+					k += 4
+					u = &uops[k]
+					taken = true
+					goto branch
+				}
+				op = u.orig
+				goto dispatch
+
+			case uLdCmpJ:
+				ea := r[EBP] + u.imm
+				s := u.seg & 7
+				if d := ea - w.hiDel[s]; d < w.hiLen[s] {
+					r[u.dst&15] = binary.LittleEndian.Uint32(hiw[d:])
+					c := &uops[k+1]
+					a, b := r[c.dst&15], r[c.src&15]+c.imm2
+					eq = a == b
+					lt = int32(a) < int32(b)
+					below = a < b
+					if SBStatsEnabled {
+						mix.fired[op]++
+					}
+					k += 2
+					u = &uops[k]
+					goto cond
+				}
+				op = u.orig
+				goto dispatch
+
+			case uLdCmpRMJ:
+				c := &uops[k+1]
+				ea, eb := r[EBP]+u.imm, r[EBP]+c.imm
+				s, t := u.seg&7, c.seg&7
+				if d, e := ea-w.hiDel[s], eb-w.hiDel[t]; d < w.hiLen[s] && e < w.hiLen[t] {
+					r[u.dst&15] = binary.LittleEndian.Uint32(hiw[d:])
+					a, b := r[c.dst&15], binary.LittleEndian.Uint32(hiw[e:])
+					eq = a == b
+					lt = int32(a) < int32(b)
+					below = a < b
+					if SBStatsEnabled {
+						mix.fired[op]++
+					}
+					k += 2
+					u = &uops[k]
+					goto cond
+				}
+				op = u.orig
+				goto dispatch
+
+			case uMovCmpJ:
+				r[u.dst&15] = r[u.src&15] + u.imm2
+				c := &uops[k+1]
+				a, b := r[c.dst&15], r[c.src&15]+c.imm2
+				eq = a == b
+				lt = int32(a) < int32(b)
+				below = a < b
+				if SBStatsEnabled {
+					mix.fired[op]++
+				}
+				k += 2
+				u = &uops[k]
+				goto cond
+
+			case uPushLd:
+				c := &uops[k+1]
+				pa, ea := r[ESP]-4, r[EBP]+c.imm
+				s := c.seg & 7
+				if d, e := pa-w.hiDel[x86seg.DS], ea-w.hiDel[s]; d < w.hiLen[x86seg.DS] && pa < w.wOK[x86seg.DS] && e < w.hiLen[s] {
+					binary.LittleEndian.PutUint32(hiw[d:], r[u.src&15]+u.imm2)
+					r[ESP] = pa
+					if d < hid {
+						hid = d
+					}
+					r[c.dst&15] = binary.LittleEndian.Uint32(hiw[e:])
+					if SBStatsEnabled {
+						mix.fired[op]++
+					}
+					k++
+					break
+				}
+				op = u.orig
+				goto dispatch
+
+			case uPopMul:
+				ea := r[ESP]
+				if d := ea - w.hiDel[x86seg.DS]; d < w.hiLen[x86seg.DS] {
+					r[ESP] = ea + 4
+					r[u.dst&15] = binary.LittleEndian.Uint32(hiw[d:])
+					c := &uops[k+1]
+					r[c.dst&15] = uint32(int32(r[c.dst&15]) * int32(r[c.src&15]+c.imm2))
+					if SBStatsEnabled {
+						mix.fired[op]++
+					}
+					k++
+					break
+				}
+				op = u.orig
+				goto dispatch
+
+			case uAddMShl:
+				ea := r[EBP] + u.imm
+				s := u.seg & 7
+				if d := ea - w.hiDel[s]; d < w.hiLen[s] {
+					r[u.dst&15] += binary.LittleEndian.Uint32(hiw[d:])
+					c := &uops[k+1]
+					r[c.dst&15] <<= (r[c.src&15] + c.imm2) & 31
+					if SBStatsEnabled {
+						mix.fired[op]++
+					}
+					k++
+					break
+				}
+				op = u.orig
+				goto dispatch
+
+			case uMulMAddM:
+				c := &uops[k+1]
+				ea, eb := r[EBP]+u.imm, r[EBP]+c.imm
+				s, t := u.seg&7, c.seg&7
+				if d, e := ea-w.hiDel[s], eb-w.hiDel[t]; d < w.hiLen[s] && e < w.hiLen[t] {
+					r[u.dst&15] = uint32(int32(r[u.dst&15]) * int32(binary.LittleEndian.Uint32(hiw[d:])))
+					r[c.dst&15] += binary.LittleEndian.Uint32(hiw[e:])
+					if SBStatsEnabled {
+						mix.fired[op]++
+					}
+					k++
+					break
+				}
+				op = u.orig
+				goto dispatch
+
+			case uRMWLd:
+				ea := r[EBP] + u.imm
+				s := u.seg & 7
+				if d := ea - w.hiDel[s]; d < w.hiLen[s] && ea < w.wOK[s] {
+					v := binary.LittleEndian.Uint32(hiw[d:]) + r[u.src&15] + u.imm2
+					binary.LittleEndian.PutUint32(hiw[d:], v)
+					if d < hid {
+						hid = d
+					}
+					r[uops[k+1].dst&15] = v
+					if SBStatsEnabled {
+						mix.fired[op]++
+					}
+					k++
+					break
+				}
+				op = u.orig
+				goto dispatch
 
 			default: // uGen
 				copy(m.regs[:], r[:NumRegs])
 				m.eq, m.lt, m.below = eq, lt, below
 				m.stats.HWChecks += hw
 				hw = 0
+				memv.LowerHiDirty(hid)
 				m.ip = head + k
 				if err = u.gen(m); err != nil {
 					// The closure mutated machine state directly; it is
@@ -1143,6 +1510,30 @@ func (sb *superblock) run(m *Machine) error {
 			}
 			k++
 			continue
+
+		cond: // u is a conditional jump micro-op and the flags are current
+			switch u.kind {
+			case uJE:
+				taken = eq
+			case uJNE:
+				taken = !eq
+			case uJL:
+				taken = lt
+			case uJLE:
+				taken = lt || eq
+			case uJG:
+				taken = !lt && !eq
+			case uJGE:
+				taken = !lt
+			case uJB:
+				taken = below
+			case uJAE:
+				taken = !below
+			case uJA:
+				taken = !below && !eq
+			default: // uJBE
+				taken = below || eq
+			}
 
 		branch:
 			if taken {
@@ -1197,6 +1588,7 @@ func (sb *superblock) run(m *Machine) error {
 		copy(m.regs[:], r[:NumRegs])
 		m.eq, m.lt, m.below = eq, lt, below
 		m.stats.HWChecks += hw
+		memv.LowerHiDirty(hid)
 		return nil
 	}
 
@@ -1204,6 +1596,7 @@ deopt: // fault at step k; m.ip set at the fault site, err holds the fault
 	copy(m.regs[:], r[:NumRegs])
 	m.eq, m.lt, m.below = eq, lt, below
 	m.stats.HWChecks += hw
+	memv.LowerHiDirty(hid)
 	sb.flush(m, passes, k+1)
 	m.sbDeopts++
 	return err
@@ -1277,20 +1670,31 @@ func (m *Machine) sbMemTail(seg x86seg.SegReg, ea, lin uint32, write bool) (uint
 
 // DumpSuperblocks renders the program's compiled superblocks — the
 // tier-2 analogue of Disassemble, pinned by tests and printed by
-// `cashrun -dump-superblocks`.
+// `cashrun -dump-superblocks`. A trace is a loop, a straight-line trace,
+// or one that ends in a call or a return; each superop head names its
+// idiom.
 func (p *Program) DumpSuperblocks() string {
 	t := p.superblocks()
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s (%s mode): %d superblocks\n", p.Name, p.Mode, len(t.list))
 	for _, sb := range t.list {
 		kind := "trace"
-		if sb.looping {
+		switch last := sb.uops[sb.n-1].kind; {
+		case sb.looping:
 			kind = "loop"
+		case last == uCall:
+			kind = "call"
+		case last == uRet:
+			kind = "ret"
 		}
 		fmt.Fprintf(&b, "superblock %s @%d..%d (%s, %d instrs)\n",
 			sb.name, sb.head, sb.head+sb.n-1, kind, sb.n)
-		for i := sb.head; i < sb.head+sb.n; i++ {
-			fmt.Fprintf(&b, "%5d %s\n", i, p.Instrs[i].String())
+		for k, u := range sb.uops {
+			idiom := ""
+			if isSuperop(u.kind) {
+				idiom = "\t# " + uopNames[u.kind]
+			}
+			fmt.Fprintf(&b, "%5d %s%s\n", sb.head+k, p.Instrs[sb.head+k].String(), idiom)
 		}
 	}
 	return b.String()
