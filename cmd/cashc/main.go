@@ -29,7 +29,7 @@ func main() {
 func run() error {
 	var (
 		strategy = flag.String("strategy", "", "checking strategy (see -list-strategies); default cash")
-		segRegs  = flag.Int("segregs", 3, "segment register budget for cash mode (2, 3 or 4)")
+		segRegs  = flag.Int("segregs", 3, "segment register budget for cash mode (2, 3 or 4); gcc, bcc and mpx ignore it")
 		sizeOnly = flag.Bool("size", false, "print only the code-size estimate")
 		wlName   = flag.String("workload", "", "compile a built-in workload instead of a file")
 		listStra = flag.Bool("list-strategies", false, "list the registered checking strategies and exit")

@@ -59,7 +59,7 @@ func main() {
 func run() (err error) {
 	var (
 		strategy = flag.String("strategy", "", "checking strategy: gcc, bcc, cash or mpx; default cash")
-		segRegs  = flag.Int("segregs", 3, "segment register budget for cash mode")
+		segRegs  = flag.Int("segregs", 3, "segment register budget for cash mode (2, 3 or 4); gcc, bcc and mpx ignore it")
 		compare  = flag.Bool("compare", false, "run all three modes and compare")
 		trace    = flag.Bool("trace", false, "print the Figure-1 translation pipeline demo")
 		wlName   = flag.String("workload", "", "run a built-in workload instead of a file")

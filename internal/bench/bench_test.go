@@ -5,6 +5,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cash/internal/core"
+	"cash/internal/obs"
+	"cash/internal/serve"
+	"cash/internal/workload"
 )
 
 func parsePct(t *testing.T, s string) float64 {
@@ -158,6 +163,39 @@ func TestAblationMonotone(t *testing.T) {
 		if sw4 != 0 {
 			t.Errorf("%s: 4 registers must eliminate software checks, got %.1f%%", row[0], sw4)
 		}
+	}
+}
+
+// TestAblationSegRegsRunCount guards the work of the §4.2 sweep: only
+// cash reads the segment-register budget, so on a fresh Engine the
+// sweep simulates each kernel once under gcc and once under bcc, and
+// under cash once per distinct program its three budgets compile to.
+func TestAblationSegRegsRunCount(t *testing.T) {
+	kernels := workload.Kernels()
+	cash := map[string]bool{}
+	for _, w := range kernels {
+		for _, regs := range []int{2, 3, 4} {
+			art, err := core.Build(w.Source, core.ModeCash, core.Options{SegRegs: regs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, ok := art.RunKey()
+			if !ok {
+				t.Fatalf("%s: cash build at budget %d has no run key", w.Name, regs)
+			}
+			cash[key] = true
+		}
+	}
+	want := uint64(2*len(kernels) + len(cash))
+	runs := obs.Default().Counter("vm.runs")
+	before := runs.Value()
+	suite := Suite{Engine: serve.NewEngine(serve.EngineConfig{})}
+	if _, err := suite.Table(context.Background(), "ablation-segregs", 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := runs.Value() - before; got != want {
+		t.Fatalf("ablation-segregs: vm.runs delta %d, want %d (%d gcc, %d bcc, %d cash)",
+			got, want, len(kernels), len(kernels), len(cash))
 	}
 }
 

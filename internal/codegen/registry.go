@@ -38,6 +38,11 @@ type StrategyInfo struct {
 	// Mode is the vm execution mode programs built with this strategy
 	// run under.
 	Mode vm.Mode
+	// UsesSegRegs tells whether the strategy allocates segment
+	// registers to arrays, so that the segment-register budget (§3.7)
+	// shapes its programs. Builds under any other strategy ignore the
+	// budget and compile with the default one.
+	UsesSegRegs bool
 }
 
 type registeredStrategy struct {
@@ -82,6 +87,7 @@ func init() {
 		Description: "segmentation-hardware checking: 2-word pointers, one x86 segment per array",
 		Kind:        KindHardware,
 		Mode:        vm.ModeCash,
+		UsesSegRegs: true,
 	}, cashStrategy{})
 	registerStrategy(StrategyInfo{
 		Name:        "mpx",

@@ -107,6 +107,9 @@ func (m Mode) resolve() (StrategyInfo, error) {
 type Options struct {
 	// SegRegs is the Cash segment-register budget (2, 3 or 4 registers);
 	// 0 means the prototype default of 3 (ES, FS, GS). 4 adds SS (§3.7).
+	// Every strategy rejects other values, but only those that allocate
+	// segment registers (StrategyInfo.UsesSegRegs) read it: a gcc, bcc
+	// or mpx build is one program at any budget (NormalizeOptions).
 	SegRegs int
 	// SkipReadChecks enables the §3.8 security-only variant.
 	SkipReadChecks bool
@@ -152,24 +155,55 @@ type Options struct {
 	Oracle bool
 }
 
-func (o Options) segRegs() ([]x86seg.SegReg, error) {
+// segRegs returns the register list of a budget NormalizeOptions
+// accepted.
+func (o Options) segRegs() []x86seg.SegReg {
 	switch o.SegRegs {
-	case 0, 3:
-		return codegen.DefaultSegRegs, nil
 	case 2:
-		return codegen.DefaultSegRegs[:2], nil
+		return codegen.DefaultSegRegs[:2]
 	case 4:
-		return codegen.SegRegsWithSS, nil
-	default:
-		return nil, fmt.Errorf("core: unsupported segment register budget %d", o.SegRegs)
+		return codegen.SegRegsWithSS
 	}
+	return codegen.DefaultSegRegs
 }
 
-// NormalizePasses canonicalises a pass list: known names only, each at
-// most once, in the registry's execution order. The serving layer hashes
-// the result into artifact content addresses, so "hoist,rce" and
-// ["rce","hoist"] share one cache entry.
-func NormalizePasses(passes []string) ([]string, error) {
+// NormalizeOptions returns the one spelling of a build request's
+// options under mode, or the error that request fails with: it rejects
+// an unknown mode, pass or segment-register budget, writes the default
+// budget 3 as 0, clears the budget of a strategy that does not use
+// segment registers, and lists the passes once each in the registry's
+// execution order. Requests that normalise alike compile to the same
+// program, so the serving layer hashes the result into its build keys:
+// gcc at any budget, and "hoist,rce" and ["rce","hoist"], share one
+// cache entry.
+func NormalizeOptions(mode Mode, opts Options) (Options, error) {
+	info, err := mode.resolve()
+	if err != nil {
+		return Options{}, err
+	}
+	return normalizeOptions(info, opts)
+}
+
+func normalizeOptions(info StrategyInfo, opts Options) (Options, error) {
+	switch opts.SegRegs {
+	case 0, 2, 3, 4:
+	default:
+		return Options{}, fmt.Errorf("core: unsupported segment register budget %d", opts.SegRegs)
+	}
+	if opts.SegRegs == 3 || !info.UsesSegRegs {
+		opts.SegRegs = 0
+	}
+	passes, err := normalizePasses(opts.Passes)
+	if err != nil {
+		return Options{}, err
+	}
+	opts.Passes = passes
+	return opts, nil
+}
+
+// normalizePasses canonicalises a pass list: known names only, each at
+// most once, in the registry's execution order.
+func normalizePasses(passes []string) ([]string, error) {
 	want := make(map[string]bool, len(passes))
 	for _, name := range passes {
 		known := false
@@ -258,21 +292,16 @@ func compile(source string, mode Mode, opts Options) (*Artifact, *ir.Module, err
 	if err := minic.Check(ast); err != nil {
 		return nil, nil, fmt.Errorf("check: %w", err)
 	}
-	regs, err := opts.segRegs()
+	opts, err = normalizeOptions(info, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	passes, err := NormalizePasses(opts.Passes)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Passes = passes
 	prog, mod, err := codegen.CompileIR(ast, codegen.Config{
 		Mode:           info.Mode,
-		SegRegs:        regs,
+		SegRegs:        opts.segRegs(),
 		SkipReadChecks: opts.SkipReadChecks,
 		UseBoundInstr:  opts.UseBoundInstr,
-		Passes:         passes,
+		Passes:         opts.Passes,
 		Oracle:         opts.Oracle,
 	})
 	if err != nil {
@@ -284,7 +313,8 @@ func compile(source string, mode Mode, opts Options) (*Artifact, *ir.Module, err
 // CodeSize returns the estimated binary text size in bytes.
 func (a *Artifact) CodeSize() int { return a.Program.CodeSize() }
 
-// Options returns the build options the artifact was compiled with.
+// Options returns the build options the artifact was compiled with, as
+// NormalizeOptions spells them.
 func (a *Artifact) Options() Options { return a.opts }
 
 // StaticStats exposes the code generator's static counters.

@@ -11,11 +11,12 @@
 //
 // The format is canonical: the decoder accepts only what the encoder
 // writes (minimal varints, defined flag bits, strictly sorted keys,
-// maximal data runs, no trailing bytes), so any blob that decodes
-// re-encodes to the same bytes. Every count and length is checked
-// against the input that remains — or, for the data image, against
-// maxDataImage — before anything is allocated, so a hostile blob costs
-// an error, never a panic or an unbounded allocation. The store's own
+// maximal data runs, build options as NormalizeOptions spells them, no
+// trailing bytes), so any blob that decodes re-encodes to the same
+// bytes. Every count and length is checked against the input that
+// remains — or, for the data image, against maxDataImage — before
+// anything is allocated, so a hostile blob costs an error, never a
+// panic or an unbounded allocation. The store's own
 // content hash protects the bytes at rest; the serving cache's disk
 // tier treats a decode error as a miss and removes the entry.
 //
@@ -36,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cash/internal/ldt"
@@ -136,6 +138,13 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A build records its options as normalizeOptions spells them, so
+	// any other budget or pass list is not an encoding of a build. (The
+	// codec keeps an empty pass list apart from nil, as it does every
+	// slice.)
+	if canon, err := normalizeOptions(info, opts); err != nil || canon.SegRegs != opts.SegRegs || !slices.Equal(canon.Passes, opts.Passes) {
+		return nil, fmt.Errorf("core: decode artifact: options %+v are not canonical under %s", opts, mode)
+	}
 	a := &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts}
 	key := runDigest(info.Mode, &opts, progBytes)
 	a.runKeyOnce.Do(func() { a.runKey = key })
@@ -146,9 +155,10 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 // a run of it consumes — the vm execution mode, the options that reach
 // vm.New (StepLimit, WithoutCallGate, ElectricFence, StepOnly) and the
 // program's canonical bytes, as EncodeArtifact writes them. Build
-// requests that compile to the same program share it: SegRegs 0 and 3,
-// a gcc build at any budget its loops fit in, a bound-instruction build
-// that emits no software check, sources that differ only in comments.
+// requests that compile to the same program share it: a cash build at
+// budgets 2 and 3 whose loops fit in two registers, a bound-instruction
+// build that emits no software check, sources that differ only in
+// comments.
 // The digest is computed once per artifact, from the decoded bytes for
 // a decoded one.
 //

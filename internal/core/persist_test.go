@@ -147,6 +147,34 @@ func TestArtifactCodecKeepsNilAndEmpty(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonCanonicalOptions: a build records its options as
+// NormalizeOptions spells them, so a blob with any other spelling is
+// not an encoding of a build, and the disk tier takes it for a miss.
+func TestDecodeRejectsNonCanonicalOptions(t *testing.T) {
+	for _, c := range []struct {
+		mode Mode
+		opts Options
+	}{
+		{ModeGCC, Options{SegRegs: 2}},
+		{ModeMPX, Options{SegRegs: 4}},
+		{ModeCash, Options{SegRegs: 3}},
+		{ModeCash, Options{SegRegs: 7}},
+		{ModeCash, Options{Passes: []string{"hoist", "rce"}}},
+		{ModeCash, Options{Passes: []string{"rce", "rce"}}},
+		{ModeCash, Options{Passes: []string{"unknown"}}},
+	} {
+		art := mustBuildArt(t, sumKernel, c.mode, Options{})
+		art.opts = c.opts
+		data, ok, err := EncodeArtifact(art)
+		if err != nil || !ok {
+			t.Fatalf("%s %+v: encode: ok=%v err=%v", c.mode, c.opts, ok, err)
+		}
+		if _, err := DecodeArtifact(data); err == nil {
+			t.Errorf("%s %+v: decodes", c.mode, c.opts)
+		}
+	}
+}
+
 // blobGlobal is one global array of globalsBlob's program.
 type blobGlobal struct {
 	name       string

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"cash/internal/codegen"
@@ -108,16 +109,19 @@ func TestRunKeySharing(t *testing.T) {
 			t.Errorf("%s: run keys differ: %s vs %s", c.name, ka, kb)
 		}
 	}
-	// Every strategy marks the back-edge of a loop over more arrays than
-	// segment registers, for the spilled-iteration count (Tables 4 and
-	// 7), so there the register budget changes a gcc program too; and a
-	// budget of 4 moves stack references off SS under every strategy.
-	for _, mode := range []Mode{ModeGCC, ModeCash} {
-		if keyOf(threeArrayLoop, mode, Options{SegRegs: 2}) == keyOf(threeArrayLoop, mode, Options{}) {
-			t.Errorf("%s builds with a spilled loop share a run key across register budgets", mode)
-		}
-		if key(mode, Options{SegRegs: 4}) == key(mode, Options{}) {
-			t.Errorf("%s builds share a run key across register budgets 3 and 4", mode)
+	// Cash marks the back-edge of a loop over more arrays than segment
+	// registers, for the spilled-iteration count (Tables 4 and 7), and a
+	// budget of 4 moves stack references off SS, so there the budget
+	// changes a cash program. gcc ignores the budget.
+	if keyOf(threeArrayLoop, ModeCash, Options{SegRegs: 2}) == keyOf(threeArrayLoop, ModeCash, Options{}) {
+		t.Error("cash builds with a spilled loop share a run key across register budgets")
+	}
+	if key(ModeCash, Options{SegRegs: 4}) == key(ModeCash, Options{}) {
+		t.Error("cash builds share a run key across register budgets 3 and 4")
+	}
+	for _, regs := range []int{2, 4} {
+		if keyOf(threeArrayLoop, ModeGCC, Options{SegRegs: regs}) != keyOf(threeArrayLoop, ModeGCC, Options{}) {
+			t.Errorf("gcc builds at register budgets %d and 3 have distinct run keys", regs)
 		}
 	}
 	base := key(ModeCash, Options{})
@@ -137,6 +141,50 @@ func TestRunKeySharing(t *testing.T) {
 	oracle := mustBuildArt(t, twoArrayLoops, ModeCash, Options{Oracle: true})
 	if k, ok := oracle.RunKey(); ok || k != "" {
 		t.Errorf("oracle build has run key %q", k)
+	}
+}
+
+// TestSegRegsReachOnlyCash pins that the segment-register budget is an
+// input of the strategies that allocate segment registers and of no
+// other: under gcc, bcc and mpx, every shipped program normalises to
+// one set of options and compiles to one run key at budgets 0, 2, 3 and
+// 4. Unsupported budgets fail under every strategy. TestRunKeySharing
+// pins that cash still reads the budget.
+func TestSegRegsReachOnlyCash(t *testing.T) {
+	ws := append(workload.All(), workload.RangeKernels()...)
+	ws = append(ws, workload.StencilKernels()...)
+	for _, n := range []int{8, 16, 32, 64} {
+		ws = append(ws, workload.FFT2D(n), workload.Gaussian(n), workload.MatMul(n))
+	}
+	for _, info := range Strategies() {
+		mode := Mode(info.Name)
+		for _, regs := range []int{1, 5, -1} {
+			if _, err := Build(twoArrayLoops, mode, Options{SegRegs: regs}); err == nil {
+				t.Errorf("%s: budget %d builds", mode, regs)
+			}
+		}
+		if info.UsesSegRegs != (mode == ModeCash) {
+			t.Errorf("%s: UsesSegRegs = %v", mode, info.UsesSegRegs)
+		}
+		if info.UsesSegRegs {
+			continue
+		}
+		for _, w := range ws {
+			want := mustRunKey(t, w.Name, mustBuildArt(t, w.Source, mode, Options{}))
+			for _, regs := range []int{2, 3, 4} {
+				opts := Options{SegRegs: regs}
+				if norm, err := NormalizeOptions(mode, opts); err != nil || !reflect.DeepEqual(norm, Options{}) {
+					t.Fatalf("%s: budget %d normalises to %+v, %v; want the default options", mode, regs, norm, err)
+				}
+				art := mustBuildArt(t, w.Source, mode, opts)
+				if got := mustRunKey(t, w.Name, art); got != want {
+					t.Errorf("%s/%s: budget %d changes the run key", w.Name, mode, regs)
+				}
+				if art.Options().SegRegs != 0 {
+					t.Errorf("%s/%s: budget %d is recorded as %d", w.Name, mode, regs, art.Options().SegRegs)
+				}
+			}
+		}
 	}
 }
 

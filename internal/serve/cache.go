@@ -54,8 +54,8 @@ func buildKey(source string, mode core.Mode, opts core.Options) string {
 	binary.LittleEndian.PutUint64(fixed[24:], uint64(len(source)))
 	h.Write(fixed[:])
 	// Optimization passes change the emitted program, so they are part
-	// of the content address. The engine normalised the list before
-	// keying (core.NormalizePasses), so equivalent spellings collide.
+	// of the content address. The engine normalised the options before
+	// keying (core.NormalizeOptions), so equivalent spellings collide.
 	for _, p := range opts.Passes {
 		h.Write([]byte{0})
 		h.Write([]byte(p))

@@ -210,11 +210,10 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	if e.closed() {
 		return nil, ErrEngineClosed
 	}
-	passes, err := core.NormalizePasses(opts.Passes)
+	opts, err := core.NormalizeOptions(mode, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts.Passes = passes
 	key := buildKey(source, mode, opts)
 
 	if art, ok := e.cache.getArtifact(key); ok {

@@ -27,19 +27,21 @@ func runDeltas(t *testing.T, eng *Engine, arts ...*core.Artifact) (res []*core.R
 // TestRunsShareOneSimulation pins the run cache's address: two build
 // requests that compile to the same program with the same machine
 // options are distinct artifacts, but they share one run key, so the
-// second run is served from the first one's simulation.
+// second run is served from the first one's simulation. Cash at budgets
+// 2 and 3 is one program when every loop fits in two registers, as
+// heapKernel's do.
 func TestRunsShareOneSimulation(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		mode core.Mode
-		a, b core.Options
+		name       string
+		srcA, srcB string
+		a, b       core.Options
 	}{
-		{"gcc SegRegs 2/3", core.ModeGCC, core.Options{SegRegs: 2}, core.Options{SegRegs: 3}},
-		{"cash SegRegs 0/3", core.ModeCash, core.Options{}, core.Options{SegRegs: 3}},
+		{"cash SegRegs 2/0", heapKernel, heapKernel, core.Options{SegRegs: 2}, core.Options{}},
+		{"comment", heapKernel, "// a comment\n" + heapKernel, core.Options{}, core.Options{}},
 	} {
 		eng := NewEngine(EngineConfig{})
-		a := mustBuild(t, eng, heapKernel, c.mode, c.a)
-		b := mustBuild(t, eng, heapKernel, c.mode, c.b)
+		a := mustBuild(t, eng, c.srcA, core.ModeCash, c.a)
+		b := mustBuild(t, eng, c.srcB, core.ModeCash, c.b)
 		if a == b {
 			t.Fatalf("%s: the two builds are one cached artifact", c.name)
 		}
@@ -50,8 +52,39 @@ func TestRunsShareOneSimulation(t *testing.T) {
 		if res[0] == res[1] || !reflect.DeepEqual(res[0], res[1]) {
 			t.Fatalf("%s: shared run is not an equal private copy:\n%+v\nvs\n%+v", c.name, res[0], res[1])
 		}
-		if cold := coldRun(t, heapKernel, c.mode); !reflect.DeepEqual(res[1], cold) {
+		if cold := coldRun(t, heapKernel, core.ModeCash); !reflect.DeepEqual(res[1], cold) {
 			t.Fatalf("%s: shared run differs from a direct run:\n%+v\nvs\n%+v", c.name, res[1], cold)
+		}
+	}
+}
+
+// TestBudgetOutsideCashIsOneBuild pins that the engine keys a build by
+// its normalised options: gcc ignores the segment-register budget, so
+// gcc builds at budgets 0, 2, 3 and 4 are one compile, one artifact and
+// one simulation. An unsupported budget fails under every strategy.
+func TestBudgetOutsideCashIsOneBuild(t *testing.T) {
+	eng := NewEngine(EngineConfig{})
+	compiles := counter("serve.build.compiles")
+	var arts []*core.Artifact
+	for _, regs := range []int{0, 2, 3, 4} {
+		arts = append(arts, mustBuild(t, eng, heapKernel, core.ModeGCC, core.Options{SegRegs: regs}))
+	}
+	if got := counter("serve.build.compiles") - compiles; got != 1 {
+		t.Fatalf("serve.build.compiles delta %d, want 1", got)
+	}
+	for i, art := range arts {
+		if art != arts[0] {
+			t.Fatalf("build %d is not the budget-0 artifact", i)
+		}
+	}
+	if _, sims, hits := runDeltas(t, eng, arts...); sims != 1 || hits != 3 {
+		t.Fatalf("vm.runs delta %d, run_hits delta %d; want 1 and 3", sims, hits)
+	}
+	for _, mode := range []core.Mode{core.ModeGCC, core.ModeCash} {
+		for _, regs := range []int{1, 5, -1} {
+			if _, err := eng.BuildContext(context.Background(), heapKernel, mode, core.Options{SegRegs: regs}); err == nil {
+				t.Errorf("%s: budget %d builds", mode, regs)
+			}
 		}
 	}
 }
@@ -75,7 +108,7 @@ func TestRunsThatMustNotShare(t *testing.T) {
 	}
 	eng := NewEngine(EngineConfig{})
 	a := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true})
-	b := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true, SegRegs: 3})
+	b := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true, SegRegs: 2})
 	if _, sims, hits := runDeltas(t, eng, a, b, a); sims != 2 || hits != 1 {
 		t.Errorf("oracle builds: vm.runs delta %d, run_hits delta %d; want 2 and 1", sims, hits)
 	}
