@@ -382,7 +382,11 @@ func (a *Artifact) RunOn(m *vm.Machine) (*RunResult, error) {
 	out := &RunResult{Result: res, HeapSpan: m.HeapSpan()}
 	mRuns.Inc()
 	if res != nil {
-		mSpilled.Add(res.Stats.SpilledIters)
+		// Only a strategy that holds arrays in segment registers spills
+		// them; the other strategies' programs carry the same loop notes.
+		if info, err := a.Mode.resolve(); err == nil && info.UsesSegRegs {
+			mSpilled.Add(res.Stats.SpilledIters)
+		}
 		mFlatFalls.Add(res.Stats.FlatFallbacks)
 	}
 	if runErr != nil {

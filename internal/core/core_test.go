@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"cash/internal/workload"
 )
 
 const sumKernel = `
@@ -180,6 +182,38 @@ void main() {
 	}
 	if swChecks(4) != 0 {
 		t.Fatalf("4 registers must cover 4 arrays")
+	}
+}
+
+// TestSpilledItersCountOnlySegmentStrategies pins that the
+// core.segment_spilled_iters counter counts only runs of a strategy that
+// holds arrays in segment registers: gcc and bcc programs mark the same
+// spilled back-edges, but spill nothing.
+func TestSpilledItersCountOnlySegmentStrategies(t *testing.T) {
+	w, ok := workload.ByName("quat")
+	if !ok {
+		t.Fatal("no quat workload")
+	}
+	before := mSpilled.Value()
+	var cash uint64
+	for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
+		art, err := Build(w.Source, mode, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		res, err := art.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if mode == ModeCash {
+			cash = res.Stats.SpilledIters
+		}
+	}
+	if cash != 3192 {
+		t.Fatalf("quat under cash spills %d iterations, want 3192", cash)
+	}
+	if got := mSpilled.Value() - before; got != cash {
+		t.Fatalf("core.segment_spilled_iters moved by %d over gcc, bcc and cash, want cash's %d", got, cash)
 	}
 }
 

@@ -129,7 +129,7 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	opts := d.options()
 	// The program is the blob's tail: once finish has accepted the
 	// blob, these are exactly the bytes the program decoded from.
-	progBytes := d.data
+	progBytes := d.data[d.pos:]
 	prog := d.program()
 	if err := d.finish("artifact"); err != nil {
 		return nil, err
@@ -493,13 +493,18 @@ func (e *encoder) fault(f *vm.Fault) {
 	}
 }
 
-// decoder consumes the format's primitives from data. The first error
-// sticks: later reads return zero values and consume nothing, so
-// callers check once, at finish.
+// decoder consumes the format's primitives from data. It advances a
+// cursor through the input rather than re-slicing it, so a read stores
+// an int, not a pointer. The first error sticks: later reads return
+// zero values and consume nothing, so callers check once, at finish.
 type decoder struct {
-	data []byte
+	data []byte // the whole input; never re-sliced
+	pos  int    // index of the next unread byte
 	err  error
 }
+
+// rest returns the number of unread input bytes.
+func (d *decoder) rest() int { return len(d.data) - d.pos }
 
 func (d *decoder) fail(msg string) {
 	if d.err == nil {
@@ -509,7 +514,7 @@ func (d *decoder) fail(msg string) {
 
 // finish reports the sticky error or leftover input.
 func (d *decoder) finish(what string) error {
-	if d.err == nil && len(d.data) != 0 {
+	if d.err == nil && d.rest() != 0 {
 		d.fail("trailing bytes")
 	}
 	if d.err != nil {
@@ -532,30 +537,36 @@ func (d *decoder) byte() byte {
 	if d.err != nil {
 		return 0
 	}
-	if len(d.data) == 0 {
+	if d.pos >= len(d.data) {
 		d.fail("truncated")
 		return 0
 	}
-	b := d.data[0]
-	d.data = d.data[1:]
+	b := d.data[d.pos]
+	d.pos++
 	return b
 }
 
-// uint reads a minimally encoded uvarint.
+// uint reads a minimally encoded uvarint. Most are below 0x80 and so
+// one byte long, which needs neither binary.Uvarint nor the minimality
+// check.
 func (d *decoder) uint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.data)
+	if d.pos < len(d.data) && d.data[d.pos] < 0x80 {
+		d.pos++
+		return uint64(d.data[d.pos-1])
+	}
+	v, n := binary.Uvarint(d.data[d.pos:])
 	if n <= 0 {
 		d.fail("truncated or oversized varint")
 		return 0
 	}
-	if n > 1 && d.data[n-1] == 0 {
+	if d.data[d.pos+n-1] == 0 {
 		d.fail("non-minimal varint")
 		return 0
 	}
-	d.data = d.data[n:]
+	d.pos += n
 	return v
 }
 
@@ -615,16 +626,22 @@ func (d *decoder) take(n uint64) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n > uint64(len(d.data)) {
+	if n > uint64(d.rest()) {
 		d.fail("length exceeds input")
 		return nil
 	}
-	b := d.data[:n]
-	d.data = d.data[n:]
+	b := d.data[d.pos : d.pos+int(n)]
+	d.pos += int(n)
 	return b
 }
 
+// str reads a length-prefixed string. Most instruction symbols and
+// labels are empty: a zero length byte is the whole encoding.
 func (d *decoder) str() string {
+	if d.err == nil && d.pos < len(d.data) && d.data[d.pos] == 0 {
+		d.pos++
+		return ""
+	}
 	return string(d.take(d.uint()))
 }
 
@@ -636,7 +653,7 @@ func (d *decoder) count(minBytes int) (n int, isNil bool) {
 	if d.err != nil || c == 0 {
 		return 0, d.err == nil
 	}
-	if c-1 > uint64(len(d.data)/minBytes) {
+	if c-1 > uint64(d.rest()/minBytes) {
 		d.fail("count exceeds input")
 		return 0, false
 	}
@@ -748,23 +765,28 @@ func (d *decoder) instr(in *vm.Instr) {
 	d.operand(&in.Src, vm.OperandKind(kinds>>4))
 }
 
+// operand fills the zero operand o with what encoder.operand wrote for
+// kind: the same value as vm.R, vm.I, vm.SR or vm.M, set field by field.
 func (d *decoder) operand(o *vm.Operand, kind vm.OperandKind) {
 	switch kind {
 	case vm.KindNone:
 	case vm.KindReg:
-		*o = vm.R(d.reg())
+		o.Kind, o.Reg = kind, d.reg()
 	case vm.KindImm:
-		*o = vm.I(d.i32())
+		o.Kind, o.Imm = kind, d.i32()
 	case vm.KindSReg:
-		*o = vm.SR(d.seg())
+		o.Kind, o.SReg = kind, d.seg()
 	case vm.KindMem:
-		m := vm.MemRef{Seg: d.seg(), Base: d.reg(), Index: d.reg()}
+		o.Kind = kind
+		m := &o.Mem
+		m.Seg = d.seg()
+		m.Base = d.reg()
+		m.Index = d.reg()
 		flags := d.flags(memAll)
 		m.HasBase = flags&memHasBase != 0
 		m.HasIndex = flags&memHasIndex != 0
 		m.Scale = d.byte()
 		m.Disp = d.i32()
-		*o = vm.M(m)
 	default:
 		d.fail("unknown operand kind")
 	}
@@ -803,7 +825,7 @@ func (d *decoder) dataImage() []byte {
 	size := c - 1
 	runs := d.uint()
 	// A run is at least a gap byte, a length byte and one data byte.
-	if runs > uint64(len(d.data)/3) {
+	if runs > uint64(d.rest()/3) {
 		d.fail("run count exceeds input")
 		return nil
 	}
@@ -896,7 +918,7 @@ func inImage(g vm.Global, p *vm.Program) bool {
 	return g.Addr >= p.DataBase && uint64(g.Addr-p.DataBase)+uint64(g.Size) <= uint64(len(p.Data))
 }
 
-func validSeg(s x86seg.SegReg) bool { return s >= 0 && s < x86seg.NumSegRegs }
+func validSeg(s x86seg.SegReg) bool { return s < x86seg.NumSegRegs }
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -557,8 +557,8 @@ func TestPersistedFieldSets(t *testing.T) {
 			"Sites *vm.SiteTable",
 		},
 		reflect.TypeOf(vm.Instr{}): {
-			"Op vm.Op", "Dst vm.Operand", "Src vm.Operand", "Size uint8",
-			"Target int", "Sym string", "Note vm.Note", "Label string",
+			"Op vm.Op", "Size uint8", "Note vm.Note", "Dst vm.Operand", "Src vm.Operand",
+			"Target int", "Sym string", "Label string",
 		},
 		reflect.TypeOf(vm.Operand{}): {
 			"Kind vm.OperandKind", "Reg vm.Reg", "SReg x86seg.SegReg", "Imm int32", "Mem vm.MemRef",
@@ -622,6 +622,41 @@ func TestPersistedFieldSets(t *testing.T) {
 		}
 		if n != c.listed {
 			t.Errorf("%v has %d uint64 fields, the codec lists %d", ty, n, c.listed)
+		}
+	}
+}
+
+// decodedArtifact keeps BenchmarkDecodeArtifact's result live.
+var decodedArtifact *Artifact
+
+// BenchmarkDecodeArtifact decodes the 104 encoded suite artifacts — the
+// 26 suite programs under each of the 4 strategies, default options —
+// once per iteration: the decoding a warm restart of the serving engine
+// does for its builds.
+func BenchmarkDecodeArtifact(b *testing.B) {
+	var blobs [][]byte
+	for _, w := range codecWorkloads() {
+		for _, name := range StrategyNames() {
+			art, err := Build(w.Source, Mode(name), Options{})
+			if err != nil {
+				b.Fatalf("%s/%s: %v", w.Name, name, err)
+			}
+			data, ok, err := EncodeArtifact(art)
+			if err != nil || !ok {
+				b.Fatalf("%s/%s: encode: ok=%v err=%v", w.Name, name, ok, err)
+			}
+			blobs = append(blobs, data)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, data := range blobs {
+			a, err := DecodeArtifact(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			decodedArtifact = a
 		}
 	}
 }

@@ -205,6 +205,13 @@ func writeFrame(w io.Writer, h header, body any) error {
 	if err != nil {
 		return fmt.Errorf("srv: encode frame body: %w", err)
 	}
+	_, err = w.Write(frame(h, raw))
+	return err
+}
+
+// frame lays out one frame around an encoded body; readFrame is its
+// inverse.
+func frame(h header, raw []byte) []byte {
 	buf := make([]byte, 4+headerLen+len(raw))
 	binary.BigEndian.PutUint32(buf[0:], uint32(headerLen+len(raw)))
 	buf[4] = h.Version
@@ -212,8 +219,7 @@ func writeFrame(w io.Writer, h header, body any) error {
 	binary.BigEndian.PutUint64(buf[6:], h.ID)
 	binary.BigEndian.PutUint32(buf[14:], h.DeadlineMillis)
 	copy(buf[4+headerLen:], raw)
-	_, err = w.Write(buf)
-	return err
+	return buf
 }
 
 // readFrame reads one frame, bounding the payload at max bytes.

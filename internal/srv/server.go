@@ -58,10 +58,11 @@ type Config struct {
 	// Workers bounds the worker pool executing requests; queued work
 	// beyond it waits in the request queue. 0 means DefaultWorkers.
 	Workers int
-	// QueueDepth bounds the request queue. A request arriving with the
-	// queue full is shed immediately with a typed over-capacity
-	// response. 0 means DefaultQueueDepth; negative means depth 0 (every
-	// request beyond the workers' hands is shed).
+	// QueueDepth bounds the request queue: at most Workers plus
+	// QueueDepth requests are queued or executing at once, and one
+	// arriving beyond that is shed immediately with a typed
+	// over-capacity response. 0 means DefaultQueueDepth; negative means
+	// depth 0 (every request beyond the workers' hands is shed).
 	QueueDepth int
 	// QuotaRate is the per-connection token-bucket refill rate in
 	// requests per second; <= 0 disables quotas.
@@ -112,7 +113,8 @@ type Server struct {
 	cfg Config
 	eng *serve.Engine
 
-	queue       chan *task
+	queue       chan *task // buffered to capacity, so an admitted send never blocks
+	capacity    int        // workers plus queue depth: the admission slots
 	baseCtx     context.Context
 	baseCancel  context.CancelFunc
 	stopWorkers chan struct{}
@@ -125,6 +127,7 @@ type Server struct {
 	conns     map[*srvConn]struct{}
 	acceptSeq int
 	connSeq   int
+	admitted  int // requests holding an admission slot: queued or executing
 
 	inflight sync.WaitGroup // accepted-into-queue requests
 	workerWG sync.WaitGroup
@@ -149,10 +152,9 @@ func New(cfg Config) *Server {
 		depth = 0
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		cfg:         cfg,
 		eng:         eng,
-		queue:       make(chan *task, depth),
 		baseCtx:     ctx,
 		baseCancel:  cancel,
 		stopWorkers: make(chan struct{}),
@@ -160,6 +162,9 @@ func New(cfg Config) *Server {
 		conns:       make(map[*srvConn]struct{}),
 		hist:        obs.NewCycleHistogram(),
 	}
+	s.capacity = s.workers() + depth
+	s.queue = make(chan *task, s.capacity)
+	return s
 }
 
 func (s *Server) now() time.Time {
@@ -290,26 +295,36 @@ func (s *Server) stopping() bool {
 	return s.state != stateRunning
 }
 
-// tryEnqueue submits a task to the worker queue without blocking: the
-// overload answer is an immediate typed shed, never an unbounded queue.
-// It returns a non-empty error code when the request was not accepted.
+// tryEnqueue admits a task without blocking: the overload answer is an
+// immediate typed shed, never an unbounded queue. A request is admitted
+// while fewer than capacity requests are queued or executing; a worker
+// frees its slot when execution ends, before its response is sent, so
+// a client's next request never races the worker's return to the
+// queue. It returns a non-empty error code when the request was not
+// accepted.
 func (s *Server) tryEnqueue(t *task) (code string, retryMillis int64) {
 	s.mu.Lock()
 	if s.state != stateRunning {
 		s.mu.Unlock()
 		return CodeShutdown, 0
 	}
-	s.inflight.Add(1)
-	select {
-	case s.queue <- t:
-		s.mu.Unlock()
-		return "", 0
-	default:
-		s.inflight.Done()
+	if s.admitted >= s.capacity {
 		s.mu.Unlock()
 		mReqShed.Inc()
 		return CodeOverCapacity, s.retryAfterMillis()
 	}
+	s.admitted++
+	s.inflight.Add(1)
+	s.queue <- t // holds at most the admitted tasks: never blocks
+	s.mu.Unlock()
+	return "", 0
+}
+
+// releaseSlot frees the admission slot of a task whose execution ended.
+func (s *Server) releaseSlot() {
+	s.mu.Lock()
+	s.admitted--
+	s.mu.Unlock()
 }
 
 func (s *Server) worker() {
@@ -324,15 +339,23 @@ func (s *Server) worker() {
 	}
 }
 
-// handle executes one request. Panics are isolated to the request: the
-// worker survives, the client gets a typed internal error, and the
-// connection keeps serving.
+// handle executes one request and sends its response.
 func (s *Server) handle(t *task) {
 	defer s.inflight.Done()
+	typ, body := s.run(t)
+	t.c.send(t.h.ID, typ, body)
+}
+
+// run executes one request and returns the response frame's type and
+// body. It frees the request's admission slot as it returns. Panics are
+// isolated to the request: the worker survives, the client gets a typed
+// internal error, and the connection keeps serving.
+func (s *Server) run(t *task) (typ uint8, body any) {
+	defer s.releaseSlot()
 	defer func() {
 		if r := recover(); r != nil {
 			mReqPanics.Inc()
-			t.c.send(t.h.ID, TError, ErrorResponse{Code: CodeInternal, Message: fmt.Sprintf("panic: %v", r)})
+			typ, body = TError, ErrorResponse{Code: CodeInternal, Message: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
 	if s.cfg.execHook != nil {
@@ -346,11 +369,10 @@ func (s *Server) handle(t *task) {
 	}
 	resp, err := s.execute(ctx, t)
 	if err != nil {
-		t.c.send(t.h.ID, TError, s.classify(err))
-		return
+		return TError, s.classify(err)
 	}
 	mReqOK.Inc()
-	t.c.send(t.h.ID, TResult, resp)
+	return TResult, resp
 }
 
 // badRequest marks errors caused by the request content (undecodable

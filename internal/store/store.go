@@ -4,16 +4,31 @@
 // miss, so a process restart finds its compiled
 // artifacts and deterministic run results already on disk.
 //
-// Every entry is one file named by the SHA-256 of its key, under a
-// two-character fanout directory. The file carries a fixed header
-// (magic, key length, payload length, payload SHA-256) followed by the
-// key and the payload. Writes go to a temp file in the same directory,
-// are fsynced, and are atomically renamed into place; the parent
-// directory is fsynced after the rename so the entry survives a crash.
-// A reader validates the magic, the lengths, the embedded key, and the
-// payload hash — any mismatch (truncation, corruption, collision)
-// deletes the file and reports a miss, never an error. Losing a cache
-// entry is always recoverable; serving a wrong one is not.
+// Every entry is one file, root/<id>.ent, where the id is the hex
+// SHA-256 of its key; the root holds nothing else. The file carries a
+// fixed header (magic, key length, payload length, payload SHA-256)
+// followed by the key and the payload. Writes go to a temp file in the
+// root, are fsynced, and are atomically renamed into place; the root is
+// fsynced after the rename so the entry survives a crash.
+//
+// Open reads the root once and indexes every entry by its id, with the
+// size and mtime the directory listing reports; it opens no entry file.
+// A Get reads exactly the indexed size in one read and validates the
+// length, the magic, the header lengths, the embedded key and the
+// payload hash — any mismatch (truncation, growth, corruption,
+// collision) deletes the file and reports a miss, never an error. So no
+// entry is served unvalidated, and Open's index may hold an entry that
+// the first Get of it drops. Losing a cache entry is always
+// recoverable; serving a wrong one is not.
+//
+// The least-recently-used order is a doubly linked list through the
+// index entries, so a hit, a write and an eviction each cost O(1). On
+// Open it is rebuilt from mtimes, oldest first.
+//
+// Older stores spread the same files over two-character fan-out
+// directories, root/<id[:2]>/<id>.ent. Open deletes their entry and temp
+// files and then the emptied directories; the next miss of each entry
+// rewrites it.
 package store
 
 import (
@@ -22,6 +37,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -41,8 +57,11 @@ const magic = "cashsto1"
 const headerSize = 8 + 4 + 8 + sha256.Size
 
 // entExt is the extension of committed entry files. Temp files use
-// ".tmp" and are deleted on Open; anything else in the tree is ignored.
+// ".tmp"; Open deletes them, and every other file in the root.
 const entExt = ".ent"
+
+// idLen is the length of an entry id: a hex SHA-256.
+const idLen = 2 * sha256.Size
 
 // Options configures a Dir.
 type Options struct {
@@ -66,132 +85,127 @@ type Dir struct {
 
 	mu      sync.Mutex
 	bytes   int64
-	lru     []string           // keys, least recently used first
-	entries map[string]*dirEnt // key -> entry
+	entries map[string]*dirEnt // id -> entry
+	// lru is the sentinel of the recency list: lru.next is the least
+	// recently used entry, lru.prev the most.
+	lru dirEnt
 }
 
+// dirEnt is one indexed entry and its link in the recency list.
 type dirEnt struct {
-	size int64 // whole file size (header + key + payload)
-	pos  int   // index into lru; maintained on every reorder
+	id         string
+	key        string // "" until a Put or a validated Get learns it
+	size       int64  // whole file size (header + key + payload); never changes
+	prev, next *dirEnt
 }
 
-// Open opens (creating if needed) the store rooted at root. Leftover
-// temp files from interrupted writes are deleted, and any committed
-// entry whose header is unreadable or whose size disagrees with its
-// header is removed. Payload hashes are NOT verified here — that
-// happens on Get, so Open stays cheap on large stores.
+// Open opens (creating if needed) the store rooted at root. It reads
+// the root once and opens no entry file. It deletes leftover temp files
+// from interrupted writes, every other file not named <64 hex>.ent,
+// every entry file shorter than a header, and the entry and temp files
+// of the old fan-out layout along with their emptied directories. Every
+// other entry file is indexed at the size the listing reports, so Len
+// and Bytes count an entry whose header is corrupt until its first Get
+// drops it, and Bytes is the disk use of the entry files. Nothing
+// else of an entry is checked here; Get checks all of it on each read.
 func Open(root string, opts Options) (*Dir, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", root, err)
 	}
 	d := &Dir{root: root, opts: opts, entries: make(map[string]*dirEnt)}
+	d.lru.prev, d.lru.next = &d.lru, &d.lru
 	if err := d.scan(); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// scan walks the fanout tree, removing temp leftovers and invalid
-// entries and rebuilding the LRU ordered by mtime (oldest first) so
-// budget eviction after a reopen removes the stalest entries.
+// scan lists the root, removing what Open removes and rebuilding the
+// LRU ordered by mtime (oldest first) so budget eviction after a reopen
+// removes the stalest entries.
 func (d *Dir) scan() error {
 	type found struct {
-		key   string
+		id    string
 		size  int64
 		mtime int64
-		name  string
 	}
 	var all []found
-	dirs, err := os.ReadDir(d.root)
+	files, err := os.ReadDir(d.root)
 	if err != nil {
 		return fmt.Errorf("store: scan %s: %w", d.root, err)
 	}
-	for _, fan := range dirs {
-		if !fan.IsDir() || len(fan.Name()) != 2 {
+	for _, f := range files {
+		name := f.Name()
+		path := filepath.Join(d.root, name)
+		if f.IsDir() {
+			if len(name) == 2 {
+				removeFanDir(path)
+			}
 			continue
 		}
-		fanDir := filepath.Join(d.root, fan.Name())
-		files, err := os.ReadDir(fanDir)
+		id, isEnt := strings.CutSuffix(name, entExt)
+		if !isEnt || !validID(id) {
+			os.Remove(path)
+			continue
+		}
+		info, err := f.Info()
 		if err != nil {
-			return fmt.Errorf("store: scan %s: %w", fanDir, err)
+			continue // removed since the listing
 		}
-		for _, f := range files {
-			if f.IsDir() {
-				continue
-			}
-			path := filepath.Join(fanDir, f.Name())
-			if strings.HasSuffix(f.Name(), ".tmp") {
-				os.Remove(path)
-				continue
-			}
-			if !strings.HasSuffix(f.Name(), entExt) {
-				continue
-			}
-			key, size, mtime, ok := readEntryHeader(path)
-			if !ok {
-				os.Remove(path)
-				continue
-			}
-			all = append(all, found{key: key, size: size, mtime: mtime, name: f.Name()})
+		if info.Size() < headerSize {
+			os.Remove(path)
+			continue
 		}
+		all = append(all, found{id: id, size: info.Size(), mtime: info.ModTime().UnixNano()})
 	}
-	// Oldest first; ties broken by key hash for determinism.
+	// Oldest first; ties broken by id for determinism.
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].mtime != all[j].mtime {
 			return all[i].mtime < all[j].mtime
 		}
-		return all[i].name < all[j].name
+		return all[i].id < all[j].id
 	})
 	for _, f := range all {
-		d.entries[f.key] = &dirEnt{size: f.size, pos: len(d.lru)}
-		d.lru = append(d.lru, f.key)
+		ent := &dirEnt{id: f.id, size: f.size}
+		d.entries[f.id] = ent
+		d.pushBackLocked(ent)
 		d.bytes += f.size
 	}
 	return nil
 }
 
-// readEntryHeader opens path, validates the fixed header against the
-// file size, and returns the embedded key. The payload hash is not
-// checked. ok is false for any unreadable or inconsistent file.
-func readEntryHeader(path string) (key string, size, mtime int64, ok bool) {
-	f, err := os.Open(path)
+// removeFanDir deletes the entry and temp files of an old-layout fan-out
+// directory, then the directory if that emptied it.
+func removeFanDir(dir string) {
+	files, err := os.ReadDir(dir)
 	if err != nil {
-		return "", 0, 0, false
+		return
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return "", 0, 0, false
+	for _, f := range files {
+		if name := f.Name(); !f.IsDir() && (strings.HasSuffix(name, entExt) || strings.HasSuffix(name, ".tmp")) {
+			os.Remove(filepath.Join(dir, name))
+		}
 	}
-	var hdr [headerSize]byte
-	if _, err := f.Read(hdr[:]); err != nil {
-		return "", 0, 0, false
-	}
-	keyLen, payloadLen, _, hok := parseHeader(hdr[:])
-	if !hok {
-		return "", 0, 0, false
-	}
-	want := int64(headerSize) + int64(keyLen) + int64(payloadLen)
-	if st.Size() != want {
-		return "", 0, 0, false
-	}
-	keyBuf := make([]byte, keyLen)
-	if _, err := f.Read(keyBuf); err != nil {
-		return "", 0, 0, false
-	}
-	if keyPath(path, string(keyBuf)) != path {
-		return "", 0, 0, false
-	}
-	return string(keyBuf), st.Size(), st.ModTime().UnixNano(), true
+	os.Remove(dir) // fails, harmlessly, on a directory that is not empty
 }
 
-// keyPath returns the canonical path an entry for key should live at,
-// using the directory root inferred from an existing path's grandparent.
-func keyPath(existing, key string) string {
-	root := filepath.Dir(filepath.Dir(existing))
+// validID reports whether id is a lowercase hex SHA-256, as keyID writes.
+func validID(id string) bool {
+	if len(id) != idLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// keyID returns the id of key's entry: the hex SHA-256 of the key.
+func keyID(key string) string {
 	h := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(h[:])
-	return filepath.Join(root, name[:2], name+entExt)
+	return hex.EncodeToString(h[:])
 }
 
 // maxKeyLen is the longest key an entry may embed; Put refuses longer
@@ -213,41 +227,64 @@ func parseHeader(hdr []byte) (keyLen uint32, payloadLen uint64, sum [sha256.Size
 	return keyLen, payloadLen, sum, true
 }
 
-// path returns the file an entry for key lives at.
-func (d *Dir) path(key string) string {
-	h := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(h[:])
-	return filepath.Join(d.root, name[:2], name+entExt)
+// path returns the file the entry with the given id lives at.
+func (d *Dir) path(id string) string {
+	return filepath.Join(d.root, id+entExt)
 }
 
 // Path exposes the on-disk location of key's entry (which may or may
 // not exist). Tests and tooling use it; the serving layers do not.
-func (d *Dir) Path(key string) string { return d.path(key) }
+func (d *Dir) Path(key string) string { return d.path(keyID(key)) }
 
 // Get returns the payload stored under key. ok is false on a miss —
-// including every corruption case: wrong magic, bad lengths, key
-// mismatch, truncation, payload hash mismatch. A failed validation
-// removes the file so the next Put can rewrite it cleanly.
+// including every corruption case: a length other than the indexed
+// one, wrong magic, bad lengths, key mismatch, payload hash mismatch. A
+// failed read or validation removes the file so the next Put can
+// rewrite it cleanly.
 func (d *Dir) Get(key string) (payload []byte, ok bool) {
+	id := keyID(key)
 	d.mu.Lock()
-	_, known := d.entries[key]
+	ent := d.entries[id]
 	d.mu.Unlock()
-	if !known {
+	if ent == nil {
 		return nil, false
 	}
-	path := d.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		d.drop(key, path)
-		return nil, false
+	data, ok := readEntry(d.path(id), ent.size)
+	if ok {
+		payload, ok = validate(data, key)
 	}
-	payload, ok = validate(data, key)
 	if !ok {
-		d.drop(key, path)
+		d.drop(ent)
 		return nil, false
 	}
-	d.touch(key)
+	d.mu.Lock()
+	if d.entries[id] == ent {
+		ent.key = key
+		d.unlinkLocked(ent)
+		d.pushBackLocked(ent)
+	}
+	d.mu.Unlock()
 	return payload, true
+}
+
+// readEntry reads the entry file at path, which the index says is size
+// bytes long. It asks for one byte more, so that one read returns the
+// whole file and shows whether it has grown; ok is false when the file
+// cannot be read or its length is not size.
+func readEntry(path string, size int64) (data []byte, ok bool) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false
+	}
+	defer f.Close()
+	buf := make([]byte, size+1)
+	n, err := f.Read(buf)
+	for err == nil && int64(n) < size { // a short read: finish it
+		var m int
+		m, err = f.Read(buf[n:])
+		n += m
+	}
+	return buf[:size], int64(n) == size
 }
 
 // entry builds the whole entry file for key and payload: the header,
@@ -287,68 +324,69 @@ func validate(data []byte, key string) ([]byte, bool) {
 	return payload, true
 }
 
-// drop forgets key and best-effort removes its file. Used when a read
-// or validation fails; OnEvict is not called.
-func (d *Dir) drop(key, path string) {
+// drop forgets ent and best-effort removes its file, after a read or
+// validation of it failed; OnEvict is not called. An entry a Put has
+// replaced since is left alone.
+func (d *Dir) drop(ent *dirEnt) {
 	d.mu.Lock()
-	if ent, ok := d.entries[key]; ok {
-		d.removeLocked(key, ent)
+	current := d.entries[ent.id] == ent
+	if current {
+		d.removeLocked(ent)
 	}
 	d.mu.Unlock()
-	os.Remove(path)
+	if current {
+		os.Remove(d.path(ent.id))
+	}
 }
 
 // Remove forgets key and removes its entry file, if any. Callers use
 // it for an entry that validates but that they cannot use — a payload
 // from an older format — so the next Put rewrites it. OnEvict is not
 // called.
-func (d *Dir) Remove(key string) { d.drop(key, d.path(key)) }
-
-// removeLocked deletes key from the index. Caller holds d.mu.
-func (d *Dir) removeLocked(key string, ent *dirEnt) {
-	d.bytes -= ent.size
-	delete(d.entries, key)
-	// Compact the LRU slice; fixing up pos keeps removal O(n) but n is
-	// the entry count, and removals are rare (evictions and drops).
-	copy(d.lru[ent.pos:], d.lru[ent.pos+1:])
-	d.lru = d.lru[:len(d.lru)-1]
-	for i := ent.pos; i < len(d.lru); i++ {
-		d.entries[d.lru[i]].pos = i
+func (d *Dir) Remove(key string) {
+	id := keyID(key)
+	d.mu.Lock()
+	if ent := d.entries[id]; ent != nil {
+		d.removeLocked(ent)
 	}
+	d.mu.Unlock()
+	os.Remove(d.path(id))
 }
 
-// touch moves key to the most-recently-used end.
-func (d *Dir) touch(key string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ent, ok := d.entries[key]
-	if !ok || ent.pos == len(d.lru)-1 {
-		return
-	}
-	copy(d.lru[ent.pos:], d.lru[ent.pos+1:])
-	d.lru[len(d.lru)-1] = key
-	for i := ent.pos; i < len(d.lru); i++ {
-		d.entries[d.lru[i]].pos = i
-	}
+// removeLocked deletes ent from the index. Caller holds d.mu.
+func (d *Dir) removeLocked(ent *dirEnt) {
+	d.bytes -= ent.size
+	delete(d.entries, ent.id)
+	d.unlinkLocked(ent)
+}
+
+// unlinkLocked takes ent out of the recency list. Caller holds d.mu.
+func (d *Dir) unlinkLocked(ent *dirEnt) {
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+	ent.prev, ent.next = nil, nil
+}
+
+// pushBackLocked appends ent as the most recently used entry. Caller
+// holds d.mu.
+func (d *Dir) pushBackLocked(ent *dirEnt) {
+	last := d.lru.prev
+	ent.prev, ent.next = last, &d.lru
+	last.next, d.lru.prev = ent, ent
 }
 
 // Put stores payload under key with the crash-safe protocol:
-// write-temp in the destination directory, fsync, atomic rename,
-// fsync the directory. An existing entry for key is replaced. The
-// error is advisory — a failed Put leaves the store consistent and
-// callers treat it as "not cached".
+// write-temp in the root, fsync, atomic rename, fsync the root. An
+// existing entry for key is replaced. The error is advisory — a failed
+// Put leaves the store consistent and callers treat it as "not cached".
 func (d *Dir) Put(key string, payload []byte) error {
 	if key == "" || len(key) > maxKeyLen {
 		return fmt.Errorf("store: put: key length %d not in 1..%d", len(key), maxKeyLen)
 	}
-	path := d.path(key)
-	fanDir := filepath.Dir(path)
-	if err := os.MkdirAll(fanDir, 0o755); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
+	id := keyID(key)
+	path := d.path(id)
 
 	blob := entry(key, payload)
-	tmp, err := os.CreateTemp(fanDir, "put-*.tmp")
+	tmp, err := os.CreateTemp(d.root, "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("store: put: %w", err)
 	}
@@ -371,34 +409,70 @@ func (d *Dir) Put(key string, payload []byte) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: put: %w", err)
 	}
-	syncDir(fanDir)
+	syncDir(d.root)
 
-	size := int64(len(blob))
-	var evicted []string
+	ent := &dirEnt{id: id, key: key, size: int64(len(blob))}
+	var evicted []*dirEnt
 	d.mu.Lock()
-	if old, ok := d.entries[key]; ok {
-		d.removeLocked(key, old)
+	if old := d.entries[id]; old != nil {
+		d.removeLocked(old)
 	}
-	d.entries[key] = &dirEnt{size: size, pos: len(d.lru)}
-	d.lru = append(d.lru, key)
-	d.bytes += size
+	d.entries[id] = ent
+	d.pushBackLocked(ent)
+	d.bytes += ent.size
 	if d.opts.Budget > 0 {
-		for d.bytes > d.opts.Budget && len(d.lru) > 1 {
-			victim := d.lru[0]
-			ent := d.entries[victim]
-			d.removeLocked(victim, ent)
+		for d.bytes > d.opts.Budget && d.lru.next != ent {
+			victim := d.lru.next
+			d.removeLocked(victim)
 			evicted = append(evicted, victim)
 		}
 	}
 	d.mu.Unlock()
 
 	for _, victim := range evicted {
-		os.Remove(d.path(victim))
-		if d.opts.OnEvict != nil {
-			d.opts.OnEvict(victim)
-		}
+		d.evict(victim)
 	}
 	return nil
+}
+
+// evict deletes the file of an entry that budget eviction took out of
+// the index and reports its key to OnEvict. A key the Dir never learned
+// (an entry indexed by Open and not read since) is read from the file's
+// header first; a file whose header does not name a key with its id is
+// an invalid entry, removed without OnEvict.
+func (d *Dir) evict(victim *dirEnt) {
+	path := d.path(victim.id)
+	key := victim.key
+	if key == "" && d.opts.OnEvict != nil {
+		key = readKey(path, victim.id)
+	}
+	os.Remove(path)
+	if key != "" && d.opts.OnEvict != nil {
+		d.opts.OnEvict(key)
+	}
+}
+
+// readKey returns the key embedded in the entry file at path, or "" when
+// the header is unreadable or the key does not hash to id.
+func readKey(path, id string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return ""
+	}
+	keyLen, _, _, ok := parseHeader(hdr[:])
+	if !ok {
+		return ""
+	}
+	key := make([]byte, keyLen)
+	if _, err := io.ReadFull(f, key); err != nil || keyID(string(key)) != id {
+		return ""
+	}
+	return string(key)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.
@@ -416,9 +490,10 @@ func syncDir(dir string) {
 // Has reports whether key is indexed, without touching the LRU or the
 // disk. A subsequent Get may still miss if the file was corrupted.
 func (d *Dir) Has(key string) bool {
+	id := keyID(key)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	_, ok := d.entries[key]
+	_, ok := d.entries[id]
 	return ok
 }
 

@@ -3,10 +3,15 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPutGetRoundtrip(t *testing.T) {
@@ -292,5 +297,233 @@ func TestPutRefusesUnloadableKeys(t *testing.T) {
 	}
 	if got, ok := d.Get(long); !ok || string(got) != "p" {
 		t.Fatalf("longest key did not round-trip: ok=%v", ok)
+	}
+}
+
+// TestOpenRemovesOldLayout pins that Open deletes the entry and temp
+// files of the old fan-out layout and then its emptied directories,
+// indexes none of them, and deletes any other file in the root.
+func TestOpenRemovesOldLayout(t *testing.T) {
+	root := t.TempDir()
+	d, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("a:flat", []byte("flat")); err != nil {
+		t.Fatal(err)
+	}
+	old := entry("a:old", []byte("fan-out"))
+	id := keyID("a:old")
+	for name, data := range map[string][]byte{
+		filepath.Join(id[:2], id+entExt):           old,
+		filepath.Join(id[:2], "put-1.tmp"):         []byte("partial"),
+		filepath.Join("ab", keyID("a:x")+entExt):   entry("a:x", nil),
+		keyID("a:flat")[:10] + entExt:              old, // not an id
+		"notes.txt":                                []byte("stray"),
+		"put-2.tmp":                                []byte("partial"),
+		filepath.Join("cd", "put-3.tmp"):           []byte("partial"),
+		filepath.Join("ef", keyID("a:y")+".ent.x"): []byte("kept"),
+	} {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d2, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2.Len() != 1 || d2.Has("a:old") {
+		t.Fatalf("reopened Len = %d, has old-layout entry = %v; want only the flat entry", d2.Len(), d2.Has("a:old"))
+	}
+	if got, ok := d2.Get("a:flat"); !ok || string(got) != "flat" {
+		t.Fatalf("flat entry: ok=%v got=%q", ok, got)
+	}
+	var left []string
+	err = filepath.WalkDir(root, func(p string, e fs.DirEntry, err error) error {
+		if err == nil && p != root {
+			rel, _ := filepath.Rel(root, p)
+			left = append(left, rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fan-out directory that holds a file the store never writes keeps
+	// that file; every other directory and stray file is gone.
+	want := []string{keyID("a:flat") + entExt, "ef", filepath.Join("ef", keyID("a:y")+".ent.x")}
+	sort.Strings(want)
+	if !reflect.DeepEqual(left, want) {
+		t.Fatalf("after Open the root holds %q, want %q", left, want)
+	}
+}
+
+// TestReopenValidatesOnFirstGet pins what Open no longer checks: an
+// entry whose header is corrupt but whose length is intact is indexed
+// (and counted by Len and Bytes) until its first Get, which misses and
+// removes it; likewise an entry whose length changes after Open.
+func TestReopenValidatesOnFirstGet(t *testing.T) {
+	root := t.TempDir()
+	d, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func(key string) int64 { return int64(headerSize + len(key) + 200) }
+	var total int64
+	for _, key := range []string{"a:corrupt", "a:grows", "a:shrinks", "a:good"} {
+		if err := d.Put(key, []byte(strings.Repeat("p", 200))); err != nil {
+			t.Fatal(err)
+		}
+		total += size(key)
+	}
+	corrupt := d.Path("a:corrupt")
+	data, err := os.ReadFile(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xff // the magic
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(root, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2.Len() != 4 || d2.Bytes() != total {
+		t.Fatalf("reopened Len = %d Bytes = %d, want 4 and %d", d2.Len(), d2.Bytes(), total)
+	}
+	grows, shrinks := d2.Path("a:grows"), d2.Path("a:shrinks")
+	f, err := os.OpenFile(grows, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(shrinks, size("a:shrinks")-1); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"a:corrupt", "a:grows", "a:shrinks"} {
+		if _, ok := d2.Get(key); ok {
+			t.Errorf("%s: first Get after reopen must miss", key)
+		}
+		if _, err := os.Stat(d2.Path(key)); !os.IsNotExist(err) {
+			t.Errorf("%s: file survived the failed Get: %v", key, err)
+		}
+	}
+	if d2.Len() != 1 || d2.Bytes() != size("a:good") {
+		t.Fatalf("after the misses Len = %d Bytes = %d, want 1 and %d", d2.Len(), d2.Bytes(), size("a:good"))
+	}
+	if _, ok := d2.Get("a:good"); !ok {
+		t.Fatal("intact entry lost")
+	}
+}
+
+// TestModelLRU drives a budgeted Dir with random Puts, Gets, Removes and
+// reopens and checks it against a reference LRU kept as a slice: the
+// same entries, Len, Bytes, payloads, and the same keys handed to
+// OnEvict in the same order — including the keys of entries evicted
+// before any Get of them since a reopen, which the Dir reads back from
+// their headers. Each Put stamps its file with the next whole second,
+// so a reopen's mtime order is the order the model expects.
+func TestModelLRU(t *testing.T) {
+	const budget = 1500
+	root := t.TempDir()
+	var evicted []string
+	opts := Options{Budget: budget, OnEvict: func(key string) { evicted = append(evicted, key) }}
+	d, err := Open(root, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type modelEnt struct {
+		key     string
+		payload []byte
+		seq     int // order of the Put that wrote it
+	}
+	var lru []modelEnt // least recently used first
+	var wantEvicted []string
+	find := func(key string) int {
+		for i, e := range lru {
+			if e.key == key {
+				return i
+			}
+		}
+		return -1
+	}
+	size := func(e modelEnt) int64 { return int64(headerSize + len(e.key) + len(e.payload)) }
+
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 2000; step++ {
+		key := fmt.Sprintf("a:k%d", rng.Intn(16))
+		switch op := rng.Intn(10); {
+		case op < 4:
+			payload := bytes.Repeat([]byte{byte(step)}, rng.Intn(300))
+			if err := d.Put(key, payload); err != nil {
+				t.Fatal(err)
+			}
+			stamp := time.Unix(int64(1_000_000+step), 0)
+			if err := os.Chtimes(d.Path(key), stamp, stamp); err != nil {
+				t.Fatal(err)
+			}
+			if i := find(key); i >= 0 {
+				lru = append(lru[:i], lru[i+1:]...)
+			}
+			lru = append(lru, modelEnt{key: key, payload: payload, seq: step})
+			var total int64
+			for _, e := range lru {
+				total += size(e)
+			}
+			for total > budget && len(lru) > 1 {
+				total -= size(lru[0])
+				wantEvicted = append(wantEvicted, lru[0].key)
+				lru = lru[1:]
+			}
+		case op < 8:
+			got, ok := d.Get(key)
+			i := find(key)
+			if ok != (i >= 0) {
+				t.Fatalf("step %d: Get(%s) ok=%v, model has it: %v", step, key, ok, i >= 0)
+			}
+			if i >= 0 {
+				if !bytes.Equal(got, lru[i].payload) {
+					t.Fatalf("step %d: Get(%s) payload differs", step, key)
+				}
+				e := lru[i]
+				lru = append(append(lru[:i], lru[i+1:]...), e)
+			}
+		case op < 9:
+			d.Remove(key)
+			if i := find(key); i >= 0 {
+				lru = append(lru[:i], lru[i+1:]...)
+			}
+		default:
+			if d, err = Open(root, opts); err != nil {
+				t.Fatal(err)
+			}
+			sort.SliceStable(lru, func(i, j int) bool { return lru[i].seq < lru[j].seq })
+		}
+		var total int64
+		for _, e := range lru {
+			total += size(e)
+		}
+		if d.Len() != len(lru) || d.Bytes() != total {
+			t.Fatalf("step %d: Len = %d Bytes = %d, model %d and %d", step, d.Len(), d.Bytes(), len(lru), total)
+		}
+		if !reflect.DeepEqual(evicted, wantEvicted) {
+			t.Fatalf("step %d: OnEvict saw %q, model evicted %q", step, evicted, wantEvicted)
+		}
+	}
+	if len(wantEvicted) < 100 {
+		t.Fatalf("only %d evictions: the budget does not bind", len(wantEvicted))
 	}
 }

@@ -231,15 +231,17 @@ const (
 	NoteSpilledBackedge
 )
 
-// Instr is one machine instruction.
+// Instr is one machine instruction. The byte-wide fields come first so
+// they share one word instead of each padding out its own (TestInstrLayout
+// pins the size).
 type Instr struct {
 	Op     Op
+	Size   uint8 // access size for MOV: 1, 2 or 4 bytes (0 = 4)
+	Note   Note
 	Dst    Operand
 	Src    Operand
-	Size   uint8 // access size for MOV: 1, 2 or 4 bytes (0 = 4)
-	Target int   // resolved instruction index for jumps/calls
+	Target int // resolved instruction index for jumps/calls
 	Sym    string
-	Note   Note
 	Label  string // label attached at this instruction, for listings
 }
 

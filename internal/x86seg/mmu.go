@@ -2,8 +2,9 @@ package x86seg
 
 import "fmt"
 
-// SegReg names one of the six segment registers.
-type SegReg int
+// SegReg names one of the six segment registers. It is a byte so that
+// the operands and memory references that carry one stay small.
+type SegReg uint8
 
 // The six IA-32 segment registers. CS/SS/DS are reserved for code, stack
 // and data; ES, FS and GS (and optionally SS, §3.7) are available to Cash
@@ -21,7 +22,7 @@ const (
 var segRegNames = [NumSegRegs]string{"ES", "CS", "SS", "DS", "FS", "GS"}
 
 func (r SegReg) String() string {
-	if r >= 0 && int(r) < NumSegRegs {
+	if r < NumSegRegs {
 		return segRegNames[r]
 	}
 	return fmt.Sprintf("SegReg(%d)", int(r))
