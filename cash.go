@@ -121,8 +121,10 @@ func Strategies() []StrategySpec {
 // order.
 func StrategyNames() []string { return core.StrategyNames() }
 
-// Options tunes a build; the zero value reproduces the paper's default
-// prototype (3 segment registers, read and write checks, call gate).
+// Options tunes a build (its build part) and the machines that run it
+// (its run part; see core.Options); the zero value reproduces the
+// paper's default prototype (3 segment registers, read and write
+// checks, call gate).
 type Options = core.Options
 
 // Artifact is a compiled program.

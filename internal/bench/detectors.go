@@ -136,8 +136,9 @@ func (s Suite) detectorTable(ctx context.Context) (*Table, error) {
 }
 
 // detects reports whether the variant stops the probe's overflow. The
-// probe is built with the overflow oracle (core.Options.Oracle), so the
-// run ends at the overflowing reference either way: "caught" is a
+// probe runs under the overflow oracle (core.Options.Oracle, a run
+// option: the Engine serves it from the probe's one cached build), so
+// the run ends at the overflowing reference either way: "caught" is a
 // detected violation — the strategy's check, a segment-limit #GP or an
 // Electric Fence guard-page fault — and "missed" is the oracle's
 // vm.FaultUncaughtOverflow, the first reference that left its object

@@ -441,15 +441,11 @@ func (c *compiler) refComputed(base minic.Expr, idx minic.Expr, elem int32, path
 		c.strat.computedMetaCheck(c, vm.EBX)
 	}
 	ref := vm.MemRef{Seg: x86seg.DS, Base: vm.EBX, HasBase: true}
-	if c.cfg.Oracle {
-		// The base pointer is EBX minus the scaled index still in EAX.
-		site := vm.Site{Kind: vm.SiteReg, Reg: vm.EBX, Sub: vm.NumRegs}
-		if idxReg {
-			site.Sub = vm.EAX
-		}
-		c.b.TagMem(&siteTag{ref: ref, site: site})
-		return vm.M(ref), nil
+	// The base pointer is EBX minus the scaled index still in EAX.
+	site := vm.Site{Kind: vm.SiteReg, Reg: vm.EBX, Sub: vm.NumRegs}
+	if idxReg {
+		site.Sub = vm.EAX
 	}
-	c.b.TagMem(refTag{})
+	c.b.TagMem(&refTag{ref: ref, site: site})
 	return vm.M(ref), nil
 }

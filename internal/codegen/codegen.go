@@ -60,11 +60,6 @@ type Config struct {
 	// range check). Empty means the emitted program is byte-identical
 	// to the historical direct back end.
 	Passes []string
-	// Oracle attaches the overflow oracle's site table to the program
-	// (vm.SiteTable, see oracle.go): each array-reference instruction and
-	// the object it must stay inside. The emitted code is the same
-	// either way; the table only changes how machines run it.
-	Oracle bool
 }
 
 // Layout constants shared by all generated programs.
@@ -72,6 +67,12 @@ const (
 	DataBase = 0x1000
 	StackTop = 0x7fff0000
 )
+
+// MaxDataImage caps a program's initial data image (globals, string
+// literals and their metadata). Far above any workload's, it keeps a
+// one-line global declaration from sizing a multi-gigabyte allocation,
+// and every program that compiles fits the artifact codec.
+const MaxDataImage = 1 << 24
 
 // Fragment names of the anonymous runtime stubs. Parenthesised so no
 // mini-C function name can collide.
@@ -204,6 +205,9 @@ func (c *compiler) slotSize(t *minic.Type) int32 {
 func (c *compiler) layoutGlobals() error {
 	c.strat.layoutUniverse(c)
 	for _, g := range c.src.Globals {
+		if len(c.data)+g.Type.Size() > MaxDataImage {
+			return fmt.Errorf("global %q: static data exceeds %d bytes", g.Name, MaxDataImage)
+		}
 		if g.Type.Kind == minic.TypeArray {
 			c.strat.globalArrayInfo(c, g)
 		}

@@ -17,7 +17,7 @@ func compile(t *testing.T, src string, cfg Config) *vm.Program {
 	if err := minic.Check(prog); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	p, err := Compile(prog, cfg)
+	p, _, err := CompileIR(prog, cfg)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -9,29 +9,19 @@ import (
 	"cash/internal/vm"
 )
 
-// The overflow oracle's site table (Config.Oracle; the checking side is
+// The overflow oracle's site table (the checking side is
 // internal/vm/oracle.go). Every reference genRef hands out is tagged with
-// its memory operand and the object it addresses; the tag rides on the
-// IR instructions through every pass, and after emission each
+// its memory operand and the object it addresses (refTag); the tag rides
+// on the IR instructions through every pass, and after emission each
 // data-accessing instruction whose operand is the tagged one becomes a
-// site. Builds without the oracle tag references with the plain refTag.
-
-// siteTag is an oracle build's reference tag: the refTag the passes read
-// (see exactRef), the operand the reference hands out, and its site.
-type siteTag struct {
-	refTag
-	ref  vm.MemRef
-	site vm.Site
-}
+// site. Every program carries its table; a machine reads it only when
+// asked to run under the oracle.
 
 // tagRef tags the memory instructions built from a reference to a named
 // array or pointer and returns the reference's operand.
 func (c *compiler) tagRef(t refTag, ref vm.MemRef) vm.Operand {
-	if c.cfg.Oracle {
-		c.b.TagMem(&siteTag{refTag: t, ref: ref, site: c.declSite(t.decl)})
-	} else {
-		c.b.TagMem(t)
-	}
+	t.ref, t.site = ref, c.declSite(t.decl)
+	c.b.TagMem(&t)
 	return vm.M(ref)
 }
 
@@ -73,7 +63,7 @@ func (c *compiler) siteTable(mod *ir.Module, n int) (*vm.SiteTable, error) {
 		for _, blk := range f.Blocks {
 			for i := range blk.Instrs {
 				in := &blk.Instrs[i]
-				if st, ok := in.Tag.(*siteTag); ok && accessesData(in.Op) &&
+				if st, ok := in.Tag.(*refTag); ok && accessesData(in.Op) &&
 					((in.Dst.Kind == vm.KindMem && in.Dst.Mem == st.ref) ||
 						(in.Src.Kind == vm.KindMem && in.Src.Mem == st.ref)) {
 					s := st.site

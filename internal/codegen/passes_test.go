@@ -48,7 +48,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Compile(prog, tc.cfg)
+			_, _, err := CompileIR(prog, tc.cfg)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("valid config rejected: %v", err)

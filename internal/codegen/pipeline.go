@@ -97,15 +97,9 @@ func (cfg Config) validate() ([]x86seg.SegReg, []Pass, error) {
 	return segRegs, passes, nil
 }
 
-// Compile type-checks nothing: the caller must run minic.Check first.
-// It returns a runnable vm.Program.
-func Compile(prog *minic.Program, cfg Config) (*vm.Program, error) {
-	p, _, err := CompileIR(prog, cfg)
-	return p, err
-}
-
-// CompileIR compiles like Compile but also returns the optimized IR
-// module (for -dump-ir and the tests).
+// CompileIR compiles a checked program (the caller must run
+// minic.Check first) and returns the runnable vm.Program with the
+// optimized IR module it was emitted from (for -dump-ir and the tests).
 func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error) {
 	segRegs, passes, err := cfg.validate()
 	if err != nil {
@@ -174,6 +168,9 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 	if err != nil {
 		return nil, nil, err
 	}
+	if len(c.data) > MaxDataImage {
+		return nil, nil, fmt.Errorf("codegen: static data exceeds %d bytes", MaxDataImage)
+	}
 	p.Entry = entry
 	p.Mode = cfg.Mode.String()
 	p.Data = c.data
@@ -195,10 +192,8 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 	// build — a machine uses them unless pinned to the step interpreter
 	// (Options.StepOnly).
 	p.Regions = mod.SuperblockHints()
-	if cfg.Oracle {
-		if p.Sites, err = c.siteTable(mod, len(p.Instrs)); err != nil {
-			return nil, nil, err
-		}
+	if p.Sites, err = c.siteTable(mod, len(p.Instrs)); err != nil {
+		return nil, nil, err
 	}
 	return p, mod, nil
 }
@@ -334,8 +329,10 @@ func (c *compiler) canonExpr(e minic.Expr, vars *[]*minic.VarDecl) (string, bool
 	}
 }
 
-// refTag annotates the memory operands a reference hands out; the
-// passes use it to judge what a store through the operand can touch.
+// refTag annotates the memory operands a reference hands out. The
+// passes read decl and exact to judge what a store through the operand
+// can touch; ref and site become the reference's entry in the overflow
+// oracle's site table (oracle.go).
 type refTag struct {
 	decl *minic.VarDecl
 	// exact means the access was bound-checked against the declared
@@ -344,18 +341,15 @@ type refTag struct {
 	// on scalar or pointer slots. Unchecked, pointer-mediated and
 	// computed accesses are inexact: their store can hit anything.
 	exact bool
+	ref   vm.MemRef // the operand the reference hands out
+	site  vm.Site   // the object the reference must stay inside
 }
 
 // exactRef reports whether an instruction's tag marks an exact
-// reference, in either tag form (refTag, or an oracle build's siteTag).
+// reference.
 func exactRef(tag any) bool {
-	switch t := tag.(type) {
-	case refTag:
-		return t.exact
-	case *siteTag:
-		return t.exact
-	}
-	return false
+	t, ok := tag.(*refTag)
+	return ok && t.exact
 }
 
 // condEnter / condExit bracket conditionally-executed code (if branches,

@@ -75,7 +75,7 @@ func TestDuplicateStrategyRegistrationPanics(t *testing.T) {
 // strategy fails Config validation.
 func TestUnknownModeRejected(t *testing.T) {
 	prog := mustParse(t, "int main() { return 0; }")
-	_, err := Compile(prog, Config{Mode: vm.Mode(99)})
+	_, _, err := CompileIR(prog, Config{Mode: vm.Mode(99)})
 	if err == nil || !strings.Contains(err.Error(), "unknown mode") {
 		t.Fatalf("unregistered mode accepted: %v", err)
 	}

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 
@@ -103,7 +104,18 @@ func (m Mode) resolve() (StrategyInfo, error) {
 	return info, nil
 }
 
-// Options tunes a build.
+// Options tunes a build and its runs. The fields fall in two parts,
+// and core is the one place that tells them apart:
+//   - the build part (SegRegs, SkipReadChecks, UseBoundInstr, Passes)
+//     shapes the compiled program: only compilation, the build key
+//     (BuildKey) and the persisted artifact see it;
+//   - the run part (StepLimit, WithoutCallGate, ElectricFence, StepOnly,
+//     Oracle) only configures the machines that run the program: only
+//     the run key (Artifact.RunKey) and Artifact.NewMachine see it.
+//
+// Requests that differ only in their run part are one program: a
+// serving Engine compiles it once and hands each request a view of it
+// (Artifact.WithRun).
 type Options struct {
 	// SegRegs is the Cash segment-register budget (2, 3 or 4 registers);
 	// 0 means the prototype default of 3 (ES, FS, GS). 4 adds SS (§3.7).
@@ -117,14 +129,6 @@ type Options struct {
 	// instruction (7 cycles) instead of the 6-instruction sequence —
 	// the §2 ablation explaining why bound lost.
 	UseBoundInstr bool
-	// WithoutCallGate runs without the Cash kernel patch: segment
-	// allocations pay the stock modify_ldt cost (§3.6 ablation).
-	WithoutCallGate bool
-	// ElectricFence replaces malloc with the guard-page debugger of the
-	// paper's related work (§2): heap objects end at a page boundary
-	// followed by an unmapped page. Enables paging. Detects heap
-	// overruns only, at a two-pages-per-allocation space cost.
-	ElectricFence bool
 	// Passes names the IR optimization passes to run in the back end
 	// (see codegen.PassNames): "rce" eliminates redundant software
 	// checks, "hoist" moves loop-invariant checks into a preheader,
@@ -135,8 +139,17 @@ type Options struct {
 	// Order and duplicates are normalised away; empty keeps the output
 	// byte-identical to the historical direct back end.
 	Passes []string
+
 	// StepLimit bounds execution; 0 means the VM default.
 	StepLimit uint64
+	// WithoutCallGate runs without the Cash kernel patch: segment
+	// allocations pay the stock modify_ldt cost (§3.6 ablation).
+	WithoutCallGate bool
+	// ElectricFence replaces malloc with the guard-page debugger of the
+	// paper's related work (§2): heap objects end at a page boundary
+	// followed by an unmapped page. Enables paging. Detects heap
+	// overruns only, at a two-pages-per-allocation space cost.
+	ElectricFence bool
 	// StepOnly pins execution to the step interpreter. By default the
 	// compiler's loop regions run as superblocks (tier 2): fused into
 	// single closures with bulk counter accounting, deopting to the step
@@ -145,14 +158,35 @@ type Options struct {
 	// identical either way; only host speed changes, so this is the off
 	// switch for the differential lanes that compare the two.
 	StepOnly bool
-	// Oracle builds the program with the overflow oracle's site table
-	// (codegen.Config.Oracle): the artifact's machines run step-only and
-	// stop at the first array reference that leaves its object after the
-	// strategy's own check let it through, with a
-	// vm.FaultUncaughtOverflow naming the reference. The emitted code is
-	// unchanged. The detector table's probes set it; everything else
-	// leaves it off, and oracle artifacts are never persisted.
+	// Oracle runs the program under the overflow oracle (vm.WithOracle),
+	// which reads the site table every build records
+	// (vm.Program.Sites): machines run step-only and stop at the first
+	// array reference that leaves its object after the strategy's own
+	// check let it through, with a vm.FaultUncaughtOverflow naming the
+	// reference. The detector table's probes set it; everything else
+	// leaves it off.
 	Oracle bool
+}
+
+// withRun returns o with its run part replaced by r's.
+func (o Options) withRun(r Options) Options {
+	o.StepLimit, o.WithoutCallGate, o.ElectricFence = r.StepLimit, r.WithoutCallGate, r.ElectricFence
+	o.StepOnly, o.Oracle = r.StepOnly, r.Oracle
+	return o
+}
+
+// Run-part flag bits, as the run key hashes them.
+const (
+	runWithoutCallGate = 1 << iota
+	runElectricFence
+	runStepOnly
+	runOracle
+)
+
+// runFlags packs the run part's switches.
+func (o *Options) runFlags() byte {
+	return bit(o.WithoutCallGate, runWithoutCallGate) | bit(o.ElectricFence, runElectricFence) |
+		bit(o.StepOnly, runStepOnly) | bit(o.Oracle, runOracle)
 }
 
 // segRegs returns the register list of a budget NormalizeOptions
@@ -172,10 +206,10 @@ func (o Options) segRegs() []x86seg.SegReg {
 // an unknown mode, pass or segment-register budget, writes the default
 // budget 3 as 0, clears the budget of a strategy that does not use
 // segment registers, and lists the passes once each in the registry's
-// execution order. Requests that normalise alike compile to the same
-// program, so the serving layer hashes the result into its build keys:
-// gcc at any budget, and "hoist,rce" and ["rce","hoist"], share one
-// cache entry.
+// execution order. The run part passes through unchanged. Requests
+// whose build parts normalise alike compile to the same program, and
+// BuildKey hashes the normalised build part: gcc at any budget, and
+// "hoist,rce" and ["rce","hoist"], share one cache entry.
 func NormalizeOptions(mode Mode, opts Options) (Options, error) {
 	info, err := mode.resolve()
 	if err != nil {
@@ -228,20 +262,33 @@ func normalizePasses(passes []string) ([]string, error) {
 }
 
 // Artifact is a compiled program for one checking strategy: the
-// Program plus the mode and options that produced it. It is the same
-// value however it was obtained — from Build, from a serving Engine or
-// decoded from the disk store.
+// Program, the mode and build options that produced it, and the run
+// options its machines get. It is the same value however it was
+// obtained — from Build, from a serving Engine or decoded from the disk
+// store. Artifacts that differ only in their run part share one
+// Program (WithRun).
 type Artifact struct {
 	Mode    Mode
 	Program *vm.Program
 	vmMode  vm.Mode
 	opts    Options
 
-	// runKey is the artifact's run key (see RunKey), set once:
-	// DecodeArtifact sets it from the bytes it decoded, and a built
-	// artifact computes it on first use.
+	// digest is the program's content digest, shared with every view of
+	// it (see RunKey).
+	digest *programDigest
+	// runKey is the artifact's run key, computed on first use.
 	runKeyOnce sync.Once
 	runKey     string
+}
+
+// programDigest is the content digest of one compiled program: SHA-256
+// of its encoding and of its site table's, as EncodeArtifact writes
+// them. It is computed once per compiled or decoded program —
+// DecodeArtifact from the bytes it decoded, a built artifact on first
+// use — and shared by the artifact's views, which never re-encode.
+type programDigest struct {
+	once        sync.Once
+	code, sites [sha256.Size]byte
 }
 
 // ParseMode resolves a strategy name, as a flag or a wire request
@@ -302,20 +349,29 @@ func compile(source string, mode Mode, opts Options) (*Artifact, *ir.Module, err
 		SkipReadChecks: opts.SkipReadChecks,
 		UseBoundInstr:  opts.UseBoundInstr,
 		Passes:         opts.Passes,
-		Oracle:         opts.Oracle,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("compile: %w", err)
 	}
-	return &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts}, mod, nil
+	return &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts, digest: &programDigest{}}, mod, nil
 }
 
 // CodeSize returns the estimated binary text size in bytes.
 func (a *Artifact) CodeSize() int { return a.Program.CodeSize() }
 
 // Options returns the build options the artifact was compiled with, as
-// NormalizeOptions spells them.
+// NormalizeOptions spells them, and the run options its machines get.
 func (a *Artifact) Options() Options { return a.opts }
+
+// WithRun returns the artifact that runs a's program under the run part
+// of opts: a itself when that is a's own, else a view sharing a's
+// Program and digest. Its build part is ignored.
+func (a *Artifact) WithRun(opts Options) *Artifact {
+	if opts.StepLimit == a.opts.StepLimit && opts.runFlags() == a.opts.runFlags() {
+		return a
+	}
+	return &Artifact{Mode: a.Mode, Program: a.Program, vmMode: a.vmMode, opts: a.opts.withRun(opts), digest: a.digest}
+}
 
 // StaticStats exposes the code generator's static counters.
 func (a *Artifact) StaticStats() map[string]uint64 { return a.Program.Stats }
@@ -327,12 +383,13 @@ func (a *Artifact) DumpSuperblocks() string { return a.Program.DumpSuperblocks()
 // Disassemble renders the generated code.
 func (a *Artifact) Disassemble() string { return a.Program.Disassemble() }
 
-// NewMachine prepares a machine for the artifact; release it with
-// Machine.Release after its last use. The extra options apply to this
-// machine alone: vm.WithEvents records its events into a trace and
-// vm.WithCancel lets a context stop it, and the artifact is unchanged.
+// NewMachine prepares a machine for the artifact, configured by its run
+// options; release it with Machine.Release after its last use. The
+// extra options apply to this machine alone: vm.WithEvents records its
+// events into a trace and vm.WithCancel lets a context stop it, and the
+// artifact is unchanged.
 func (a *Artifact) NewMachine(extra ...vm.Option) (*vm.Machine, error) {
-	opts := make([]vm.Option, 0, 4+len(extra))
+	opts := make([]vm.Option, 0, 5+len(extra))
 	if a.opts.StepLimit > 0 {
 		opts = append(opts, vm.WithStepLimit(a.opts.StepLimit))
 	}
@@ -344,6 +401,9 @@ func (a *Artifact) NewMachine(extra ...vm.Option) (*vm.Machine, error) {
 	}
 	if a.opts.StepOnly {
 		opts = append(opts, vm.WithoutTier2())
+	}
+	if a.opts.Oracle {
+		opts = append(opts, vm.WithOracle())
 	}
 	opts = append(opts, extra...)
 	return vm.New(a.Program, a.vmMode, opts...)

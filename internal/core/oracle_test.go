@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -36,7 +37,7 @@ func oraclePrograms() []workload.Workload {
 func TestOracleNoFalsePositives(t *testing.T) {
 	for _, w := range oraclePrograms() {
 		for _, mode := range oracleStrategies {
-			for _, passes := range [][]string{nil, {"rce", "hoist", "affine", "chop"}} {
+			for _, passes := range [][]string{nil, allPasses} {
 				name := fmt.Sprintf("%s/%s/%d-passes", w.Name, mode, len(passes))
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
@@ -65,72 +66,104 @@ func TestOracleNoFalsePositives(t *testing.T) {
 	}
 }
 
-// TestOracleLeavesCodeAlone: an oracle build emits the same program as
-// a default build — only the site table is added — and a default build
-// carries no site table at all.
+// TestOracleLeavesCodeAlone: every build records a site table, and the
+// oracle is a run option, so a build that asks for it encodes — program,
+// site table and build options — to the bytes of one that does not.
 func TestOracleLeavesCodeAlone(t *testing.T) {
 	src := workload.Kernels()[0].Source
 	for _, mode := range oracleStrategies {
-		for _, passes := range [][]string{nil, {"rce", "hoist", "affine", "chop"}} {
+		for _, passes := range [][]string{nil, allPasses} {
 			plain, err := Build(src, mode, Options{Passes: passes})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plain.Program.Sites != nil {
-				t.Errorf("%s %v: default build carries a site table", mode, passes)
+			if plain.Program.Sites == nil || len(plain.Program.Sites.Sites) == 0 {
+				t.Errorf("%s %v: default build carries no site table", mode, passes)
 			}
 			watched, err := Build(src, mode, Options{Passes: passes, Oracle: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(watched.Program.Instrs, plain.Program.Instrs) ||
-				!reflect.DeepEqual(watched.Program.Data, plain.Program.Data) ||
-				!reflect.DeepEqual(watched.Program.Regions, plain.Program.Regions) {
-				t.Errorf("%s %v: the oracle changed the emitted program", mode, passes)
+			a, _, _ := EncodeArtifact(plain)
+			b, _, _ := EncodeArtifact(watched)
+			if a == nil || !bytes.Equal(a, b) {
+				t.Errorf("%s %v: the oracle changed the compiled program", mode, passes)
 			}
 		}
 	}
 }
 
-// TestOracleArtifactNotPersisted: oracle artifacts stay memory-only, so
-// the persisted format needs no field for them.
-func TestOracleArtifactNotPersisted(t *testing.T) {
-	art, err := Build(workload.Kernels()[0].Source, ModeGCC, Options{Oracle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, ok, err := EncodeArtifact(art)
-	if ok || err != nil || data != nil {
-		t.Fatalf("EncodeArtifact(oracle build) = %d bytes, ok=%v, err=%v; want a silent refusal", len(data), ok, err)
-	}
-}
-
-// TestOracleStopsAtOverflow: an unchecked overflow of each object kind —
-// heap block, global array, frame array, and a global reached through a
-// computed pointer — stops at the overflowing reference with the
-// oracle's fault, while a checked strategy's own fault still stands.
-func TestOracleStopsAtOverflow(t *testing.T) {
-	cases := map[string]string{
-		"heap": `
+// overflowProbes overflow one object of each kind — heap block, global
+// array, frame array (the detector table's three probes) and a global
+// reached through a computed pointer — with nothing in an unchecked
+// build to stop them.
+var overflowProbes = map[string]string{
+	"heap": `
 void main() {
 	char *b = malloc(24);
 	for (int i = 0; i < 40; i++) b[i] = 'A';
 }`,
-		"global": `
+	"global": `
 int g[8];
 void main() { for (int i = 0; i <= 8; i++) g[i] = i; }`,
-		"frame": `
+	"frame": `
 void smash() {
 	int b[8];
 	for (int i = 0; i <= 8; i++) b[i] = i;
 }
 void main() { smash(); }`,
-		"computed": `
+	"computed": `
 int g[8];
 int h[8];
 void main() { int s = 0; for (int i = 0; i <= 8; i++) s += (g + 0)[i]; printi(s); }`,
+}
+
+// TestOracleRunsOnDecodedArtifact: the site table is persisted with the
+// program, so the oracle runs over an artifact decoded from the store
+// and gives the verdict a fresh build gives — the same fault kind at
+// the same instruction, naming the same object — for every probe under
+// every registered strategy.
+func TestOracleRunsOnDecodedArtifact(t *testing.T) {
+	for name, src := range overflowProbes {
+		for _, mode := range StrategyNames() {
+			label := name + "/" + mode
+			fresh := mustBuildArt(t, src, Mode(mode), Options{Oracle: true})
+			data, ok, err := EncodeArtifact(fresh)
+			if err != nil || !ok {
+				t.Fatalf("%s: encode: ok=%v err=%v", label, ok, err)
+			}
+			back, err := DecodeArtifact(data)
+			if err != nil {
+				t.Fatalf("%s: decode: %v", label, err)
+			}
+			want, wantErr := fresh.Run()
+			got, gotErr := back.WithRun(oracleRun).Run()
+			wantF, gotF := verdict(want, wantErr), verdict(got, gotErr)
+			if wantF == nil {
+				t.Fatalf("%s: fresh build gives no verdict (error %v)", label, wantErr)
+			}
+			if gotF == nil || gotF.Kind != wantF.Kind || gotF.IP != wantF.IP || gotF.Error() != wantF.Error() {
+				t.Errorf("%s: decoded artifact's verdict %v, fresh build's %v", label, gotF, wantF)
+			}
+		}
 	}
-	for name, src := range cases {
+}
+
+// verdict is the fault that ended an oracle run: the strategy's own
+// violation, or the run error (the oracle's uncaught overflow).
+func verdict(res *RunResult, err error) *vm.Fault {
+	if res != nil && res.Violation != nil {
+		return res.Violation
+	}
+	f, _ := err.(*vm.Fault)
+	return f
+}
+
+// TestOracleStopsAtOverflow: an unchecked overflow of each object kind
+// stops at the overflowing reference with the oracle's fault, while a
+// checked strategy's own fault still stands.
+func TestOracleStopsAtOverflow(t *testing.T) {
+	for name, src := range overflowProbes {
 		art, err := Build(src, ModeGCC, Options{Oracle: true})
 		if err != nil {
 			t.Fatal(err)

@@ -31,6 +31,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -40,6 +41,7 @@ import (
 	"slices"
 	"sort"
 
+	"cash/internal/codegen"
 	"cash/internal/ldt"
 	"cash/internal/vm"
 	"cash/internal/x86seg"
@@ -50,8 +52,9 @@ import (
 // and a rebuild, never a wrong answer. Version 2 marked the flip of the
 // execution default to tier 2 (Options.StepOnly replaced Tier2);
 // version 3 replaced gob with the codec in this file; version 4 added
-// Program.Globals.
-const persistVersion = 4
+// Program.Globals; version 5 keeps only the build options and adds the
+// oracle's site table after the program.
+const persistVersion = 5
 
 // Blob tags: the first byte of every encoded artifact and run outcome.
 const (
@@ -59,23 +62,23 @@ const (
 	tagRun      = 'R'
 )
 
-// maxDataImage caps a program's initial data image. It bounds the one
-// allocation a blob sizes by a declared length rather than by its own
-// remaining bytes; the largest image any workload compiles to is far
-// below it.
-const maxDataImage = 1 << 24
+// maxDataImage caps a program's initial data image at the cap codegen
+// compiles to. It bounds the one allocation a blob sizes by a declared
+// length rather than by its own remaining bytes.
+const maxDataImage = codegen.MaxDataImage
 
 // minInstrBytes is the smallest encoded instruction: op, kinds, size,
 // note, and one byte each for an empty target, symbol and label.
 const minInstrBytes = 7
 
-// Options flag bits.
+// minSiteBytes is the smallest encoded site: instruction index, kind,
+// offset, size, frame flag, register and subtracted register.
+const minSiteBytes = 7
+
+// Build-option flag bits.
 const (
 	optSkipReadChecks = 1 << iota
 	optUseBoundInstr
-	optWithoutCallGate
-	optElectricFence
-	optStepOnly
 	optAll = 1<<iota - 1
 )
 
@@ -99,12 +102,13 @@ const (
 // errUnpersistable aborts an encode whose input the format refuses.
 var errUnpersistable = errors.New("core: value cannot be persisted")
 
-// EncodeArtifact serialises an artifact for the disk store. ok is
-// false — with no error — for artifacts that must stay memory-only: an
-// oracle build (Options.Oracle), or a program the format cannot hold
-// exactly.
+// EncodeArtifact serialises an artifact for the disk store: its mode,
+// its build options and its program with the site table. The run part
+// is not written, so an artifact and its views encode alike and decode
+// to the artifact with no run options. ok is false — with no error —
+// for a program the format cannot hold exactly.
 func EncodeArtifact(a *Artifact) (data []byte, ok bool, err error) {
-	if a == nil || a.Program == nil || a.opts.Oracle {
+	if a == nil || a.Program == nil {
 		return nil, false, nil
 	}
 	e := &encoder{buf: make([]byte, 0, 256+12*len(a.Program.Instrs))}
@@ -112,25 +116,29 @@ func EncodeArtifact(a *Artifact) (data []byte, ok bool, err error) {
 	e.uint(persistVersion)
 	e.str(string(a.Mode))
 	e.options(&a.opts)
-	if e.program(a.Program) != nil {
+	if e.program(a.Program) != nil || e.sites(a.Program.Sites) != nil {
 		return nil, false, nil
 	}
 	return e.buf, true, nil
 }
 
-// DecodeArtifact reconstructs an artifact from EncodeArtifact's bytes.
-// The checking strategy is re-resolved against this process's registry,
-// so a blob naming an unregistered strategy fails (and the caller
-// treats the failure as a cache miss).
+// DecodeArtifact reconstructs an artifact from EncodeArtifact's bytes,
+// with no run options (see Artifact.WithRun). The checking strategy is
+// re-resolved against this process's registry, so a blob naming an
+// unregistered strategy fails (and the caller treats the failure as a
+// cache miss).
 func DecodeArtifact(data []byte) (*Artifact, error) {
 	d := &decoder{data: data}
 	d.header(tagArtifact)
 	mode := Mode(d.str())
 	opts := d.options()
-	// The program is the blob's tail: once finish has accepted the
-	// blob, these are exactly the bytes the program decoded from.
-	progBytes := d.data[d.pos:]
+	// The program and then its site table are the blob's tail: once
+	// finish has accepted the blob, these are exactly the bytes they
+	// decoded from.
+	progStart := d.pos
 	prog := d.program()
+	sitesStart := d.pos
+	prog.Sites = d.sites(prog.Instrs)
 	if err := d.finish("artifact"); err != nil {
 		return nil, err
 	}
@@ -145,62 +153,82 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	if canon, err := normalizeOptions(info, opts); err != nil || canon.SegRegs != opts.SegRegs || !slices.Equal(canon.Passes, opts.Passes) {
 		return nil, fmt.Errorf("core: decode artifact: options %+v are not canonical under %s", opts, mode)
 	}
-	a := &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts}
-	key := runDigest(info.Mode, &opts, progBytes)
-	a.runKeyOnce.Do(func() { a.runKey = key })
-	return a, nil
+	dg := &programDigest{
+		code:  sha256.Sum256(data[progStart:sitesStart]),
+		sites: sha256.Sum256(data[sitesStart:]),
+	}
+	dg.once.Do(func() {})
+	return &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts, digest: dg}, nil
+}
+
+// BuildKey returns the content address of a build: a SHA-256 over the
+// strategy name, the build part of opts as EncodeArtifact writes it, and
+// the source text. The run part does not enter it: requests that differ
+// only there are one program. opts must be as NormalizeOptions returns
+// them, so that equivalent spellings collide. The strategy is hashed by
+// name, so a Mode constant and its string spelling (ModeCash and
+// "cash") share a key. A restarted process computes the same key, so
+// the key addresses the artifact across processes too.
+func BuildKey(source string, mode Mode, opts Options) string {
+	e := &encoder{buf: make([]byte, 0, 64+len(source))}
+	e.str("build")
+	e.str(string(mode))
+	e.options(&opts)
+	e.str(source)
+	sum := sha256.Sum256(e.buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // RunKey returns the artifact's run key: a content digest of everything
-// a run of it consumes — the vm execution mode, the options that reach
-// vm.New (StepLimit, WithoutCallGate, ElectricFence, StepOnly) and the
-// program's canonical bytes, as EncodeArtifact writes them. Build
-// requests that compile to the same program share it: a cash build at
-// budgets 2 and 3 whose loops fit in two registers, a bound-instruction
-// build that emits no software check, sources that differ only in
-// comments.
-// The digest is computed once per artifact, from the decoded bytes for
-// a decoded one.
-//
-// ok is false for an artifact that has no digest: an oracle build,
-// whose site table the encoding does not hold, or a program the format
-// cannot hold exactly.
-func (a *Artifact) RunKey() (key string, ok bool) {
-	a.runKeyOnce.Do(func() { a.runKey = a.digest() })
-	return a.runKey, a.runKey != ""
+// a run of it consumes — the vm execution mode, the run options
+// (StepLimit, WithoutCallGate, ElectricFence, StepOnly, Oracle), the
+// program's canonical bytes, as EncodeArtifact writes them, and, for
+// an oracle run alone, the site table the oracle reads. Build requests
+// that compile to the same program share it: a cash build at budgets 2
+// and 3 whose loops fit in two registers, a bound-instruction build
+// that emits no software check, sources that differ only in comments.
+// The program's digest is computed once and shared by its views; a
+// decoded artifact takes it from the bytes it decoded.
+func (a *Artifact) RunKey() string {
+	a.runKeyOnce.Do(func() {
+		d := a.digest.of(a.Program)
+		limit := a.opts.StepLimit
+		if limit == 0 {
+			// The limit the machine applies: the two spellings of the
+			// default share a key, and a change of the default changes it.
+			limit = vm.DefaultStepLimit
+		}
+		buf := make([]byte, 0, 96)
+		buf = append(buf, "run\x00"...)
+		buf = binary.AppendUvarint(buf, uint64(a.vmMode))
+		buf = append(buf, a.opts.runFlags())
+		buf = binary.AppendUvarint(buf, limit)
+		buf = append(buf, d.code[:]...)
+		if a.opts.Oracle {
+			buf = append(buf, d.sites[:]...)
+		}
+		sum := sha256.Sum256(buf)
+		a.runKey = hex.EncodeToString(sum[:])
+	})
+	return a.runKey
 }
 
-// digest encodes the program and hashes it into the run key, or returns
-// "" where RunKey has none.
-func (a *Artifact) digest() string {
-	if a.Program == nil || a.opts.Oracle || a.Program.Sites != nil {
-		return ""
-	}
-	e := &encoder{buf: make([]byte, 0, 256+12*len(a.Program.Instrs))}
-	if e.program(a.Program) != nil {
-		return ""
-	}
-	return runDigest(a.vmMode, &a.opts, e.buf)
-}
-
-// runDigest hashes a run's inputs into its run key. A zero StepLimit is
-// hashed as the limit the machine applies for it, so the two spellings
-// of the default share a key and a change of the default changes it.
-func runDigest(mode vm.Mode, o *Options, program []byte) string {
-	limit := o.StepLimit
-	if limit == 0 {
-		limit = vm.DefaultStepLimit
-	}
-	hdr := make([]byte, 0, 32)
-	hdr = append(hdr, "run\x00"...)
-	hdr = binary.AppendUvarint(hdr, uint64(mode))
-	hdr = append(hdr, bit(o.WithoutCallGate, optWithoutCallGate)|bit(o.ElectricFence, optElectricFence)|
-		bit(o.StepOnly, optStepOnly))
-	hdr = binary.AppendUvarint(hdr, limit)
-	h := sha256.New()
-	h.Write(hdr)
-	h.Write(program)
-	return hex.EncodeToString(h.Sum(nil))
+// of returns the digest of p, encoding and hashing it on first use. A
+// program the format cannot hold (codegen emits none) gets random
+// digests: its runs then share nothing, which is slow but never wrong.
+func (d *programDigest) of(p *vm.Program) *programDigest {
+	d.once.Do(func() {
+		e := &encoder{buf: make([]byte, 0, 256+12*len(p.Instrs))}
+		progErr := e.program(p)
+		n := len(e.buf)
+		if progErr != nil || e.sites(p.Sites) != nil {
+			rand.Read(d.code[:])
+			rand.Read(d.sites[:])
+			return
+		}
+		d.code, d.sites = sha256.Sum256(e.buf[:n]), sha256.Sum256(e.buf[n:])
+	})
+	return d
 }
 
 // EncodeRunOutcome serialises a run-cache entry: the result and the
@@ -307,13 +335,12 @@ func (e *encoder) strs(s []string) {
 	}
 }
 
+// options writes the build part of o: the one encoding of build
+// options, which the artifact codec and BuildKey share.
 func (e *encoder) options(o *Options) {
 	e.int(int64(o.SegRegs))
-	e.byte(bit(o.SkipReadChecks, optSkipReadChecks) | bit(o.UseBoundInstr, optUseBoundInstr) |
-		bit(o.WithoutCallGate, optWithoutCallGate) | bit(o.ElectricFence, optElectricFence) |
-		bit(o.StepOnly, optStepOnly))
+	e.byte(bit(o.SkipReadChecks, optSkipReadChecks) | bit(o.UseBoundInstr, optUseBoundInstr))
 	e.strs(o.Passes)
-	e.uint(o.StepLimit)
 }
 
 func (e *encoder) program(p *vm.Program) error {
@@ -357,6 +384,35 @@ func (e *encoder) program(p *vm.Program) error {
 		e.int(int64(r.Start))
 		e.int(int64(r.End))
 		e.str(r.Name)
+	}
+	return nil
+}
+
+// sites writes a program's site table: each site's fields in order,
+// then the static objects. A missing table or a site the decoder would
+// reject is refused.
+func (e *encoder) sites(t *vm.SiteTable) error {
+	if t == nil {
+		return errUnpersistable
+	}
+	e.count(len(t.Sites), t.Sites == nil)
+	for i := range t.Sites {
+		s := &t.Sites[i]
+		if s.Instr < 0 || !validSite(s) {
+			return errUnpersistable
+		}
+		e.uint(uint64(s.Instr))
+		e.byte(byte(s.Kind))
+		e.int(int64(s.Off))
+		e.uint(uint64(s.Size))
+		e.bool(s.Frame)
+		e.byte(byte(s.Reg))
+		e.byte(byte(s.Sub))
+	}
+	e.count(len(t.Statics), t.Statics == nil)
+	for _, o := range t.Statics {
+		e.uint(uint64(o.Addr))
+		e.uint(uint64(o.Size))
 	}
 	return nil
 }
@@ -678,11 +734,7 @@ func (d *decoder) options() Options {
 	flags := d.flags(optAll)
 	o.SkipReadChecks = flags&optSkipReadChecks != 0
 	o.UseBoundInstr = flags&optUseBoundInstr != 0
-	o.WithoutCallGate = flags&optWithoutCallGate != 0
-	o.ElectricFence = flags&optElectricFence != 0
-	o.StepOnly = flags&optStepOnly != 0
 	o.Passes = d.strs()
-	o.StepLimit = d.uint()
 	return o
 }
 
@@ -742,6 +794,50 @@ func (d *decoder) program() *vm.Program {
 		}
 	}
 	return p
+}
+
+// sites reads encoder.sites' table for a program of the given
+// instructions. Sites must name instructions in strictly increasing
+// order, each with a memory operand the oracle can wrap, and be valid
+// (validSite); statics must be sorted by address.
+func (d *decoder) sites(instrs []vm.Instr) *vm.SiteTable {
+	t := &vm.SiteTable{}
+	if n, isNil := d.count(minSiteBytes); !isNil {
+		t.Sites = make([]vm.Site, n)
+		for i := range t.Sites {
+			s := &t.Sites[i]
+			idx := d.uint()
+			if d.err == nil && (idx >= uint64(len(instrs)) || i > 0 && idx <= uint64(t.Sites[i-1].Instr)) {
+				d.fail("site indices not increasing inside the program")
+			}
+			s.Instr = int(idx)
+			s.Kind = vm.SiteKind(d.byte())
+			s.Off, s.Size, s.Frame = d.i32(), d.u32(), d.bool()
+			s.Reg, s.Sub = vm.Reg(d.byte()), vm.Reg(d.byte())
+			if d.err != nil {
+				return nil
+			}
+			if !validSite(s) {
+				d.fail("site of an unknown kind or register")
+				return nil
+			}
+			if in := &instrs[s.Instr]; in.Dst.Kind != vm.KindMem && in.Src.Kind != vm.KindMem {
+				d.fail("site on an instruction without a memory operand")
+				return nil
+			}
+		}
+	}
+	if n, isNil := d.count(2); !isNil {
+		t.Statics = make([]vm.Object, n)
+		for i := range t.Statics {
+			o := &t.Statics[i]
+			o.Addr, o.Size = d.u32(), d.u32()
+			if i > 0 && o.Addr < t.Statics[i-1].Addr {
+				d.fail("static objects not sorted")
+			}
+		}
+	}
+	return t
 }
 
 // key reads the i-th map key, which must sort strictly after prev.
@@ -919,6 +1015,12 @@ func inImage(g vm.Global, p *vm.Program) bool {
 }
 
 func validSeg(s x86seg.SegReg) bool { return s < x86seg.NumSegRegs }
+
+// validSite reports whether a site has a defined kind and registers the
+// oracle can read: Reg a register, Sub a register or NumRegs for none.
+func validSite(s *vm.Site) bool {
+	return s.Kind >= vm.SiteStatic && s.Kind <= vm.SiteReg && s.Reg < vm.NumRegs && s.Sub <= vm.NumRegs
+}
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

@@ -135,11 +135,13 @@ func TestArtifactCodecKeepsNilAndEmpty(t *testing.T) {
 	for _, empty := range []bool{false, true} {
 		p := copyProgram(t, art)
 		p.Instrs, p.Funcs, p.Globals, p.Data, p.Stats, p.Regions = nil, nil, nil, nil, nil, nil
+		p.Sites = &vm.SiteTable{}
 		opts := art.opts
 		opts.Passes = nil
 		if empty {
 			p.Instrs, p.Funcs, p.Globals, p.Data = []vm.Instr{}, map[string]int{}, map[string]vm.Global{}, []byte{}
 			p.Stats, p.Regions = map[string]uint64{}, []vm.Region{}
+			p.Sites = &vm.SiteTable{Sites: []vm.Site{}, Statics: []vm.Object{}}
 			opts.Passes = []string{}
 		}
 		a := &Artifact{Mode: art.Mode, Program: p, vmMode: art.vmMode, opts: opts}
@@ -208,7 +210,96 @@ func globalsBlob(globals ...blobGlobal) []byte {
 	e.str(string(ModeCash))
 	e.count(0, true) // nil stats
 	e.count(0, true) // nil regions
+	e.count(0, true) // no sites
+	e.count(0, true) // no static objects
 	return e.buf
+}
+
+// siteTableBlob encodes art with the given site table, written field by
+// field — so a test can write what the encoder never would.
+func siteTableBlob(art *Artifact, sites []vm.Site, statics []vm.Object) []byte {
+	e := &encoder{}
+	e.byte(tagArtifact)
+	e.uint(persistVersion)
+	e.str(string(art.Mode))
+	e.options(&art.opts)
+	if e.program(art.Program) != nil {
+		panic("unencodable program")
+	}
+	e.count(len(sites), false)
+	for _, s := range sites {
+		e.uint(uint64(s.Instr))
+		e.byte(byte(s.Kind))
+		e.int(int64(s.Off))
+		e.uint(uint64(s.Size))
+		e.bool(s.Frame)
+		e.byte(byte(s.Reg))
+		e.byte(byte(s.Sub))
+	}
+	e.count(len(statics), false)
+	for _, o := range statics {
+		e.uint(uint64(o.Addr))
+		e.uint(uint64(o.Size))
+	}
+	return e.buf
+}
+
+// badSiteTables are site tables of sumKernel's gcc build that must not
+// decode, keyed by what is wrong with them; the "valid" table must.
+func badSiteTables(t testing.TB) (art *Artifact, valid []byte, bad map[string][]byte) {
+	art, err := Build(sumKernel, ModeGCC, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := art.Program.Sites.Sites
+	if len(sites) < 2 {
+		t.Fatalf("%d sites, want at least 2", len(sites))
+	}
+	noMem := -1
+	for i, in := range art.Program.Instrs {
+		if in.Dst.Kind != vm.KindMem && in.Src.Kind != vm.KindMem {
+			noMem = i
+			break
+		}
+	}
+	site := func(instr int, kind vm.SiteKind) vm.Site {
+		return vm.Site{Instr: instr, Kind: kind, Off: 0x1000, Size: 128}
+	}
+	a, b := sites[0].Instr, sites[1].Instr
+	objs := []vm.Object{{Addr: 0x1000, Size: 128}, {Addr: 0x1080, Size: 4}}
+	valid = siteTableBlob(art, []vm.Site{site(a, vm.SiteStatic), site(b, vm.SiteFrame)}, objs)
+	bad = map[string][]byte{
+		"index out of range":    siteTableBlob(art, []vm.Site{site(len(art.Program.Instrs), vm.SiteStatic)}, nil),
+		"unsorted sites":        siteTableBlob(art, []vm.Site{site(b, vm.SiteStatic), site(a, vm.SiteStatic)}, nil),
+		"duplicate site":        siteTableBlob(art, []vm.Site{site(a, vm.SiteStatic), site(a, vm.SiteStatic)}, nil),
+		"unknown kind":          siteTableBlob(art, []vm.Site{site(a, vm.SiteReg+1)}, nil),
+		"no kind":               siteTableBlob(art, []vm.Site{site(a, 0)}, nil),
+		"no memory operand":     siteTableBlob(art, []vm.Site{site(noMem, vm.SiteStatic)}, nil),
+		"unsorted statics":      siteTableBlob(art, nil, []vm.Object{objs[1], objs[0]}),
+		"register out of range": siteTableBlob(art, []vm.Site{{Instr: a, Kind: vm.SiteReg, Reg: vm.NumRegs}}, nil),
+		"sub out of range":      siteTableBlob(art, []vm.Site{{Instr: a, Kind: vm.SiteReg, Sub: vm.NumRegs + 1}}, nil),
+	}
+	return art, valid, bad
+}
+
+// TestDecodeRejectsBadSiteTables pins the site-table checks the oracle
+// relies on: vm/oracle.go indexes the instruction table by site, so an
+// index out of range would be a panic, not an error. A table that
+// passes them decodes and re-encodes to itself.
+func TestDecodeRejectsBadSiteTables(t *testing.T) {
+	_, valid, bad := badSiteTables(t)
+	back, err := DecodeArtifact(valid)
+	if err != nil {
+		t.Fatalf("valid site table: %v", err)
+	}
+	if re, ok, err := EncodeArtifact(back); err != nil || !ok || !bytes.Equal(re, valid) {
+		t.Fatalf("valid site table re-encodes differently: ok=%v err=%v", ok, err)
+	}
+	for name, blob := range bad {
+		if _, err := DecodeArtifact(blob); err == nil {
+			t.Errorf("%s: decode must fail", name)
+		}
+	}
 }
 
 // TestArtifactCodecGlobals pins Program.Globals through the codec: a
@@ -281,6 +372,15 @@ func TestArtifactCodecRefusesLossyPrograms(t *testing.T) {
 		},
 		"global array outside the data image": func(p *vm.Program) {
 			p.Globals = map[string]vm.Global{"x": {Addr: p.DataBase + uint32(len(p.Data)), Size: 1}}
+		},
+		"no site table": func(p *vm.Program) {
+			p.Sites = nil
+		},
+		"unknown site kind": func(p *vm.Program) {
+			p.Sites.Sites[0].Kind = vm.SiteReg + 1
+		},
+		"site register out of range": func(p *vm.Program) {
+			p.Sites.Sites[0] = vm.Site{Instr: p.Sites.Sites[0].Instr, Kind: vm.SiteReg, Sub: vm.NumRegs + 1}
 		},
 	}
 	for name, mutate := range cases {
@@ -588,9 +688,16 @@ func TestPersistedFieldSets(t *testing.T) {
 		reflect.TypeOf(vm.Fault{}): {
 			"Kind vm.FaultKind", "IP int", "Instr string", "Cause error",
 		},
+		reflect.TypeOf(vm.SiteTable{}): {"Sites []vm.Site", "Statics []vm.Object"},
+		reflect.TypeOf(vm.Site{}): {
+			"Instr int", "Kind vm.SiteKind", "Off int32", "Size uint32", "Frame bool", "Reg vm.Reg", "Sub vm.Reg",
+		},
+		reflect.TypeOf(vm.Object{}): {"Addr uint32", "Size uint32"},
+		// The codec writes the build part; the run part is listed so that
+		// a new field must be placed in one of the two.
 		reflect.TypeOf(Options{}): {
-			"SegRegs int", "SkipReadChecks bool", "UseBoundInstr bool", "WithoutCallGate bool",
-			"ElectricFence bool", "Passes []string", "StepLimit uint64", "StepOnly bool",
+			"SegRegs int", "SkipReadChecks bool", "UseBoundInstr bool", "Passes []string",
+			"StepLimit uint64", "WithoutCallGate bool", "ElectricFence bool", "StepOnly bool",
 			"Oracle bool",
 		},
 	}

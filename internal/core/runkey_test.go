@@ -21,19 +21,28 @@ func mustBuildArt(t *testing.T, src string, mode Mode, opts Options) *Artifact {
 
 func mustRunKey(t *testing.T, label string, art *Artifact) string {
 	t.Helper()
-	key, ok := art.RunKey()
-	if !ok || len(key) != 64 {
-		t.Fatalf("%s: run key %q, ok=%v; want a SHA-256 digest", label, key, ok)
+	key := art.RunKey()
+	if len(key) != 64 {
+		t.Fatalf("%s: run key %q; want a SHA-256 digest", label, key)
 	}
 	return key
 }
 
-// TestRunKeyRoundtrip pins that a decoded artifact carries the run key
-// of the artifact it was encoded from: DecodeArtifact hashes the bytes
-// it decoded, a built artifact hashes its program's encoding, and the
-// two must agree for every suite program under every strategy, with no
-// passes and with all of them. A restarted engine finds its
-// predecessor's run outcomes only if they do.
+// rehashed returns a's program as a fresh artifact, whose run keys come
+// from encoding the program rather than from a's digest.
+func rehashed(a *Artifact) *Artifact {
+	return &Artifact{Mode: a.Mode, Program: a.Program, vmMode: a.vmMode, opts: a.opts, digest: &programDigest{}}
+}
+
+// oracleRun is the run options of an oracle run.
+var oracleRun = Options{Oracle: true}
+
+// TestRunKeyRoundtrip pins that a decoded artifact carries the run keys
+// of the artifact it was encoded from, for a default and an oracle run:
+// DecodeArtifact hashes the bytes it decoded, a built artifact hashes
+// its program's encoding, and the two must agree for every suite
+// program under every strategy, with no passes and with all of them. A
+// restarted engine finds its predecessor's run outcomes only if they do.
 func TestRunKeyRoundtrip(t *testing.T) {
 	for _, w := range codecWorkloads() {
 		for _, name := range StrategyNames() {
@@ -55,8 +64,11 @@ func TestRunKeyRoundtrip(t *testing.T) {
 				if got := mustRunKey(t, label, back); got != want {
 					t.Fatalf("%s: decoded run key %s, built %s", label, got, want)
 				}
-				if got := back.digest(); got != want {
+				if got := rehashed(back).RunKey(); got != want {
 					t.Fatalf("%s: decoded artifact re-hashes to %s, want %s", label, got, want)
+				}
+				if got, want := back.WithRun(oracleRun).RunKey(), art.WithRun(oracleRun).RunKey(); got != want {
+					t.Fatalf("%s: decoded oracle run key %s, built %s", label, got, want)
 				}
 			}
 		}
@@ -85,9 +97,8 @@ void main() {
 )
 
 // TestRunKeySharing pins which builds share a run key. Builds whose
-// programs and machine options are identical share it although their
-// build requests differ; a change to any option that reaches vm.New
-// separates them; oracle builds have none.
+// programs and run options are identical share it although their build
+// requests differ; a change to any run option separates them.
 func TestRunKeySharing(t *testing.T) {
 	keyOf := func(src string, mode Mode, opts Options) string {
 		return mustRunKey(t, string(mode), mustBuildArt(t, src, mode, opts))
@@ -130,6 +141,7 @@ func TestRunKeySharing(t *testing.T) {
 		"WithoutCallGate": {WithoutCallGate: true},
 		"ElectricFence":   {ElectricFence: true},
 		"StepOnly":        {StepOnly: true},
+		"Oracle":          oracleRun,
 	} {
 		if key(ModeCash, opts) == base {
 			t.Errorf("%s: shares the default build's run key", name)
@@ -138,9 +150,47 @@ func TestRunKeySharing(t *testing.T) {
 	if key(ModeGCC, Options{}) == key(ModeBCC, Options{}) {
 		t.Error("gcc and bcc builds share a run key")
 	}
-	oracle := mustBuildArt(t, twoArrayLoops, ModeCash, Options{Oracle: true})
-	if k, ok := oracle.RunKey(); ok || k != "" {
-		t.Errorf("oracle build has run key %q", k)
+	if key(ModeGCC, Options{SegRegs: 2, Oracle: true}) != key(ModeGCC, oracleRun) {
+		t.Error("oracle runs of one program have distinct run keys")
+	}
+}
+
+// TestRunKeySiteTable pins that only an oracle run's key covers the
+// site table: the table is the oracle's input alone, so default runs
+// of programs that differ only there share a key, as they did before
+// every build recorded one.
+func TestRunKeySiteTable(t *testing.T) {
+	art := mustBuildArt(t, twoArrayLoops, ModeGCC, Options{})
+	p := copyProgram(t, art)
+	p.Sites.Sites = p.Sites.Sites[1:]
+	other := &Artifact{Mode: art.Mode, Program: p, vmMode: art.vmMode, opts: art.opts, digest: &programDigest{}}
+	if other.RunKey() != art.RunKey() {
+		t.Error("the site table changes a default run's key")
+	}
+	if other.WithRun(oracleRun).RunKey() == art.WithRun(oracleRun).RunKey() {
+		t.Error("the site table does not change an oracle run's key")
+	}
+}
+
+// TestWithRun pins the views: a request's own run part returns the
+// artifact itself, another run part a view that shares the program and
+// its digest and keeps the build options, and a view's build part is
+// ignored.
+func TestWithRun(t *testing.T) {
+	art := mustBuildArt(t, twoArrayLoops, ModeCash, Options{SegRegs: 2})
+	if art.WithRun(Options{SegRegs: 4, Passes: allPasses}) != art {
+		t.Error("WithRun of the artifact's own run part made a view")
+	}
+	v := art.WithRun(Options{ElectricFence: true, StepLimit: 1 << 20, SegRegs: 4})
+	if v == art || v.Program != art.Program || v.digest != art.digest {
+		t.Fatal("a view does not share the artifact's program and digest")
+	}
+	want := Options{SegRegs: 2, ElectricFence: true, StepLimit: 1 << 20}
+	if !reflect.DeepEqual(v.Options(), want) {
+		t.Errorf("view options %+v, want %+v", v.Options(), want)
+	}
+	if v.WithRun(Options{}).RunKey() != art.RunKey() || v.RunKey() == art.RunKey() {
+		t.Error("view run keys do not follow their run options")
 	}
 }
 

@@ -403,9 +403,6 @@ func (m *Manager) ReleaseReserved() int {
 	return n
 }
 
-// Reserved returns how many entries are held by Reserve.
-func (m *Manager) Reserved() int { return len(m.reserved) }
-
 // CorruptFreeList deliberately damages the user-space free_ldt_entry
 // list — the §3.8 scenario where an application overwrite hits Cash's
 // shadow structures. The damage is deterministic: a duplicate of the

@@ -2,68 +2,13 @@ package serve
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"sync"
 
 	"cash/internal/core"
 	"cash/internal/obs"
 	"cash/internal/store"
+	"cash/internal/vm"
 )
-
-// buildKey derives the content address of an artifact: a SHA-256 over
-// the source text, the strategy name, and every semantic build option.
-// The strategy is hashed by name, so a Mode constant and its string
-// spelling (core.ModeCash and "cash") address the same cache entry.
-//
-// The key addresses the same artifact in both tiers of the cache —
-// and, through the disk tier, across processes: a restarted server
-// computes the same key and finds the previous process's artifact.
-func buildKey(source string, mode core.Mode, opts core.Options) string {
-	h := sha256.New()
-	h.Write([]byte(mode))
-	h.Write([]byte{0})
-	var fixed [32]byte
-	binary.LittleEndian.PutUint32(fixed[4:], uint32(opts.SegRegs))
-	if opts.SkipReadChecks {
-		fixed[8] = 1
-	}
-	if opts.UseBoundInstr {
-		fixed[9] = 1
-	}
-	if opts.WithoutCallGate {
-		fixed[10] = 1
-	}
-	if opts.ElectricFence {
-		fixed[11] = 1
-	}
-	// StepOnly selects which execution engine the artifact's machines
-	// use, so step and tier-2 artifacts are distinct cache entries even
-	// though they compile the same code.
-	if opts.StepOnly {
-		fixed[12] = 1
-	}
-	// An oracle build carries a site table and runs under the oracle.
-	// The flag takes a byte that is zero when it is off, so the keys of
-	// default builds, and the store entries filed under them, stay valid.
-	if opts.Oracle {
-		fixed[13] = 1
-	}
-	binary.LittleEndian.PutUint64(fixed[16:], opts.StepLimit)
-	binary.LittleEndian.PutUint64(fixed[24:], uint64(len(source)))
-	h.Write(fixed[:])
-	// Optimization passes change the emitted program, so they are part
-	// of the content address. The engine normalised the options before
-	// keying (core.NormalizeOptions), so equivalent spellings collide.
-	for _, p := range opts.Passes {
-		h.Write([]byte{0})
-		h.Write([]byte(p))
-	}
-	h.Write([]byte{0xff})
-	h.Write([]byte(source))
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // Disk-tier metrics. Registered lazily — the first engine that opens a
 // disk store creates them — so engines without a StoreDir publish
@@ -124,20 +69,20 @@ type flight struct {
 // holds artifacts and run results in one byte-budgeted LRU; disk, when
 // the engine has a StoreDir, holds their encoded bytes across processes
 // (internal/store, under the same keys). Artifacts are filed under
-// "a:" and their build key, run outcomes under "r:" and their run key
-// (see runKey). Reads try memory, then disk, promoting disk hits into
-// memory; writes go to memory and through to disk.
+// "a:" and their build key (core.BuildKey), run outcomes under "r:" and
+// their run key (core.Artifact.RunKey). Reads try memory, then disk,
+// promoting disk hits into memory; writes go to memory and through to
+// disk.
 //
 // The cache also holds the two pieces of engine policy that sit on the
 // same keys: the singleflight table that coalesces concurrent identical
-// builds and runs, and the artifact→key table that makes runs of
-// canonical cached artifacts memoisable. Everything in memory is under
-// one mutex; disk I/O, the codecs and run-key digests run outside it.
+// builds and runs, and the program table that makes runs of cached
+// programs memoisable. Everything in memory is under one mutex; disk
+// I/O, the codecs and run-key digests run outside it.
 //
-// A cache is a cache, not a database: unpersistable values (oracle
-// artifacts, non-deterministic outcomes) and disk I/O failures
-// degrade to "not cached", and callers always fall back to rebuilding
-// or rerunning.
+// A cache is a cache, not a database: unpersistable values
+// (non-deterministic outcomes) and disk I/O failures degrade to "not
+// cached", and callers always fall back to rebuilding or rerunning.
 type cache struct {
 	disk *store.Dir // nil for a memory-only engine
 
@@ -146,11 +91,12 @@ type cache struct {
 	bytes   int64
 	lru     *list.List // of *entry; front = most recently used
 	entries map[string]*list.Element
-	// artKeys maps each artifact the LRU holds back to its build key,
-	// enabling the run-result cache. An artifact leaves it when it
-	// leaves memory: holders of the old pointer run for real, and the
-	// next lookup registers a canonical artifact again.
-	artKeys map[*core.Artifact]string
+	// artKeys maps the program of each artifact the LRU holds back to
+	// its build key, enabling the run-result cache for that artifact and
+	// every view of it. A program leaves it when its artifact leaves
+	// memory: holders of the old pointer run for real, and the next
+	// lookup registers a cached program again.
+	artKeys map[*vm.Program]string
 	// flights holds the in-progress builds and runs, under the same
 	// "a:"/"r:"-prefixed keys as their cache entries.
 	flights map[string]*flight
@@ -164,7 +110,7 @@ func newCache(budget int64, disk *store.Dir) *cache {
 		budget:  budget,
 		lru:     list.New(),
 		entries: make(map[string]*list.Element),
-		artKeys: make(map[*core.Artifact]string),
+		artKeys: make(map[*vm.Program]string),
 		flights: make(map[string]*flight),
 	}
 }
@@ -210,15 +156,15 @@ func (c *cache) removeLocked(el *list.Element) {
 	delete(c.entries, ent.key)
 	c.bytes -= ent.size
 	if ent.art != nil {
-		delete(c.artKeys, ent.art)
+		delete(c.artKeys, ent.art.Program)
 	}
 }
 
-// putArtifactLocked holds art in memory as the canonical artifact for
-// key, registering it for run memoisation.
+// putArtifactLocked holds art in memory as the artifact for key,
+// registering its program for run memoisation.
 func (c *cache) putArtifactLocked(key string, art *core.Artifact) {
 	c.insertLocked("a:"+key, &entry{art: art, size: artifactSize(art)})
-	c.artKeys[art] = key
+	c.artKeys[art.Program] = key
 }
 
 // getArtifact returns the cached artifact for a build key from memory
@@ -341,23 +287,19 @@ func (c *cache) endFlight(fullKey string, f *flight) {
 }
 
 // runKey returns the run-cache key for an artifact and whether its runs
-// are memoisable. Only canonical cached artifacts are; uncached
-// artifacts run for real every time. The key is the artifact's run key
-// (core.Artifact.RunKey), a digest of the program and the machine
-// options, so every cached artifact that compiles to the same program
-// shares its runs. An artifact without one (an oracle build) keeps its
-// runs under its build key.
+// are memoisable. Only runs of a program the cache holds are — the
+// cached artifact's and those of its views; other artifacts run for real
+// every time. The key is the artifact's run key (core.Artifact.RunKey),
+// a digest of the program and the run options, so every cached artifact
+// that compiles to the same program shares its runs.
 func (c *cache) runKey(art *core.Artifact) (string, bool) {
 	c.mu.Lock()
-	key, ok := c.artKeys[art]
+	_, ok := c.artKeys[art.Program]
 	c.mu.Unlock()
 	if !ok {
 		return "", false
 	}
-	if digest, ok := art.RunKey(); ok {
-		return digest, true
-	}
-	return key, true
+	return art.RunKey(), true
 }
 
 // getRun returns the memoised run outcome for a run key, from memory

@@ -8,18 +8,19 @@ import (
 	"testing"
 
 	"cash/internal/core"
+	"cash/internal/vm"
 )
 
 // checkCacheBookkeeping asserts the cache's memory accounting: the LRU
 // and its index agree, bytes is the sum of the held entries' sizes, and
-// artKeys registers exactly the artifacts the LRU holds, each under its
-// own key.
+// artKeys registers exactly the programs of the artifacts the LRU
+// holds, each under its own key.
 func checkCacheBookkeeping(t *testing.T, c *cache) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var sum int64
-	held := make(map[*core.Artifact]string)
+	held := make(map[*vm.Program]string)
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		ent := el.Value.(*entry)
 		sum += ent.size
@@ -27,7 +28,7 @@ func checkCacheBookkeeping(t *testing.T, c *cache) {
 			t.Errorf("LRU entry %s is not indexed", ent.key)
 		}
 		if ent.art != nil {
-			held[ent.art] = strings.TrimPrefix(ent.key, "a:")
+			held[ent.art.Program] = strings.TrimPrefix(ent.key, "a:")
 		}
 	}
 	if len(c.entries) != c.lru.Len() {
@@ -36,13 +37,13 @@ func checkCacheBookkeeping(t *testing.T, c *cache) {
 	if sum != c.bytes {
 		t.Errorf("bytes = %d, held entries sum to %d", c.bytes, sum)
 	}
-	for art, key := range c.artKeys {
-		if k, ok := held[art]; !ok || k != key {
-			t.Errorf("artKeys registers an artifact the LRU does not hold under %s", key)
+	for prog, key := range c.artKeys {
+		if k, ok := held[prog]; !ok || k != key {
+			t.Errorf("artKeys registers a program the LRU does not hold under %s", key)
 		}
 	}
 	if len(c.artKeys) != len(held) {
-		t.Errorf("artKeys has %d entries, LRU holds %d artifacts", len(c.artKeys), len(held))
+		t.Errorf("artKeys has %d entries, LRU holds %d programs", len(c.artKeys), len(held))
 	}
 }
 

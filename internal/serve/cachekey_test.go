@@ -18,13 +18,13 @@ func TestBuildKeyAliasIdentity(t *testing.T) {
 		{core.ModeMPX, core.Mode("mpx")},
 	}
 	for _, c := range cases {
-		if got, want := buildKey(src, c.a, core.Options{}), buildKey(src, c.b, core.Options{}); got != want {
-			t.Errorf("buildKey(%v) = %s, buildKey(%q) = %s: aliases must share a cache entry",
+		if got, want := core.BuildKey(src, c.a, core.Options{}), core.BuildKey(src, c.b, core.Options{}); got != want {
+			t.Errorf("BuildKey(%v) = %s, BuildKey(%q) = %s: aliases must share a cache entry",
 				c.a, got, string(c.b), want)
 		}
 	}
 	// Distinct strategies must not collide.
-	if buildKey(src, core.ModeCash, core.Options{}) == buildKey(src, core.ModeMPX, core.Options{}) {
+	if core.BuildKey(src, core.ModeCash, core.Options{}) == core.BuildKey(src, core.ModeMPX, core.Options{}) {
 		t.Error("cash and mpx share a cache key")
 	}
 }
@@ -33,15 +33,15 @@ func TestBuildKeyAliasIdentity(t *testing.T) {
 // hash, so a strategy name must never alias into the option block or
 // source of a different request.
 func TestBuildKeyStrategySeparation(t *testing.T) {
-	if buildKey("x", core.Mode("ab"), core.Options{}) == buildKey("x", core.Mode("a"), core.Options{}) {
+	if core.BuildKey("x", core.Mode("ab"), core.Options{}) == core.BuildKey("x", core.Mode("a"), core.Options{}) {
 		t.Error("different names collide")
 	}
 }
 
-// TestBuildKeyPinned pins the digest of default keys: a new build option
-// must key in bytes the option block leaves zero when it is off, so
-// every existing key — and every entry of an existing store — stays
-// valid. The oracle flag is such an option.
+// TestBuildKeyPinned pins the digest of build keys, which address
+// artifacts in every store a previous process wrote, and pins that the
+// run part of the options does not enter them: requests that differ
+// only in how they run address one artifact.
 func TestBuildKeyPinned(t *testing.T) {
 	src := "void main() { printi(1); }"
 	pins := []struct {
@@ -49,18 +49,17 @@ func TestBuildKeyPinned(t *testing.T) {
 		opts core.Options
 		want string
 	}{
-		{core.ModeGCC, core.Options{}, "67df0aa259cd8115b96127165347535dcbe3d1a5863453e191e399df4b460064"},
-		{core.ModeCash, core.Options{Passes: []string{"rce", "hoist"}, StepLimit: 1000},
-			"d9795e33b78a97bde4417c48f0d782923a73206e7c4755e5171f2e5d71a71eed"},
+		{core.ModeGCC, core.Options{}, "d724b987bdbe92520593f14031d2ccc3bdea7d837a42591c8973aed0d73b66b0"},
+		{core.ModeCash, core.Options{SegRegs: 4, UseBoundInstr: true, Passes: []string{"rce", "hoist"}}, "1a5b5c52d357e71b01d7ccc879eea28945f30b4779a224e2ce02f061e500d5c0"},
 	}
 	for _, p := range pins {
-		if got := buildKey(src, p.mode, p.opts); got != p.want {
-			t.Errorf("buildKey(%s, %+v) = %s, want %s", p.mode, p.opts, got, p.want)
+		if got := core.BuildKey(src, p.mode, p.opts); got != p.want {
+			t.Errorf("BuildKey(%s, %+v) = %s, want %s", p.mode, p.opts, got, p.want)
 		}
-		oracle := p.opts
-		oracle.Oracle = true
-		if buildKey(src, p.mode, oracle) == p.want {
-			t.Errorf("%s: the oracle flag does not change the key", p.mode)
+		run := p.opts
+		run.StepLimit, run.WithoutCallGate, run.ElectricFence, run.StepOnly, run.Oracle = 1000, true, true, true, true
+		if got := core.BuildKey(src, p.mode, run); got != p.want {
+			t.Errorf("%s: the run options change the key to %s", p.mode, got)
 		}
 	}
 }

@@ -195,9 +195,14 @@ func (e *Engine) DoCollect(n int, f func(i int) error) []error {
 }
 
 // BuildContext returns the artifact for (source, mode, opts), serving
-// it from the content-addressed cache when possible. Concurrent misses
-// for the same key compile once (singleflight); waiters block on the
-// flight or ctx, whichever finishes first.
+// its program from the content-addressed cache when possible. The cache
+// holds one artifact per build key (core.BuildKey), compiled from the
+// build part of the options: a request with no run options gets that
+// artifact itself, any other a view of it with the request's run
+// options (core.Artifact.WithRun), so requests that differ only in how
+// they run share one compile. Concurrent misses for the same key
+// compile once (singleflight); waiters block on the flight or ctx,
+// whichever finishes first.
 //
 // Logical-build accounting: cache hits and coalesced waiters still
 // count into core.builds.* (via core.NoteCachedBuild), so those
@@ -214,8 +219,15 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	if err != nil {
 		return nil, err
 	}
-	key := buildKey(source, mode, opts)
+	art, err := e.build(ctx, core.BuildKey(source, mode, opts), source, mode, opts)
+	if err != nil {
+		return nil, err
+	}
+	return art.WithRun(opts), nil
+}
 
+// build returns the cached artifact for key, compiling it on a miss.
+func (e *Engine) build(ctx context.Context, key, source string, mode core.Mode, opts core.Options) (*core.Artifact, error) {
 	if art, ok := e.cache.getArtifact(key); ok {
 		mCacheHits.Inc()
 		core.NoteCachedBuild(mode)
@@ -250,11 +262,11 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	mCacheMisses.Inc()
 	mBuildCompiles.Inc()
 	art, err := core.Build(source, mode, opts)
-	e.cache.finishFlight(key, f, art, err)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		art = art.WithRun(core.Options{})
 	}
-	return art, nil
+	e.cache.finishFlight(key, f, art, err)
+	return art, err
 }
 
 // NewMachine prepares a machine for the artifact; its parts come from
@@ -272,15 +284,16 @@ func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine
 
 // RunContext executes the artifact once, honoring ctx between simulated
 // basic blocks (a canceled ctx surfaces as ctx.Err, never as a *Fault).
-// Runs of canonical cached artifacts are memoised under their run key,
-// a digest of the program and the machine options
-// (core.Artifact.RunKey): a run of any cached artifact that compiles to
-// a program already run with the same options returns a deep copy of
-// the recorded result — including deterministic error outcomes such as
-// step-limit faults — without simulating, and concurrent runs of one
-// run key share one simulation. Artifacts the cache does not hold
-// (built elsewhere, or evicted) always run for real. A request slot is
-// held for the duration (admission control).
+// Runs of artifacts whose program the cache holds — those BuildContext
+// returned, views included — are memoised under their run key, a
+// digest of the program and the run options (core.Artifact.RunKey): a
+// run of any such artifact that compiles to a program already run with
+// the same options returns a deep copy of the recorded result —
+// including deterministic error outcomes such as step-limit faults —
+// without simulating, and concurrent runs of one run key share one
+// simulation. Artifacts the cache does not hold (built elsewhere, or
+// evicted) always run for real. A request slot is held for the
+// duration (admission control).
 func (e *Engine) RunContext(ctx context.Context, art *core.Artifact) (*core.RunResult, error) {
 	if err := e.acquire(ctx); err != nil {
 		return nil, err

@@ -127,18 +127,22 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 }
 
 // TestCacheTier2Distinct pins that tier-2 and step execution are
-// distinct cache entries: they compile the same code but execute it
-// through different engines, so one artifact must never serve both. A
-// tier-2 artifact's machines must actually run tier-2 (SB stats
-// present), and its results must still equal the step artifact's.
+// distinct artifacts of one cached program: they compile the same code
+// but execute it through different engines, so the step request gets a
+// view of the tier-2 build, never the tier-2 artifact itself. A tier-2
+// artifact's machines must actually run tier-2 (SB stats present), and
+// its results must still equal the step artifact's.
 func TestCacheTier2Distinct(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
 	tier2 := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
 	step := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{StepOnly: true})
-	if step == tier2 {
+	if step == tier2 || !step.Options().StepOnly {
 		t.Fatal("step build served the tier-2 artifact from the cache")
 	}
-	if again := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{StepOnly: true}); again != step {
+	if step.Program != tier2.Program {
+		t.Fatal("step build compiled the program again")
+	}
+	if again := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{StepOnly: true}); again.Program != step.Program {
 		t.Fatal("repeated step build missed the cache")
 	}
 	res1 := mustRun(t, eng, step)

@@ -208,7 +208,7 @@ func TestPersistOldFormatIsMiss(t *testing.T) {
 	}{Version: 2, HasRes: true, Result: res.Result, HeapSpan: res.HeapSpan}); err != nil {
 		t.Fatal(err)
 	}
-	key := buildKey(sumKernel, core.ModeCash, core.Options{})
+	key := core.BuildKey(sumKernel, core.ModeCash, core.Options{})
 	d, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -216,11 +216,7 @@ func TestPersistOldFormatIsMiss(t *testing.T) {
 	if err := d.Put("a:"+key, old.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	runKey, ok := art.RunKey()
-	if !ok {
-		t.Fatal("built artifact has no run key")
-	}
-	for _, k := range []string{key, runKey} {
+	for _, k := range []string{key, art.RunKey()} {
 		if err := d.Put("r:"+k, oldRun.Bytes()); err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +257,7 @@ func TestPersistOldFormatIsMiss(t *testing.T) {
 	if _, err := core.DecodeArtifact(payload); err != nil {
 		t.Fatalf("artifact entry was not overwritten in the current format: %v", err)
 	}
-	payload, ok = d.Get("r:" + runKey)
+	payload, ok = d.Get("r:" + art.RunKey())
 	if !ok {
 		t.Fatal("run entry missing after the rerun")
 	}

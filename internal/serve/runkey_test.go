@@ -89,28 +89,63 @@ func TestBudgetOutsideCashIsOneBuild(t *testing.T) {
 	}
 }
 
-// TestRunsThatMustNotShare pins the other side: an option that reaches
-// the machine separates two runs of one program, and oracle builds,
-// which have no run key, keep their runs under their own build keys.
+// TestRunsThatMustNotShare pins the other side: a run option separates
+// two runs of one program. The engine compiles the program once and
+// hands the second request a view of it, but the option enters the run
+// key; an oracle run and a default run of one build never share one.
 func TestRunsThatMustNotShare(t *testing.T) {
 	for name, opts := range map[string]core.Options{
 		"StepLimit":       {StepLimit: 1 << 30},
 		"WithoutCallGate": {WithoutCallGate: true},
 		"ElectricFence":   {ElectricFence: true},
 		"StepOnly":        {StepOnly: true},
+		"Oracle":          {Oracle: true},
 	} {
 		eng := NewEngine(EngineConfig{})
+		compiles := counter("serve.build.compiles")
 		base := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{})
 		other := mustBuild(t, eng, heapKernel, core.ModeCash, opts)
+		if n := counter("serve.build.compiles") - compiles; n != 1 || other.Program != base.Program {
+			t.Errorf("%s: %d compiles, shared program %v; want one compile of one program", name, n, other.Program == base.Program)
+		}
+		if base.RunKey() == other.RunKey() {
+			t.Errorf("%s: shares the default run's key", name)
+		}
 		if _, sims, hits := runDeltas(t, eng, base, other); sims != 2 || hits != 0 {
 			t.Errorf("%s: vm.runs delta %d, run_hits delta %d; want 2 and 0", name, sims, hits)
 		}
 	}
+}
+
+// TestRunOptionsShareOneBuild pins the detector table's sharing: GCC
+// and GCC under Electric Fence are one compile and two runs, and oracle
+// requests share their runs — two for one build one simulation, and an
+// oracle build of an equal program (cash at budget 2, which heapKernel's
+// loops fit) the same.
+func TestRunOptionsShareOneBuild(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
+	compiles := counter("serve.build.compiles")
+	gcc := mustBuild(t, eng, heapKernel, core.ModeGCC, core.Options{})
+	fence := mustBuild(t, eng, heapKernel, core.ModeGCC, core.Options{ElectricFence: true})
+	if n := counter("serve.build.compiles") - compiles; n != 1 {
+		t.Fatalf("gcc and Electric Fence: %d compiles, want 1", n)
+	}
+	res, sims, hits := runDeltas(t, eng, gcc, fence)
+	if sims != 2 || hits != 0 {
+		t.Fatalf("gcc and Electric Fence: vm.runs delta %d, run_hits delta %d; want 2 and 0", sims, hits)
+	}
+	if res[1].HeapSpan <= res[0].HeapSpan {
+		t.Fatalf("Electric Fence heap span %d, gcc's %d: the fence did not run", res[1].HeapSpan, res[0].HeapSpan)
+	}
+
 	a := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true})
-	b := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true, SegRegs: 2})
-	if _, sims, hits := runDeltas(t, eng, a, b, a); sims != 2 || hits != 1 {
-		t.Errorf("oracle builds: vm.runs delta %d, run_hits delta %d; want 2 and 1", sims, hits)
+	b := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true})
+	c := mustBuild(t, eng, heapKernel, core.ModeCash, core.Options{Oracle: true, SegRegs: 2})
+	if a.Program != b.Program || c.Program == a.Program {
+		t.Fatal("oracle requests for one build do not share its program, or two builds share one")
+	}
+	if _, sims, hits := runDeltas(t, eng, a, b, c); sims != 1 || hits != 2 {
+		t.Errorf("oracle runs: vm.runs delta %d, run_hits delta %d; want 1 and 2", sims, hits)
 	}
 }
 

@@ -88,10 +88,13 @@ type header struct {
 }
 
 // WireOptions is the serializable subset of core.Options a remote
-// client may set. StepOnly has no wire form: the execution engine is
-// the server's choice, never a client's. Neither has Oracle, which only
-// the detector probes build with. A "tier2" field from an older client
-// is ignored.
+// client may set: the whole build part, and of the run part the step
+// limit, the call-gate ablation and Electric Fence, which the engine
+// applies to a view of the one cached build (core.Artifact.WithRun).
+// StepOnly has no wire form: the execution engine is the server's
+// choice, never a client's. Neither has Oracle, which only the
+// detector probes run with. A "tier2" field from an older client is
+// ignored.
 type WireOptions struct {
 	SegRegs         int      `json:"seg_regs,omitempty"`
 	SkipReadChecks  bool     `json:"skip_read_checks,omitempty"`
@@ -102,7 +105,7 @@ type WireOptions struct {
 	StepLimit       uint64   `json:"step_limit,omitempty"`
 }
 
-// Options converts the wire form into build options.
+// Options converts the wire form into core options.
 func (w WireOptions) Options() core.Options {
 	return core.Options{
 		SegRegs:         w.SegRegs,

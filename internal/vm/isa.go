@@ -306,9 +306,9 @@ type Program struct {
 	// identical with or without them.
 	Regions []Region
 
-	// Sites is the overflow oracle's site table (see oracle.go), present
-	// only on programs compiled with codegen.Config.Oracle. A machine for
-	// a program that carries one runs step-only under the oracle.
+	// Sites is the overflow oracle's site table (see oracle.go): every
+	// compiled program carries one. A machine reads it only when
+	// WithOracle asks it to run under the oracle.
 	Sites *SiteTable
 
 	// pre caches the predecoded execution form (see predecode.go), built

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"cash/internal/ldt"
@@ -256,6 +257,14 @@ func WithElectricFence() Option {
 	return func(m *Machine) { m.efence = true }
 }
 
+// WithOracle runs the machine under the overflow oracle (see
+// oracle.go): step-only, stopping at the first array reference that
+// leaves its object with a FaultUncaughtOverflow. The program must carry
+// a site table.
+func WithOracle() Option {
+	return func(m *Machine) { m.useOracle = true }
+}
+
 // Machine executes a Program. Create one per run with New and Release
 // it after its last use; machines are not safe for concurrent use.
 type Machine struct {
@@ -303,8 +312,9 @@ type Machine struct {
 	mix       *uopMix // dispatch mix; sbstats builds only
 
 	// oracle is the overflow oracle's state (see oracle.go), nil unless
-	// the program carries a site table.
-	oracle *oracle
+	// WithOracle asked for it (useOracle).
+	useOracle bool
+	oracle    *oracle
 
 	// Fault-injection mechanisms (see the With* chaos options). At most
 	// one of the one-shot corruptions fires per run (chaosFired latches).
@@ -343,7 +353,10 @@ func New(prog *Program, mode Mode, opts ...Option) (*Machine, error) {
 		o(m)
 	}
 	m.plain = m.pages == nil && m.trace == nil
-	if prog.Sites != nil {
+	if m.useOracle {
+		if prog.Sites == nil {
+			return nil, errors.New("vm: the oracle needs a program with a site table")
+		}
 		m.stepOnly = true
 		m.oracle = newOracle(prog)
 	}

@@ -6,10 +6,10 @@ import (
 )
 
 // This file is the ground-truth overflow oracle, in the style of the
-// Jones & Kelly object table behind Bounds-Checking GCC. A program
-// compiled with an oracle site table (codegen.Config.Oracle) names, for
-// every array-reference instruction, the object the reference must stay
-// inside. A machine for such a program runs step-only on a private copy
+// Jones & Kelly object table behind Bounds-Checking GCC. A compiled
+// program's site table (Program.Sites) names, for every array-reference
+// instruction, the object the reference must stay inside. A machine
+// started WithOracle runs step-only on a private copy
 // of the predecoded table in which each site's closure is wrapped: the
 // wrapper computes the reference's linear byte range and its object from
 // the registers as they are before the instruction, runs the original
@@ -18,10 +18,11 @@ import (
 // FaultUncaughtOverflow if the range left the object. Heap objects come
 // from the malloc and free services, whose HCALLs the table wraps too.
 //
-// Outside this file only New, which pins such a machine to the step
-// interpreter, and the table swap at the top of Run know about the
-// oracle: compileInstr, the superblock engine and the dispatch loops run
-// unchanged, and programs without a site table never reach this code.
+// Outside this file only WithOracle, New, which pins such a machine to
+// the step interpreter, and the table swap at the top of Run know about
+// the oracle: compileInstr, the superblock engine and the dispatch loops
+// run unchanged, and machines started without WithOracle never reach
+// this code.
 
 // SiteKind says where a site's object comes from.
 type SiteKind uint8
