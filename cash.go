@@ -35,8 +35,8 @@
 //
 // Serve many requests through one Engine — compiled artifacts are
 // cached under a content hash, deterministic executions are served
-// from a run cache, machines are recycled, and admission control bounds
-// in-flight work:
+// from a run cache, machines are recycled, and Close drains the work in
+// flight:
 //
 //	eng := cash.NewEngine(cash.EngineConfig{})
 //	defer eng.Close()
@@ -219,22 +219,21 @@ func MeasureOverheadConstants() (OverheadConstants, error) {
 }
 
 // EngineConfig tunes a serving Engine. The zero value gives the
-// defaults: a 64 MiB artifact/run cache, in-flight admission bounded by
-// the parallelism budget, GOMAXPROCS parallelism, and no disk store.
+// defaults: a 64 MiB artifact/run cache, GOMAXPROCS parallelism for the
+// Engine's own fan-outs, and no disk store.
 type EngineConfig = serve.EngineConfig
 
 // Engine is the serving runtime: it owns every piece of cross-request
 // state — a content-addressed artifact cache (builds of identical
 // source/mode/options are compiled once, concurrent duplicates
-// coalesced), a run cache for deterministic executions, and admission
-// control bounding in-flight work with a FIFO
-// waiter queue. All methods are safe for concurrent use; every
-// operation takes a context and honors cancellation between simulated
-// basic blocks.
+// coalesced), a run cache for deterministic executions, and a lifecycle
+// end (Close). It queues nothing: callers bound their own concurrency.
+// All methods are safe for concurrent use; every operation takes a
+// context and honors cancellation between simulated basic blocks.
 //
 // Simulated machines are recycled process-wide (reset on reuse,
 // indistinguishable from fresh). Engines are otherwise independent: each
-// owns its own cache and admission state, so a misbehaving tenant cannot
+// owns its own cache and lifecycle, so a misbehaving tenant cannot
 // evict another Engine's artifacts. The paper's tables are served
 // through an Engine by a Suite. The package-level Build and
 // CompareStrategies use no Engine at all.
@@ -264,8 +263,8 @@ func OpenEngine(cfg EngineConfig) (*Engine, error) {
 var ErrEngineClosed = serve.ErrEngineClosed
 
 // Close shuts the Engine down: new work is rejected with
-// ErrEngineClosed, queued requests fail immediately, and Close blocks
-// until in-flight requests have drained. It is idempotent.
+// ErrEngineClosed, and Close blocks until the builds, runs and
+// comparisons in flight have returned. It is idempotent.
 func (e *Engine) Close() error { return e.eng.Close() }
 
 // BuildContext is Build through the Engine: the compiled artifact is
@@ -276,19 +275,18 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode Mode, opt
 	return e.eng.BuildContext(ctx, source, mode, opts)
 }
 
-// RunContext executes an artifact on a recycled machine under admission
-// control. Deterministic executions are served from the run cache,
+// RunContext executes an artifact on a recycled machine. Deterministic executions are served from the run cache,
 // keyed by the program and machine options rather than the build
 // request, so builds that compile to the same program share one
-// simulation; ctx cancels a queued request and interrupts a running
-// simulation between basic blocks, returning ctx.Err().
+// simulation; ctx cancels the wait for another request's simulation of
+// the same run and interrupts a running simulation between basic
+// blocks, returning ctx.Err().
 func (e *Engine) RunContext(ctx context.Context, art *Artifact) (*RunResult, error) {
 	return e.eng.RunContext(ctx, art)
 }
 
 // CompareStrategiesContext is CompareStrategies through the Engine:
-// every strategy's build and run is cached and admission-controlled
-// like any other request.
+// every strategy's build and run is cached like any other request.
 func (e *Engine) CompareStrategiesContext(ctx context.Context, name, source string, cfg CompareConfig) (*Comparison, error) {
 	return e.eng.CompareStrategiesContext(ctx, name, source, cfg)
 }

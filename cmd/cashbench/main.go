@@ -10,8 +10,8 @@
 //
 // All work is served through one cash.Engine: compiled artifacts are
 // cached under a content hash, deterministic executions come from a
-// run cache, simulated machines are recycled, and admission control
-// bounds in-flight work. The serving knobs:
+// run cache, and simulated machines are recycled; -parallel bounds the
+// work in flight. The serving knobs:
 //
 //	-repeat N    with -all, serve the suite N times through the same
 //	             Engine; pass 1 is printed, later (cache-warm) passes

@@ -66,9 +66,9 @@ func main() {
 		os.Exit(2)
 	case *pipe:
 		// Hermetic mode: an in-process server over synchronous pipes.
-		// The engine bound and queue depth keep the golden run
-		// sub-capacity, so availability is 100% by construction.
-		eng := serve.NewEngine(serve.EngineConfig{MaxInFlight: 32})
+		// The queue depth keeps the golden run sub-capacity, so
+		// availability is 100% by construction.
+		eng := serve.NewEngine(serve.EngineConfig{})
 		s := srv.New(srv.Config{Engine: eng, Workers: *workers, QueueDepth: *queue})
 		l := srv.NewPipeListener()
 		go s.Serve(l)

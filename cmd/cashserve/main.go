@@ -1,7 +1,9 @@
 // Command cashserve exposes the cash engine over TCP: build, run,
 // compare, and table requests arrive as length-prefixed frames (see
 // internal/srv), are admitted through a bounded worker pool, and are
-// served by one shared engine with its artifact and run caches.
+// served by one shared engine with its artifact and run caches. The
+// worker pool is the only concurrency bound: at most -workers requests
+// execute at once, whatever the host's core count.
 //
 // Usage:
 //
@@ -62,7 +64,6 @@ func main() {
 		quotaBurst   = flag.Int("quota-burst", 8, "per-connection burst size")
 		writeTimeout = flag.Duration("write-timeout", srv.DefaultWriteTimeout, "slow-client disconnect threshold")
 		drain        = flag.Duration("drain", 30*time.Second, "graceful drain budget before hard cancel")
-		maxInFlight  = flag.Int("max-in-flight", 0, "engine admission bound (0 = derived)")
 		chaosRate    = flag.Float64("chaos-rate", 0, "wire-fault injection probability (0 = off)")
 		chaosSeed    = flag.Uint64("chaos-seed", chaos.DefaultSeed, "wire-fault schedule seed")
 		cacheBudget  = flag.Int64("cache-budget", 0, "in-memory artifact/run cache byte budget (0 = 64 MiB default; negative is an error)")
@@ -72,10 +73,9 @@ func main() {
 	flag.Parse()
 
 	eng, err := serve.Open(serve.EngineConfig{
-		MaxInFlight: *maxInFlight,
-		CacheBytes:  *cacheBudget,
-		StoreDir:    *storeDir,
-		StoreBytes:  *storeBudget,
+		CacheBytes: *cacheBudget,
+		StoreDir:   *storeDir,
+		StoreBytes: *storeBudget,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cashserve: %v\n", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -85,6 +86,34 @@ func TestTier2Equivalence(t *testing.T) {
 			}
 			if r2.SB == nil || r2.SB.Entries == 0 || r2.SB.InstrsRetired == 0 {
 				t.Fatalf("%s %v: tier-2 run retired nothing in superblocks: %+v", w.Name, mode, r2.SB)
+			}
+		}
+	}
+}
+
+// TestTier2PollKeepsTraces pins that a context poll is invisible in
+// the result: a tier-2 run that polls a context (as every Engine run
+// does) enters and retires the same superblock passes as one that does
+// not, so the whole Result, Result.SB included, is equal. A pass that
+// would cross the next poll polls early instead of stepping to it.
+func TestTier2PollKeepsTraces(t *testing.T) {
+	for _, w := range workload.Kernels() {
+		for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash} {
+			art, err := Build(w.Source, mode, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := runRaw(t, art)
+			if err != nil {
+				t.Fatalf("%s %v: %v", w.Name, mode, err)
+			}
+			got, err := runRaw(t, art, vm.WithCancel(context.Background()))
+			if err != nil {
+				t.Fatalf("%s %v with a context: %v", w.Name, mode, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s %v: polling a context changed the result\n without: %+v %+v\n with:    %+v %+v",
+					w.Name, mode, *want, *want.SB, *got, *got.SB)
 			}
 		}
 	}

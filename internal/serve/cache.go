@@ -267,7 +267,7 @@ func (c *cache) finishFlight(key string, f *flight, art *core.Artifact, err erro
 
 // finishRun is finishFlight for a run: a memoised outcome is stored in
 // both tiers before the flight ends, so a later leader finds it when it
-// looks again (see Engine.runNoAdmission), and the flight keeps a
+// looks again (see Engine.RunContext), and the flight keeps a
 // private copy for its waiters.
 func (c *cache) finishRun(key string, f *flight, res *core.RunResult, runErr error, memoise bool) {
 	if memoise {

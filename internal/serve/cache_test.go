@@ -178,7 +178,7 @@ void main() {
 
 	t.Run("memory", func(t *testing.T) {
 		evictions := counter("serve.cache.evictions")
-		eng := mustOpen(t, EngineConfig{CacheBytes: budget, MaxInFlight: workers})
+		eng := mustOpen(t, EngineConfig{CacheBytes: budget})
 		defer eng.Close()
 		churn(t, eng)
 		if counter("serve.cache.evictions") == evictions {
@@ -196,7 +196,7 @@ void main() {
 			t.Fatal(err)
 		}
 		hits, compiles := counter("store.disk.hits"), counter("serve.build.compiles")
-		eng := mustOpen(t, EngineConfig{CacheBytes: budget, MaxInFlight: workers, StoreDir: dir})
+		eng := mustOpen(t, EngineConfig{CacheBytes: budget, StoreDir: dir})
 		defer eng.Close()
 		churn(t, eng)
 		if counter("store.disk.hits") == hits {

@@ -2,20 +2,20 @@
 // that owns every piece of cross-request state the per-call API
 // (core.Build, Artifact.Run) rebuilds from scratch — a content-addressed
 // artifact cache with singleflight build deduplication, a run cache for
-// deterministic executions, and admission control bounding concurrent
-// requests. Machines come from the vm package's parts recycler, which
-// every caller shares. The paper amortizes Cash's fixed costs (§4.1
-// per-program and per-array setup) across many references; the Engine
-// amortizes the host-side analogues — compilation and arena allocation
-// — across many requests.
+// deterministic executions, and a lifecycle end that drains in-flight
+// work. It schedules nothing: callers bound their own concurrency (srv
+// by its worker pool, Engine.Do by Parallelism). Machines come from the
+// vm package's parts recycler, which every caller shares. The paper
+// amortizes Cash's fixed costs (§4.1 per-program and per-array setup)
+// across many references; the Engine amortizes the host-side analogues
+// — compilation and arena allocation — across many requests.
 //
 // Everything the Engine does is observable through the shared
-// internal/obs registry (serve.cache.*, serve.build.*,
-// serve.admission.*) and none of it changes any simulated number: a
-// cache-hit artifact is the same artifact, a recycled machine is reset
-// to exactly the fresh-build state (pinned by equivalence tests), and
-// results served from the run cache are deep copies of a real run's
-// result.
+// internal/obs registry (serve.cache.*, serve.build.*) and none of it
+// changes any simulated number: a cache-hit artifact is the same
+// artifact, a recycled machine is reset to exactly the fresh-build
+// state (pinned by equivalence tests), and results served from the run
+// cache are deep copies of a real run's result.
 package serve
 
 import (
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"cash/internal/core"
 	"cash/internal/obs"
@@ -41,9 +42,6 @@ var (
 
 	mBuildCompiles  = obs.Default().Counter("serve.build.compiles")
 	mBuildCoalesced = obs.Default().Counter("serve.build.coalesced")
-
-	mAdmWaits    = obs.Default().Counter("serve.admission.waits")
-	mAdmCanceled = obs.Default().Counter("serve.admission.canceled")
 )
 
 // ErrEngineClosed is returned by every Engine method once Close has
@@ -68,9 +66,6 @@ type EngineConfig struct {
 	// CacheBytes bounds the artifact + run-result cache. 0 means
 	// DefaultCacheBytes; Open rejects a negative budget.
 	CacheBytes int64
-	// MaxInFlight bounds concurrently admitted requests. 0 derives the
-	// bound from Parallelism.
-	MaxInFlight int
 	// Parallelism is the worker budget for this Engine's table fan-outs.
 	// 0 means GOMAXPROCS.
 	Parallelism int
@@ -90,7 +85,11 @@ type EngineConfig struct {
 type Engine struct {
 	cfg   EngineConfig
 	cache *cache
-	adm   admission
+
+	mu       sync.Mutex
+	closed   bool       // Close has begun
+	inflight int        // builds, runs and comparisons not yet returned
+	drained  *sync.Cond // on mu; broadcast when a closed engine's inflight hits 0
 }
 
 // NewEngine returns an Engine for the given configuration and panics
@@ -128,27 +127,49 @@ func Open(cfg EngineConfig) (*Engine, error) {
 			return nil, err
 		}
 	}
-	return &Engine{cfg: cfg, cache: newCache(budget, disk)}, nil
+	e := &Engine{cfg: cfg, cache: newCache(budget, disk)}
+	e.drained = sync.NewCond(&e.mu)
+	return e, nil
 }
 
 // Close shuts the Engine down: new work — builds, runs, comparisons —
-// is rejected with ErrEngineClosed, queued admission waiters fail with
-// the same error immediately, and Close blocks until every admitted
-// request has finished and released its slot (the drain). Close is
-// idempotent and safe to call concurrently; every call returns only
-// once the engine is drained. The caches are left intact so
-// in-flight requests finish normally; they are simply unreachable once
-// the last reference to the Engine drops.
+// is rejected with ErrEngineClosed, and Close blocks until every build,
+// run and comparison already in flight has returned (the drain). Close
+// is idempotent and safe to call concurrently; every call returns only
+// once the engine is drained. The caches are left intact so in-flight
+// requests finish normally; they are simply unreachable once the last
+// reference to the Engine drops.
 func (e *Engine) Close() error {
-	e.adm.closeAndDrain()
+	e.mu.Lock()
+	e.closed = true
+	for e.inflight > 0 {
+		e.drained.Wait()
+	}
+	e.mu.Unlock()
 	return e.cache.close()
 }
 
-// closed reports whether Close has begun.
-func (e *Engine) closed() bool {
-	e.adm.mu.Lock()
-	defer e.adm.mu.Unlock()
-	return e.adm.closed
+// enter counts one build, run or comparison in flight, or fails with
+// ErrEngineClosed once Close has begun. Every successful enter is
+// paired with a leave.
+func (e *Engine) enter() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return ErrEngineClosed
+	}
+	e.inflight++
+	return nil
+}
+
+// leave ends an enter, waking Close when it drains the last one.
+func (e *Engine) leave() {
+	e.mu.Lock()
+	e.inflight--
+	if e.closed && e.inflight == 0 {
+		e.drained.Broadcast()
+	}
+	e.mu.Unlock()
 }
 
 // Parallelism resolves this Engine's worker budget.
@@ -159,39 +180,16 @@ func (e *Engine) Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// limit resolves the admission bound.
-func (e *Engine) limit() int {
-	if e.cfg.MaxInFlight > 0 {
-		return e.cfg.MaxInFlight
-	}
-	if p := e.Parallelism(); p > 1 {
-		return p
-	}
-	return 1
-}
-
-// workers is the fan-out budget for Do/DoCollect: capped at the
-// admission limit so the Engine's own fan-outs never queue against
-// themselves — internal waits would make the serve.admission.waits
-// counter scheduling-dependent.
-func (e *Engine) workers() int {
-	p := e.Parallelism()
-	if l := e.limit(); l < p {
-		p = l
-	}
-	return p
-}
-
 // Do runs f(0) … f(n-1) with this Engine's worker budget (see par.DoN
 // for the error contract).
 func (e *Engine) Do(n int, f func(i int) error) error {
-	return par.DoN(e.workers(), n, f)
+	return par.DoN(e.Parallelism(), n, f)
 }
 
 // DoCollect runs every index to completion and returns the per-index
 // error slice (see par.DoCollectN).
 func (e *Engine) DoCollect(n int, f func(i int) error) []error {
-	return par.DoCollectN(e.workers(), n, f)
+	return par.DoCollectN(e.Parallelism(), n, f)
 }
 
 // BuildContext returns the artifact for (source, mode, opts), serving
@@ -212,9 +210,10 @@ func (e *Engine) BuildContext(ctx context.Context, source string, mode core.Mode
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if e.closed() {
-		return nil, ErrEngineClosed
+	if err := e.enter(); err != nil {
+		return nil, err
 	}
+	defer e.leave()
 	opts, err := core.NormalizeOptions(mode, opts)
 	if err != nil {
 		return nil, err
@@ -292,19 +291,12 @@ func (e *Engine) NewMachine(art *core.Artifact, extra ...vm.Option) (*vm.Machine
 // including deterministic error outcomes such as step-limit faults —
 // without simulating, and concurrent runs of one run key share one
 // simulation. Artifacts the cache does not hold (built elsewhere, or
-// evicted) always run for real. A request slot is held for the
-// duration (admission control).
+// evicted) always run for real.
 func (e *Engine) RunContext(ctx context.Context, art *core.Artifact) (*core.RunResult, error) {
-	if err := e.acquire(ctx); err != nil {
+	if err := e.enter(); err != nil {
 		return nil, err
 	}
-	defer e.release()
-	return e.runNoAdmission(ctx, art)
-}
-
-// runNoAdmission is RunContext minus the admission slot, for internal
-// callers that already hold one.
-func (e *Engine) runNoAdmission(ctx context.Context, art *core.Artifact) (*core.RunResult, error) {
+	defer e.leave()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -364,8 +356,7 @@ func simulate(ctx context.Context, art *core.Artifact) (res *core.RunResult, run
 }
 
 // engineRunner adapts the Engine to core.Runner for
-// CompareStrategiesContext. The comparison holds one admission slot for
-// its whole build/run sequence, so the internal steps never queue.
+// CompareStrategiesContext.
 type engineRunner struct {
 	ctx context.Context
 	e   *Engine
@@ -376,16 +367,16 @@ func (r engineRunner) BuildArtifact(source string, mode core.Mode, opts core.Opt
 }
 
 func (r engineRunner) RunArtifact(art *core.Artifact) (*core.RunResult, error) {
-	return r.e.runNoAdmission(r.ctx, art)
+	return r.e.RunContext(r.ctx, art)
 }
 
 // CompareStrategiesContext is core.CompareStrategies through the
 // Engine: every strategy's build and run is served from the caches and
-// recycled machines, under one admission slot.
+// recycled machines.
 func (e *Engine) CompareStrategiesContext(ctx context.Context, name, source string, cfg core.CompareConfig) (*core.Comparison, error) {
-	if err := e.acquire(ctx); err != nil {
+	if err := e.enter(); err != nil {
 		return nil, err
 	}
-	defer e.release()
+	defer e.leave()
 	return core.CompareStrategiesUsing(engineRunner{ctx: ctx, e: e}, name, source, cfg)
 }

@@ -15,7 +15,7 @@ import (
 	"cash/internal/vm"
 )
 
-// Small deterministic kernels for cache and admission tests. Each test that
+// Small deterministic kernels for cache and lifecycle tests. Each test that
 // counts global metrics snapshots them before and after, so the tests
 // compose with anything else the package (or a cached engine) did.
 const sumKernel = `
@@ -69,16 +69,14 @@ func mustRun(t *testing.T, e *Engine, art *core.Artifact) *core.RunResult {
 }
 
 // coldRun is the reference an Engine's results must equal: a direct
-// build and run, with the machine polling a context as every Engine run
-// does. The poll moves superblock entry counts (DESIGN.md §12), so a
-// reference without it would differ in Result.SB alone.
+// build and run.
 func coldRun(t *testing.T, src string, mode core.Mode) *core.RunResult {
 	t.Helper()
 	art, err := core.Build(src, mode, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := art.Run(vm.WithCancel(context.Background()))
+	res, err := art.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +249,7 @@ func TestCacheEvictionUnderTinyBudget(t *testing.T) {
 // served as a hit or coalesced onto the flight, and the logical
 // core.builds.* counter still saw all 32 requests.
 func TestSingleflightCollapsesConcurrentBuilds(t *testing.T) {
-	eng := NewEngine(EngineConfig{MaxInFlight: 64})
+	eng := NewEngine(EngineConfig{})
 	const n = 32
 	src := `void main() { printi(424242); }`
 	compiles := counter("serve.build.compiles")
@@ -390,10 +388,10 @@ func runHeld(t *testing.T, eng *Engine, art *core.Artifact, mode core.Mode) (*vm
 }
 
 // TestRunContextCancellation checks that canceling mid-simulation
-// surfaces ctx.Err() promptly and leaks neither the admission slot nor
+// surfaces ctx.Err() promptly and leaks neither its in-flight count nor
 // pool capacity: the engine serves the next request normally.
 func TestRunContextCancellation(t *testing.T) {
-	eng := NewEngine(EngineConfig{MaxInFlight: 1})
+	eng := NewEngine(EngineConfig{})
 	// ~100M-instruction budget: several seconds if cancellation fails,
 	// interrupted within a cancel stride if it works.
 	art := mustBuild(t, eng, runawayKernel, core.ModeGCC, core.Options{StepLimit: 100_000_000})
@@ -414,14 +412,11 @@ func TestRunContextCancellation(t *testing.T) {
 	if elapsed > 3*time.Second {
 		t.Fatalf("cancellation took %v; not prompt", elapsed)
 	}
-	eng.adm.mu.Lock()
-	inflight, queued := eng.adm.inflight, eng.adm.waiters.Len()
-	eng.adm.mu.Unlock()
-	if inflight != 0 || queued != 0 {
-		t.Fatalf("admission state leaked: inflight=%d queued=%d", inflight, queued)
+	if n := inflight(eng); n != 0 {
+		t.Fatalf("in-flight count leaked: %d", n)
 	}
-	// The canceled run's result must not have been cached, and the
-	// single slot must be free: a fresh run completes.
+	// The canceled run's result must not have been cached: a fresh run
+	// completes.
 	quick := mustBuild(t, eng, sumKernel, core.ModeCash, core.Options{})
 	mustRun(t, eng, quick)
 }
@@ -433,63 +428,6 @@ func TestBuildContextPreCanceled(t *testing.T) {
 	cancel()
 	if _, err := eng.BuildContext(ctx, sumKernel, core.ModeCash, core.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestAdmissionQueuesAndCancels pins the FIFO admission contract on a
-// one-slot engine: a second request waits, a canceled waiter leaves the
-// queue (counted), and the slot is handed on intact.
-func TestAdmissionQueuesAndCancels(t *testing.T) {
-	eng := NewEngine(EngineConfig{MaxInFlight: 1})
-	waits := counter("serve.admission.waits")
-	canceled := counter("serve.admission.canceled")
-
-	if err := eng.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// A waiter behind the held slot cancels out of the queue.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- eng.acquire(ctx) }()
-	for {
-		eng.adm.mu.Lock()
-		queued := eng.adm.waiters.Len()
-		eng.adm.mu.Unlock()
-		if queued == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled waiter got %v, want context.Canceled", err)
-	}
-	if got := counter("serve.admission.waits") - waits; got != 1 {
-		t.Fatalf("waits delta = %d, want 1", got)
-	}
-	if got := counter("serve.admission.canceled") - canceled; got != 1 {
-		t.Fatalf("canceled delta = %d, want 1", got)
-	}
-	// A second waiter is granted the slot when the holder releases.
-	go func() { done <- eng.acquire(context.Background()) }()
-	for {
-		eng.adm.mu.Lock()
-		queued := eng.adm.waiters.Len()
-		eng.adm.mu.Unlock()
-		if queued == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	eng.release()
-	if err := <-done; err != nil {
-		t.Fatalf("queued waiter got %v, want grant", err)
-	}
-	eng.release()
-	eng.adm.mu.Lock()
-	defer eng.adm.mu.Unlock()
-	if eng.adm.inflight != 0 || eng.adm.waiters.Len() != 0 {
-		t.Fatalf("admission state leaked: inflight=%d queued=%d", eng.adm.inflight, eng.adm.waiters.Len())
 	}
 }
 

@@ -155,7 +155,7 @@ func TestRunOptionsShareOneBuild(t *testing.T) {
 // runs wait for it (or find its outcome), whatever the interleaving.
 func TestConcurrentRunsShareOneSimulation(t *testing.T) {
 	const n = 8
-	eng := NewEngine(EngineConfig{MaxInFlight: n})
+	eng := NewEngine(EngineConfig{})
 	arts := make([]*core.Artifact, n)
 	for i := range arts {
 		arts[i] = mustBuild(t, eng, fmt.Sprintf("// variant %d\n%s", i, heapKernel), core.ModeCash, core.Options{})
@@ -200,19 +200,11 @@ func TestConcurrentRunsShareOneSimulation(t *testing.T) {
 // the program's outcome, here a step-limit fault; nothing canceled is
 // memoised.
 func TestCanceledRunLeaderDoesNotFailWaiters(t *testing.T) {
-	eng := NewEngine(EngineConfig{MaxInFlight: 2})
+	eng := NewEngine(EngineConfig{})
 	opts := core.Options{StepLimit: 30_000_000}
 	leader := mustBuild(t, eng, runawayKernel, core.ModeGCC, opts)
 	waiter := mustBuild(t, eng, "// waiter\n"+runawayKernel, core.ModeGCC, opts)
 	key, _ := eng.cache.runKey(leader)
-	waitUntil := func(what string, cond func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	leaderErr := make(chan error, 1)
@@ -220,7 +212,7 @@ func TestCanceledRunLeaderDoesNotFailWaiters(t *testing.T) {
 		_, err := eng.RunContext(ctx, leader)
 		leaderErr <- err
 	}()
-	waitUntil("the leader's flight", func() bool {
+	waitFor(t, "the leader's flight", func() bool {
 		eng.cache.mu.Lock()
 		defer eng.cache.mu.Unlock()
 		return eng.cache.flights["r:"+key] != nil
@@ -230,11 +222,7 @@ func TestCanceledRunLeaderDoesNotFailWaiters(t *testing.T) {
 		_, err := eng.RunContext(context.Background(), waiter)
 		waiterErr <- err
 	}()
-	waitUntil("the waiter's admission", func() bool {
-		eng.adm.mu.Lock()
-		defer eng.adm.mu.Unlock()
-		return eng.adm.inflight == 2
-	})
+	waitFor(t, "the waiter's entry", func() bool { return inflight(eng) == 2 })
 	// Let the waiter reach the flight. Should it not have, it finds the
 	// flight ended without an outcome, or none, and leads the run
 	// itself: the outcome below is the same either way.

@@ -66,7 +66,7 @@ void main() {
 var bigStep = WireOptions{StepLimit: 4_000_000_000}
 
 func testEngine() *serve.Engine {
-	return serve.NewEngine(serve.EngineConfig{MaxInFlight: 32, Parallelism: 4})
+	return serve.NewEngine(serve.EngineConfig{Parallelism: 4})
 }
 
 // startServer runs a Server over a PipeListener and tears both down at

@@ -563,8 +563,15 @@ func (m *Machine) Run() (res *Result, err error) {
 			m.nextStop = s
 		}
 	}
+	// Superblock dispatch: when the next instruction heads a compiled
+	// superblock and one whole pass fits under nextStop, the fused trace
+	// executes it (superblock.run); every other instruction — including
+	// deopt tails after a side exit and the final approach to a step
+	// limit — takes the per-instruction path. A step-only machine has
+	// no heads.
+	var heads []*superblock
 	if m.sbt != nil {
-		return m.runTier2(c)
+		heads = m.sbt.heads
 	}
 	for !m.halted {
 		if m.stats.Instructions >= m.nextStop {
@@ -575,6 +582,15 @@ func (m *Machine) Run() (res *Result, err error) {
 		ip := m.ip
 		if uint(ip) >= uint(n) {
 			return m.result(), m.fault(FaultInvalid, fmt.Errorf("ip %d outside program", ip))
+		}
+		if heads != nil {
+			if sb := heads[ip]; sb != nil && (m.nextStop-m.stats.Instructions >= uint64(sb.n) ||
+				m.pollEarly(m.stats.Instructions, uint64(sb.n))) {
+				if err := sb.run(m); err != nil {
+					return m.result(), err
+				}
+				continue
+			}
 		}
 		m.stats.Instructions++
 		m.cycles += uint64(c.cost[ip])
@@ -615,49 +631,19 @@ func (m *Machine) stopCheck() error {
 	return nil
 }
 
-// runTier2 is the Run loop with superblock dispatch: when the next
-// instruction heads a compiled superblock and one whole pass fits under
-// nextStop, the fused trace executes it (superblock.run); every other
-// instruction — including deopt tails after a side exit and the final
-// approach to a step-limit or cancellation boundary — takes the
-// per-instruction path unchanged.
-func (m *Machine) runTier2(c *compiled) (*Result, error) {
-	t := m.sbt
-	n := len(c.exec)
-	for !m.halted {
-		if m.stats.Instructions >= m.nextStop {
-			if err := m.stopCheck(); err != nil {
-				return m.result(), err
-			}
-		}
-		ip := m.ip
-		if uint(ip) >= uint(n) {
-			return m.result(), m.fault(FaultInvalid, fmt.Errorf("ip %d outside program", ip))
-		}
-		if sb := t.heads[ip]; sb != nil && m.nextStop-m.stats.Instructions >= uint64(sb.n) {
-			if err := sb.run(m); err != nil {
-				return m.result(), err
-			}
-			continue
-		}
-		m.stats.Instructions++
-		m.cycles += uint64(c.cost[ip])
-		if nt := c.note[ip]; nt != NoteNone {
-			switch nt {
-			case NoteSWCheck:
-				m.stats.SWChecks++
-			case NoteLoopBackedge:
-				m.stats.LoopIters++
-			case NoteSpilledBackedge:
-				m.stats.LoopIters++
-				m.stats.SpilledIters++
-			}
-		}
-		if err := c.exec[ip](m); err != nil {
-			return m.result(), err
-		}
+// pollEarly handles a trace pass of n instructions, starting at
+// instruction count at, that does not fit under nextStop. When only
+// a cancellation poll is in the way, it polls the context now and moves
+// the next pause on, so a machine with a context runs the same passes
+// in traces as one without: stepping to the poll instead would move
+// Result.SB. Only the real step limit (or a canceled context, which the
+// next stopCheck reports) makes a pass step.
+func (m *Machine) pollEarly(at, n uint64) bool {
+	if m.nextStop == m.stepLimit || m.ctx.Err() != nil {
+		return false
 	}
-	return m.result(), nil
+	m.nextStop = min(at+max(n, cancelStride), m.stepLimit)
+	return m.nextStop-at >= n
 }
 
 func (m *Machine) result() *Result {

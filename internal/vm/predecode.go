@@ -99,18 +99,27 @@ func (mo *memOp) ea(m *Machine) uint32 {
 // applying the segment limit check and (if enabled) the page walk.
 // References through a segment register holding an LDT selector are
 // counted as hardware bound checks — those are exactly Cash's per-array
-// segments. The flat-segment fast path skips the descriptor decode for
-// the simulated Linux DS/SS/ES without changing any architectural
-// outcome.
+// segments.
 func (m *Machine) memPhys(mo *memOp, size uint32, write bool) (uint32, error) {
-	ea := mo.ea(m)
 	if m.mmu.IsLDT(mo.seg) {
 		m.stats.HWChecks++
 	}
-	lin, ok := m.mmu.FlatLinear(mo.seg, ea, size)
+	return m.translate(mo.seg, mo.ea(m), size, write)
+}
+
+// translate is the architectural translation of seg:ea: the segment
+// limit check, then (if enabled) the page walk and the trace hook. It
+// counts no hardware check; memPhys and the fused micro-ops, which
+// reach it when their inline fast path declines, count their own. The
+// flat-segment fast path skips the descriptor decode for the simulated
+// Linux DS/SS/ES without changing any architectural outcome. A fused
+// caller sets m.ip to the accessing instruction first so a fault
+// renders the right identity.
+func (m *Machine) translate(seg x86seg.SegReg, ea, size uint32, write bool) (uint32, error) {
+	lin, ok := m.mmu.FlatLinear(seg, ea, size)
 	if !ok {
 		var err error
-		lin, err = m.mmu.Translate(mo.seg, ea, size, write)
+		lin, err = m.mmu.Translate(seg, ea, size, write)
 		if err != nil {
 			return 0, m.fault(FaultSegmentation, err)
 		}
@@ -118,12 +127,13 @@ func (m *Machine) memPhys(mo *memOp, size uint32, write bool) (uint32, error) {
 	if m.plain {
 		return lin, nil
 	}
-	return m.memPhysSlow(mo, ea, lin, write)
+	return m.translateSlow(seg, ea, lin, write)
 }
 
-// memPhysSlow is the non-plain tail: the page walk and the trace hook,
-// kept out of the hot path (m.plain is precomputed at construction).
-func (m *Machine) memPhysSlow(mo *memOp, ea, lin uint32, write bool) (uint32, error) {
+// translateSlow is the non-plain tail of translate: the page walk and
+// the trace hook, kept out of the hot path (m.plain is precomputed at
+// construction).
+func (m *Machine) translateSlow(seg x86seg.SegReg, ea, lin uint32, write bool) (uint32, error) {
 	phys := lin
 	if m.pages != nil {
 		var err error
@@ -135,7 +145,7 @@ func (m *Machine) memPhysSlow(mo *memOp, ea, lin uint32, write bool) (uint32, er
 	}
 	if m.trace != nil {
 		m.trace(TraceEntry{
-			Seg: mo.seg, Selector: m.mmu.Selector(mo.seg),
+			Seg: seg, Selector: m.mmu.Selector(seg),
 			Offset: ea, Linear: lin, Physical: phys, Write: write,
 		})
 	}

@@ -843,7 +843,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 4, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 4, false); err != nil {
 							goto deopt
 						}
 					}
@@ -867,7 +867,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 2, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 2, false); err != nil {
 							goto deopt
 						}
 					}
@@ -891,7 +891,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 1, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1, false); err != nil {
 							goto deopt
 						}
 					}
@@ -921,7 +921,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 4, true); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 4, true); err != nil {
 							goto deopt
 						}
 					}
@@ -945,7 +945,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 2, true); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 2, true); err != nil {
 							goto deopt
 						}
 					}
@@ -970,7 +970,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 1, true); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1, true); err != nil {
 							goto deopt
 						}
 					}
@@ -1027,7 +1027,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
 							goto deopt
 						}
 					}
@@ -1078,7 +1078,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
 							goto deopt
 						}
 					}
@@ -1089,7 +1089,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok2 || !plain {
 						m.ip = head + k
-						if lin2, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 1<<u.k, true); err != nil {
+						if lin2, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, true); err != nil {
 							goto deopt
 						}
 					}
@@ -1157,7 +1157,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
 							goto deopt
 						}
 					}
@@ -1191,7 +1191,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
 							goto deopt
 						}
 					}
@@ -1269,7 +1269,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.DS, ea, 4, true); err != nil {
+						if lin, err = m.translate(x86seg.DS, ea, 4, true); err != nil {
 							goto deopt
 						}
 					}
@@ -1297,7 +1297,7 @@ func (sb *superblock) run(m *Machine) error {
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.sbMemSlow(x86seg.DS, ea, 4, false); err != nil {
+						if lin, err = m.translate(x86seg.DS, ea, 4, false); err != nil {
 							goto deopt
 						}
 					}
@@ -1559,6 +1559,10 @@ func (sb *superblock) run(m *Machine) error {
 		if budget-passes*n >= n {
 			continue
 		}
+		if m.pollEarly(m.stats.Instructions+passes*n, n) {
+			budget = m.nextStop - m.stats.Instructions
+			continue
+		}
 		m.ip = head
 		goto done
 
@@ -1624,48 +1628,6 @@ func sbWriteSized(mv *mem.Memory, phys uint32, k uint8, v uint32) {
 	default:
 		mv.Write32(phys, v)
 	}
-}
-
-// sbMemSlow completes a fused memory access that missed the inline fast
-// path (limit-check decline, or a machine with paging or tracing): the
-// full architectural translation — exactly Machine.memPhys minus the
-// LDT hardware-check count, which the micro-op arm has already applied.
-// The caller must set m.ip to the accessing instruction first so a
-// fault renders the right identity.
-func (m *Machine) sbMemSlow(seg x86seg.SegReg, ea, size uint32, write bool) (uint32, error) {
-	lin, ok := m.mmu.FlatLinear(seg, ea, size)
-	if !ok {
-		var err error
-		lin, err = m.mmu.Translate(seg, ea, size, write)
-		if err != nil {
-			return 0, m.fault(FaultSegmentation, err)
-		}
-	}
-	if m.plain {
-		return lin, nil
-	}
-	return m.sbMemTail(seg, ea, lin, write)
-}
-
-// sbMemTail is the non-plain tail of sbMemSlow: the page walk and the
-// trace hook, mirroring memPhysSlow for a fused access.
-func (m *Machine) sbMemTail(seg x86seg.SegReg, ea, lin uint32, write bool) (uint32, error) {
-	phys := lin
-	if m.pages != nil {
-		var err error
-		phys, err = m.pages.Translate(lin, write)
-		if err != nil {
-			return 0, m.fault(FaultPage, err)
-		}
-		m.stats.PageWalks++
-	}
-	if m.trace != nil {
-		m.trace(TraceEntry{
-			Seg: seg, Selector: m.mmu.Selector(seg),
-			Offset: ea, Linear: lin, Physical: phys, Write: write,
-		})
-	}
-	return phys, nil
 }
 
 // DumpSuperblocks renders the program's compiled superblocks — the
