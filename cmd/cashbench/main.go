@@ -256,9 +256,6 @@ func run() (err error) {
 		}
 		elapsed := time.Since(start)
 		reportThroughput(elapsed)
-		if vm.SBStatsEnabled {
-			fmt.Fprint(os.Stderr, vm.ReadUopMix())
-		}
 		if *jsonPath != "" {
 			if err := writeTimings(*jsonPath, *requests, *parallel, *step, elapsed, timings); err != nil {
 				return err
@@ -329,7 +326,8 @@ func emitMetrics(base cash.MetricsSnapshot, toStderr bool, outPath, jsonPath str
 }
 
 // reportThroughput prints the host-side summary line to stderr: the
-// simulated work done this process and the rate it was done at.
+// simulated work done this process and the rate it was done at, then,
+// in a build tagged sbstats, the tier-2 dispatch mix.
 func reportThroughput(elapsed time.Duration) {
 	instrs, cycles := vm.SimCounters()
 	rate := 0.0
@@ -339,6 +337,9 @@ func reportThroughput(elapsed time.Duration) {
 	fmt.Fprintf(os.Stderr,
 		"cashbench: simulated %d instructions (%d cycles) in %.2fs host time — %.1fM instr/s\n",
 		instrs, cycles, elapsed.Seconds(), rate/1e6)
+	if vm.SBStatsEnabled {
+		fmt.Fprint(os.Stderr, vm.ReadUopMix())
+	}
 }
 
 func writeTimings(path string, requests, parallel int, step bool, elapsed time.Duration, timings []cash.TableTiming) error {

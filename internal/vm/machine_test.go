@@ -2,6 +2,8 @@ package vm
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"cash/internal/ldt"
@@ -237,19 +239,7 @@ func TestLEAComputesWithoutAccess(t *testing.T) {
 // out-of-bounds reference faults with #GP.
 func TestSegmentArrayAccess(t *testing.T) {
 	p := buildProg(t, func(b *Builder) {
-		// Program prologue: install the call gate.
-		b.Op(MOV, R(EAX), I(SysSetLDTCallGate))
-		b.Emit(Instr{Op: INT, Src: I(0x80)})
-		// Allocate a segment over a 40-byte array at 0x1000 with the info
-		// structure at 0x2000.
-		b.Op(MOV, R(EAX), I(GateAllocSegment))
-		b.Op(MOV, R(EBX), I(0x1000))
-		b.Op(MOV, R(ECX), I(40))
-		b.Op(MOV, R(EDX), I(0x2000))
-		b.Emit(Instr{Op: LCALL, Src: I(7)})
-		// Load GS from info[0] as the paper's code sequence does.
-		b.Op(MOV, R(ECX), I(0x2000))
-		b.Emit(Instr{Op: MOVSR, Dst: SR(x86seg.GS), Src: ds(ECX, 0), Size: 2})
+		loadGSSegment(b)
 		// In-bounds store to element 9 through GS (offset = addr - base).
 		b.Op(MOV, R(EDX), I(36))
 		b.Op(MOV, M(MemRef{Seg: x86seg.GS, Base: EDX, HasBase: true}), I(77))
@@ -282,6 +272,22 @@ func TestSegmentArrayAccess(t *testing.T) {
 	if res.Stats.SegRegLoads != 1 {
 		t.Fatalf("SegRegLoads = %d, want 1", res.Stats.SegRegLoads)
 	}
+}
+
+// loadGSSegment emits the cash prologue for one array: install the call
+// gate, allocate a segment over a 40-byte array at 0x1000 with its info
+// structure at 0x2000, and load GS from info[0] as the paper's code
+// sequence does. It leaves ECX = 0x2000.
+func loadGSSegment(b *Builder) {
+	b.Op(MOV, R(EAX), I(SysSetLDTCallGate))
+	b.Emit(Instr{Op: INT, Src: I(0x80)})
+	b.Op(MOV, R(EAX), I(GateAllocSegment))
+	b.Op(MOV, R(EBX), I(0x1000))
+	b.Op(MOV, R(ECX), I(40))
+	b.Op(MOV, R(EDX), I(0x2000))
+	b.Emit(Instr{Op: LCALL, Src: I(7)})
+	b.Op(MOV, R(ECX), I(0x2000))
+	b.Emit(Instr{Op: MOVSR, Dst: SR(x86seg.GS), Src: ds(ECX, 0), Size: 2})
 }
 
 func TestUnloadedGSFaults(t *testing.T) {
@@ -650,6 +656,150 @@ func TestTier2PushESP(t *testing.T) {
 		}
 		if opts == nil && (res.SB == nil || res.SB.InstrsRetired == 0) {
 			t.Fatalf("the loop did not run as a superblock: %+v", res.SB)
+		}
+	}
+}
+
+// TestTier2GenericShapes runs, inside a compiled loop, each instruction
+// shape tier 2 leaves to the generic closure (uGen): NOP, 2-byte moves,
+// SHR, NOT, TEST, compares not followed by a conditional jump, compares
+// with a memory destination, AND/OR/XOR from memory, and 1-byte ALU and
+// compare memory operands. Every memory operand is element ECX of a
+// 40-byte LDT segment; each memory row runs a second time for two more
+// passes, so that its access leaves the segment's limit mid-loop. Step
+// and tier-2 execution must agree on the whole Result and on the fault.
+func TestTier2GenericShapes(t *testing.T) {
+	gs := M(MemRef{Seg: x86seg.GS, Index: ECX, HasIndex: true, Scale: 4})
+	sized := func(op Op, dst, src Operand, size uint8) Instr {
+		return Instr{Op: op, Dst: dst, Src: src, Size: size}
+	}
+	rows := []struct {
+		name string
+		mem  bool // the body reads or writes gs
+		body func(b *Builder)
+	}{
+		{"nop", false, func(b *Builder) {
+			b.Emit(Instr{Op: NOP})
+			b.Op(ADD, R(EAX), R(ECX))
+		}},
+		{"2-byte load", true, func(b *Builder) {
+			b.Emit(sized(MOV, R(EDX), gs, 2))
+			b.Op(ADD, R(EAX), R(EDX))
+		}},
+		{"2-byte store", true, func(b *Builder) {
+			b.Emit(sized(MOV, gs, I(0x12345), 2))
+			b.Op(ADD, R(EAX), gs)
+		}},
+		{"shr and not", false, func(b *Builder) {
+			b.Op(MOV, R(EDX), I(-1000))
+			b.Op(SUB, R(EDX), R(ECX))
+			b.Op(SHR, R(EDX), I(3))
+			b.Op1(NOT, R(EDX))
+			b.Op(ADD, R(EAX), R(EDX))
+		}},
+		{"test+jcc", false, func(b *Builder) {
+			b.Op(TEST, R(ECX), I(1))
+			b.Jump(JE, "next")
+			b.Op(ADD, R(EAX), R(ECX))
+		}},
+		{"cmp reg,imm then a non-jump", false, func(b *Builder) {
+			b.Op(CMP, R(ECX), I(5))
+			b.Op(ADD, R(EAX), I(1))
+			b.Jump(JL, "next")
+			b.Op(ADD, R(EAX), R(ECX))
+		}},
+		{"cmp reg,mem then a non-jump", true, func(b *Builder) {
+			b.Op(MOV, R(EDX), R(ECX))
+			b.Op(SHL, R(EDX), I(26))
+			b.Op(CMP, R(EDX), gs)
+			b.Op(ADD, R(EAX), I(1))
+			b.Jump(JB, "next")
+			b.Op(ADD, R(EAX), R(ECX))
+		}},
+		{"cmp mem,imm+jcc", true, func(b *Builder) {
+			b.Op(CMP, gs, I(-1))
+			b.Jump(JGE, "next")
+			b.Op(ADD, R(EAX), R(ECX))
+		}},
+		{"and/or/xor reg,mem", true, func(b *Builder) {
+			b.Op(MOV, R(EDX), I(0x0ff0))
+			b.Op(AND, R(EDX), gs)
+			b.Op(OR, R(EDX), gs)
+			b.Op(XOR, R(EAX), gs)
+			b.Op(ADD, R(EAX), R(EDX))
+		}},
+		{"1-byte add/sub/imul reg,mem", true, func(b *Builder) {
+			b.Op(MOV, R(EDX), I(3))
+			b.Emit(sized(IMUL, R(EDX), gs, 1))
+			b.Emit(sized(SUB, R(EDX), gs, 1))
+			b.Emit(sized(ADD, R(EAX), gs, 1))
+			b.Op(ADD, R(EAX), R(EDX))
+		}},
+		{"1-byte add/and mem,reg", true, func(b *Builder) {
+			b.Emit(sized(ADD, gs, R(ECX), 1))
+			b.Op(MOV, R(EDX), I(0x7e))
+			b.Emit(sized(AND, gs, R(EDX), 1))
+			b.Op(ADD, R(EAX), gs)
+		}},
+		{"1-byte cmp reg,mem+jcc", true, func(b *Builder) {
+			b.Op(MOV, R(EDX), R(ECX))
+			b.Op(IMUL, R(EDX), I(25))
+			b.Emit(sized(CMP, R(EDX), gs, 1))
+			b.Jump(JA, "next")
+			b.Op(ADD, R(EAX), R(ECX))
+		}},
+	}
+	for _, row := range rows {
+		for _, passes := range []int32{10, 12} {
+			if passes == 12 && !row.mem {
+				continue
+			}
+			var region Region
+			p := buildProg(t, func(b *Builder) {
+				loadGSSegment(b)
+				b.Op(MOV, R(EAX), I(0))
+				b.Op(MOV, R(ECX), I(0))
+				region.Start = b.Len()
+				b.Label("loop")
+				row.body(b)
+				b.Label("next")
+				b.Op(ADD, R(ECX), I(1))
+				b.Op(CMP, R(ECX), I(passes))
+				b.Jump(JL, "loop")
+				region.End = b.Len()
+				b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
+				b.Emit(Instr{Op: HLT})
+			})
+			p.Data = make([]byte, 40)
+			for i := range p.Data {
+				p.Data[i] = byte(200 - 13*i)
+			}
+			p.Regions = []Region{region}
+			label := fmt.Sprintf("%s, %d passes", row.name, passes)
+
+			want, werr := run(t, p, ModeCash, WithoutTier2())
+			got, gerr := run(t, p, ModeCash)
+			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+				t.Fatalf("%s: errors differ\n step:  %v\n tier2: %v", label, werr, gerr)
+			}
+			var wf, gf *Fault
+			if errors.As(werr, &wf) != errors.As(gerr, &gf) || wf != nil && (wf.Kind != gf.Kind || wf.IP != gf.IP) {
+				t.Fatalf("%s: faults differ\n step:  %+v\n tier2: %+v", label, wf, gf)
+			}
+			if passes == 12 && (wf == nil || wf.Kind != FaultSegmentation) {
+				t.Fatalf("%s: want a segmentation fault past the limit, got %v", label, werr)
+			}
+			if passes == 10 && werr != nil {
+				t.Fatalf("%s: %v", label, werr)
+			}
+			if got.SB == nil || passes == 10 && got.SB.InstrsRetired == 0 {
+				t.Fatalf("%s: the loop did not run as a superblock: %+v", label, got.SB)
+			}
+			c := *got
+			c.SB = nil
+			if !reflect.DeepEqual(*want, c) {
+				t.Fatalf("%s: results differ\n step:  %+v\n tier2: %+v", label, *want, c)
+			}
 		}
 	}
 }

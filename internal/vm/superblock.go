@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"cash/internal/mem"
 	"cash/internal/x86seg"
 )
 
@@ -58,16 +57,17 @@ type Region struct {
 // Micro-op kinds. Register-or-immediate source operands share one
 // encoding: the operand value is r[src] + imm2, with src pointing at
 // the always-zero register slot (uZero) for pure immediates — no branch
-// on operand kind survives into the run loop.
+// on operand kind survives into the run loop. A kind exists only for a
+// shape the shipped traffic dispatches (TestUopMix in internal/bench
+// checks that each one does); every other shape, narrow ALU and compare
+// memory operands included, runs as uGen. Memory operands of the ALU,
+// read-modify-write and compare kinds are 4 bytes.
 const (
-	uNop   uint8 = iota
-	uMov         // r[dst] = r[src] + imm2
-	uLea         // r[dst] = ea
-	uLoad1       // r[dst] = zext mem[ea]
-	uLoad2
+	uMov   uint8 = iota // r[dst] = r[src] + imm2
+	uLea                // r[dst] = ea
+	uLoad1              // r[dst] = zext mem[ea]
 	uLoad4
 	uStore1 // mem[ea] = trunc(r[src] + imm2)
-	uStore2
 	uStore4
 	uAdd // r[dst] += r[src] + imm2
 	uSub // r[dst] -= r[src] + imm2
@@ -76,26 +76,18 @@ const (
 	uOr
 	uXor
 	uShl  // r[dst] <<= (r[src]+imm2) & 31
-	uShr  // logical
 	uSar  // arithmetic
-	uAlu  // r[dst] = fn(r[dst], r[src]+imm2)
 	uAddM // r[dst] += load(mem)
 	uSubM
 	uMulM
-	uAluM   // r[dst] = fn(r[dst], load(mem))
 	uAluRMW // mem = fn(load(mem), r[src]+imm2), two translations
 	uAddRMW // uAluRMW specialized to ADD (no indirect call)
 	uDiv    // r[dst] = int32 quotient; zero divisor faults
 	uMod
 	uNeg
-	uNot
-	uCmp   // flags from r[dst] vs r[src]+imm2
-	uCmpJ  // uCmp fused with the conditional jump micro-op that follows it
-	uCmpRM // flags from r[dst] vs load(mem)
-	uCmpM  // flags from load(mem) vs r[src]+imm2
-	uTest
-	uJmp // unconditional: taken path only
-	uJE
+	uCmpJ // flags from r[dst] vs r[src]+imm2, consuming the conditional jump after it
+	uJmp  // unconditional: taken path only
+	uJE   // conditional jumps: a fused compare consumes them through cond
 	uJNE
 	uJL
 	uJLE
@@ -109,7 +101,7 @@ const (
 	uPop    // pop into r[dst]
 	uCall   // trace-final CALL: push the return address (imm2), exit to tgt
 	uRet    // trace-final RET: pop the return address and exit to it
-	uCmpRMJ // uCmpRM fused with the conditional jump micro-op that follows it
+	uCmpRMJ // flags from r[dst] vs load(mem), consuming the conditional jump after it
 
 	// Superops: the head micro-op of one of the code generator's idioms
 	// (see fuseIdioms). Its fast path retires the whole idiom in one
@@ -135,15 +127,13 @@ const (
 // uopNames names every micro-op kind, for DumpSuperblocks and the
 // sbstats dispatch mix.
 var uopNames = [numUKinds]string{
-	uNop: "nop", uMov: "mov", uLea: "lea",
-	uLoad1: "load1", uLoad2: "load2", uLoad4: "load4",
-	uStore1: "store1", uStore2: "store2", uStore4: "store4",
+	uMov: "mov", uLea: "lea", uLoad1: "load1", uLoad4: "load4",
+	uStore1: "store1", uStore4: "store4",
 	uAdd: "add", uSub: "sub", uMul: "mul", uAnd: "and", uOr: "or", uXor: "xor",
-	uShl: "shl", uShr: "shr", uSar: "sar", uAlu: "alu",
-	uAddM: "addm", uSubM: "subm", uMulM: "mulm", uAluM: "alum",
+	uShl: "shl", uSar: "sar",
+	uAddM: "addm", uSubM: "subm", uMulM: "mulm",
 	uAluRMW: "alurmw", uAddRMW: "addrmw", uDiv: "div", uMod: "mod",
-	uNeg: "neg", uNot: "not", uCmp: "cmp", uCmpJ: "cmpj", uCmpRM: "cmprm",
-	uCmpM: "cmpm", uTest: "test", uJmp: "jmp",
+	uNeg: "neg", uCmpJ: "cmpj", uJmp: "jmp",
 	uJE: "je", uJNE: "jne", uJL: "jl", uJLE: "jle", uJG: "jg", uJGE: "jge",
 	uJB: "jb", uJAE: "jae", uJA: "ja", uJBE: "jbe",
 	uPush: "push", uPop: "pop", uCall: "call", uRet: "ret", uCmpRMJ: "cmprmj",
@@ -174,7 +164,6 @@ const uZero = 8
 // r[idx]*scale + imm, with base/idx = uZero when absent.
 type uop struct {
 	kind  uint8
-	k     uint8 // log2 access size for sized memory arms
 	dst   uint8
 	src   uint8
 	base  uint8
@@ -338,8 +327,9 @@ func buildTrace(p *Program, r Region) *superblock {
 		li:   make([]uint64, n+1),
 		si:   make([]uint64, n+1),
 	}
-	for k := 0; k < n; k++ {
-		in := &p.Instrs[start+k]
+	trace := p.Instrs[start:i]
+	for k := range trace {
+		in := &trace[k]
 		sb.cost[k+1] = sb.cost[k] + in.baseCost()
 		sb.sw[k+1] = sb.sw[k]
 		sb.li[k+1] = sb.li[k]
@@ -353,24 +343,10 @@ func buildTrace(p *Program, r Region) *superblock {
 			sb.li[k+1]++
 			sb.si[k+1]++
 		}
-		sb.uops[k] = buildUop(in, start+k, start, n)
+		sb.uops[k] = buildUop(trace, k, start)
 	}
-	last := &p.Instrs[start+n-1]
+	last := &trace[n-1]
 	sb.looping = (last.Op == JMP || isCondJump(last.Op)) && last.Target == start
-	// Fuse compare/conditional-jump pairs: the jump micro-op stays in
-	// place (its slot carries the branch targets and keeps the
-	// retired-instruction accounting one-to-one), but the compare
-	// consumes it in a single dispatch.
-	for k := 0; k+1 < n; k++ {
-		if j := sb.uops[k+1].kind; j >= uJE && j <= uJBE {
-			switch sb.uops[k].kind {
-			case uCmp:
-				sb.uops[k].kind = uCmpJ
-			case uCmpRM:
-				sb.uops[k].kind = uCmpRMJ
-			}
-		}
-	}
 	fuseIdioms(sb.uops)
 	return sb
 }
@@ -455,10 +431,11 @@ func matchIdiom(us []uop) (kind uint8, n int) {
 	return 0, 0
 }
 
-// frameSlot reports whether a memory micro-op addresses a 4-byte frame
-// slot: an EBP base and no index register.
+// frameSlot reports whether a memory micro-op addresses a frame slot:
+// an EBP base and no index register. Every memory kind an idiom matches
+// is 4 bytes wide.
 func (u *uop) frameSlot() bool {
-	return u.base == uint8(EBP) && u.idx == uZero && u.k == 2
+	return u.base == uint8(EBP) && u.idx == uZero
 }
 
 // sameSlot reports whether two frame-slot micro-ops address one slot.
@@ -502,41 +479,36 @@ func srcFields(u *uop, o Operand) bool {
 	return false
 }
 
-func sizeLog(size uint8) uint8 {
-	switch size {
-	case 1:
-		return 0
-	case 2:
-		return 1
-	}
-	return 2
-}
-
-// buildUop compiles one trace instruction at index self into a micro-op.
-// Anything without a specialized arm falls back to its generic
-// predecoded closure (uGen), which the run loop brackets with full
-// machine-state writeback/reload.
-func buildUop(in *Instr, self, head, n int) uop {
-	u := uop{kind: uGen, src: uZero, base: uZero, idx: uZero, k: sizeLog(in.Size)}
-	last := self == head+n-1
+// buildUop compiles trace[k], the instruction at index head+k, into a
+// micro-op. Anything without a specialized arm falls back to its
+// generic predecoded closure (uGen), which the run loop brackets with
+// full machine-state writeback/reload.
+func buildUop(trace []Instr, k, head int) uop {
+	in := &trace[k]
+	self, last := head+k, k == len(trace)-1
+	// The interpreter reads every memory operand of any other size as 4
+	// bytes (compileLoad), so only 1 and 2 are narrow.
+	wide := in.Size != 1 && in.Size != 2
+	u := uop{kind: uGen, src: uZero, base: uZero, idx: uZero}
 
 	switch in.Op {
-	case NOP:
-		u.kind = uNop
-		return u
-
 	case MOV:
 		switch {
 		case in.Dst.Kind == KindReg && srcFields(&u, in.Src):
 			u.kind, u.dst = uMov, uint8(in.Dst.Reg)&15
 			return u
-		case in.Dst.Kind == KindReg && in.Src.Kind == KindMem:
-			u.kind = [3]uint8{uLoad1, uLoad2, uLoad4}[u.k]
-			u.dst = uint8(in.Dst.Reg) & 15
+		case in.Dst.Kind == KindReg && in.Src.Kind == KindMem && in.Size != 2:
+			u.kind, u.dst = uLoad4, uint8(in.Dst.Reg)&15
+			if in.Size == 1 {
+				u.kind = uLoad1
+			}
 			memFields(&u, in.Src.Mem)
 			return u
-		case in.Dst.Kind == KindMem && srcFields(&u, in.Src):
-			u.kind = [3]uint8{uStore1, uStore2, uStore4}[u.k]
+		case in.Dst.Kind == KindMem && in.Size != 2 && srcFields(&u, in.Src):
+			u.kind = uStore4
+			if in.Size == 1 {
+				u.kind = uStore1
+			}
 			memFields(&u, in.Dst.Mem)
 			return u
 		}
@@ -550,7 +522,7 @@ func buildUop(in *Instr, self, head, n int) uop {
 
 	case ADD, SUB, IMUL, AND, OR, XOR, SHL, SHR, SAR:
 		switch {
-		case in.Dst.Kind == KindReg && srcFields(&u, in.Src):
+		case in.Dst.Kind == KindReg && in.Op != SHR && srcFields(&u, in.Src):
 			u.dst = uint8(in.Dst.Reg) & 15
 			switch in.Op {
 			case ADD:
@@ -567,13 +539,12 @@ func buildUop(in *Instr, self, head, n int) uop {
 				u.kind = uXor
 			case SHL:
 				u.kind = uShl
-			case SHR:
-				u.kind = uShr
 			default: // SAR
 				u.kind = uSar
 			}
 			return u
-		case in.Dst.Kind == KindReg && in.Src.Kind == KindMem:
+		case in.Dst.Kind == KindReg && in.Src.Kind == KindMem && wide &&
+			(in.Op == ADD || in.Op == SUB || in.Op == IMUL):
 			u.dst = uint8(in.Dst.Reg) & 15
 			memFields(&u, in.Src.Mem)
 			switch in.Op {
@@ -581,13 +552,11 @@ func buildUop(in *Instr, self, head, n int) uop {
 				u.kind = uAddM
 			case SUB:
 				u.kind = uSubM
-			case IMUL:
+			default: // IMUL
 				u.kind = uMulM
-			default:
-				u.kind, u.fn = uAluM, aluFn(in.Op)
 			}
 			return u
-		case in.Dst.Kind == KindMem && srcFields(&u, in.Src):
+		case in.Dst.Kind == KindMem && wide && srcFields(&u, in.Src):
 			// Read-modify-write: two translations, read then write, in
 			// the interpreter's order, so fault identity and the
 			// HWChecks double-count for LDT segments are preserved.
@@ -611,36 +580,28 @@ func buildUop(in *Instr, self, head, n int) uop {
 			return u
 		}
 
-	case NEG, NOT:
+	case NEG:
 		if in.Dst.Kind == KindReg {
-			u.dst = uint8(in.Dst.Reg) & 15
-			if in.Op == NOT {
-				u.kind = uNot
-			} else {
-				u.kind = uNeg
-			}
+			u.kind, u.dst = uNeg, uint8(in.Dst.Reg)&15
 			return u
 		}
 
 	case CMP:
-		switch {
-		case in.Dst.Kind == KindReg && srcFields(&u, in.Src):
-			u.kind, u.dst = uCmp, uint8(in.Dst.Reg)&15
-			return u
-		case in.Dst.Kind == KindReg && in.Src.Kind == KindMem:
-			u.kind, u.dst = uCmpRM, uint8(in.Dst.Reg)&15
-			memFields(&u, in.Src.Mem)
-			return u
-		case in.Dst.Kind == KindMem && srcFields(&u, in.Src):
-			u.kind = uCmpM
-			memFields(&u, in.Dst.Mem)
-			return u
-		}
-
-	case TEST:
-		if in.Dst.Kind == KindReg && srcFields(&u, in.Src) {
-			u.kind, u.dst = uTest, uint8(in.Dst.Reg)&15
-			return u
+		// A compare is specialized only fused with the conditional jump
+		// after it: the jump micro-op stays in place (its slot carries the
+		// branch targets and keeps the retired-instruction accounting
+		// one-to-one), but the compare consumes it in a single dispatch.
+		if !last && isCondJump(trace[k+1].Op) && in.Dst.Kind == KindReg {
+			u.dst = uint8(in.Dst.Reg) & 15
+			switch {
+			case srcFields(&u, in.Src):
+				u.kind = uCmpJ
+				return u
+			case in.Src.Kind == KindMem && wide:
+				u.kind = uCmpRMJ
+				memFields(&u, in.Src.Mem)
+				return u
+			}
 		}
 
 	case JMP:
@@ -688,10 +649,11 @@ func buildUop(in *Instr, self, head, n int) uop {
 		}
 	}
 
-	// Everything else (MOVSR, MOVRS, BOUND, odd operand shapes) runs its
-	// generic predecoded closure with machine state written back around
-	// it; the closure maintains m.ip itself, so the run loop treats any
-	// ip other than self+1 as a side exit.
+	// Everything else (MOVSR, MOVRS, BOUND, unfused compares, narrow
+	// memory operands, odd operand shapes) runs its generic predecoded
+	// closure with machine state written back around it; the closure
+	// maintains m.ip itself, so the run loop treats any ip other than
+	// self+1 as a side exit.
 	u.gen = compileInstr(in)
 	return u
 }
@@ -818,8 +780,6 @@ func (sb *superblock) run(m *Machine) error {
 				mix.dispatched[op]++
 			}
 			switch op {
-			case uNop:
-
 			case uMov:
 				r[u.dst&15] = r[u.src&15] + u.imm2
 
@@ -848,30 +808,6 @@ func (sb *superblock) run(m *Machine) error {
 						}
 					}
 					r[u.dst&15] = memv.Read32(lin)
-				}
-
-			case uLoad2:
-				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
-				s := u.seg & 7
-				if d := ea - w.hiDel[s]; d < w.hiLen[s] {
-					r[u.dst&15] = uint32(binary.LittleEndian.Uint16(hiw[d:]))
-				} else if ea < w.loR[s] {
-					if w.ldt[s] {
-						hw++
-					}
-					r[u.dst&15] = uint32(binary.LittleEndian.Uint16(low[w.base[s]+ea:]))
-				} else {
-					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, 1, false)
-					if ldt {
-						hw++
-					}
-					if !qok || !plain {
-						m.ip = head + k
-						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 2, false); err != nil {
-							goto deopt
-						}
-					}
-					r[u.dst&15] = uint32(memv.Read16(lin))
 				}
 
 			case uLoad1:
@@ -930,28 +866,6 @@ func (sb *superblock) run(m *Machine) error {
 					}
 				}
 
-			case uStore2:
-				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
-				s := u.seg & 7
-				if ea < w.wOK[s] {
-					if w.ldt[s] {
-						hw++
-					}
-					memv.Write16(w.base[s]+ea, uint16(r[u.src&15]+u.imm2))
-				} else {
-					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, 1, true)
-					if ldt {
-						hw++
-					}
-					if !qok || !plain {
-						m.ip = head + k
-						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 2, true); err != nil {
-							goto deopt
-						}
-					}
-					memv.Write16(lin, uint16(r[u.src&15]+u.imm2))
-				}
-
 			case uStore1:
 				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
 				s := u.seg & 7
@@ -1000,54 +914,46 @@ func (sb *superblock) run(m *Machine) error {
 			case uShl:
 				r[u.dst&15] <<= (r[u.src&15] + u.imm2) & 31
 
-			case uShr:
-				r[u.dst&15] >>= (r[u.src&15] + u.imm2) & 31
-
 			case uSar:
 				r[u.dst&15] = uint32(int32(r[u.dst&15]) >> ((r[u.src&15] + u.imm2) & 31))
 
-			case uAlu:
-				r[u.dst&15] = u.fn(r[u.dst&15], r[u.src&15]+u.imm2)
-
-			case uAddM, uSubM, uMulM, uAluM:
+			case uAddM, uSubM, uMulM:
 				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
 				s := u.seg & 7
 				var b uint32
-				if d := ea - w.hiDel[s]; d < w.hiLen[s] && u.k == 2 {
+				if d := ea - w.hiDel[s]; d < w.hiLen[s] {
 					b = binary.LittleEndian.Uint32(hiw[d:])
-				} else if ea < w.loR[s] && u.k == 2 {
+				} else if ea < w.loR[s] {
 					if w.ldt[s] {
 						hw++
 					}
 					b = binary.LittleEndian.Uint32(low[w.base[s]+ea:])
 				} else {
-					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, int(u.k), false)
+					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, 2, false)
 					if ldt {
 						hw++
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 4, false); err != nil {
 							goto deopt
 						}
 					}
-					b = sbReadSized(memv, lin, u.k)
+					b = memv.Read32(lin)
 				}
 				switch op {
 				case uAddM:
 					r[u.dst&15] += b
 				case uSubM:
 					r[u.dst&15] -= b
-				case uMulM:
+				default: // uMulM
 					r[u.dst&15] = uint32(int32(r[u.dst&15]) * int32(b))
-				default:
-					r[u.dst&15] = u.fn(r[u.dst&15], b)
 				}
 
 			case uAluRMW, uAddRMW:
 				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
 				s := u.seg & 7
-				if d := ea - w.hiDel[s]; d < w.hiLen[s] && ea < w.wOK[s] && u.k == 2 {
+				if d := ea - w.hiDel[s]; d < w.hiLen[s] && ea < w.wOK[s] {
 					// hi windows are never LDT, so no hardware-check counts.
 					a, b := binary.LittleEndian.Uint32(hiw[d:]), r[u.src&15]+u.imm2
 					v := a + b
@@ -1058,7 +964,7 @@ func (sb *superblock) run(m *Machine) error {
 					if d < hid {
 						hid = d
 					}
-				} else if ea < w.loR[s] && ea < w.wOK[s] && u.k == 2 {
+				} else if ea < w.loR[s] && ea < w.wOK[s] {
 					if w.ldt[s] {
 						hw += 2 // read translation, then write translation
 					}
@@ -1072,24 +978,24 @@ func (sb *superblock) run(m *Machine) error {
 						memv.Write32(lin, v)
 					}
 				} else {
-					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, int(u.k), false)
+					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, 2, false)
 					if ldt {
 						hw++
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 4, false); err != nil {
 							goto deopt
 						}
 					}
-					a := sbReadSized(memv, lin, u.k)
-					lin2, ldt2, qok2 := mmu.QuickRef(x86seg.SegReg(u.seg), ea, int(u.k), true)
+					a := memv.Read32(lin)
+					lin2, ldt2, qok2 := mmu.QuickRef(x86seg.SegReg(u.seg), ea, 2, true)
 					if ldt2 {
 						hw++
 					}
 					if !qok2 || !plain {
 						m.ip = head + k
-						if lin2, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, true); err != nil {
+						if lin2, err = m.translate(x86seg.SegReg(u.seg), ea, 4, true); err != nil {
 							goto deopt
 						}
 					}
@@ -1098,7 +1004,7 @@ func (sb *superblock) run(m *Machine) error {
 					if op == uAluRMW {
 						v = u.fn(a, b)
 					}
-					sbWriteSized(memv, lin2, u.k, v)
+					memv.Write32(lin2, v)
 				}
 
 			case uDiv, uMod:
@@ -1117,15 +1023,6 @@ func (sb *superblock) run(m *Machine) error {
 			case uNeg:
 				r[u.dst&15] = -r[u.dst&15]
 
-			case uNot:
-				r[u.dst&15] = ^r[u.dst&15]
-
-			case uCmp:
-				a, b := r[u.dst&15], r[u.src&15]+u.imm2
-				eq = a == b
-				lt = int32(a) < int32(b)
-				below = a < b
-
 			case uCmpJ:
 				// Fused compare-and-branch: the flags are still published
 				// to the locals (later micro-ops may reread them), but the
@@ -1139,108 +1036,44 @@ func (sb *superblock) run(m *Machine) error {
 				u = &uops[k]
 				goto cond
 
-			case uCmpRM, uCmpRMJ:
+			case uCmpRMJ:
 				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
 				s := u.seg & 7
 				var b uint32
-				if d := ea - w.hiDel[s]; d < w.hiLen[s] && u.k == 2 {
+				if d := ea - w.hiDel[s]; d < w.hiLen[s] {
 					b = binary.LittleEndian.Uint32(hiw[d:])
-				} else if ea < w.loR[s] && u.k == 2 {
+				} else if ea < w.loR[s] {
 					if w.ldt[s] {
 						hw++
 					}
 					b = binary.LittleEndian.Uint32(low[w.base[s]+ea:])
 				} else {
-					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, int(u.k), false)
+					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, 2, false)
 					if ldt {
 						hw++
 					}
 					if !qok || !plain {
 						m.ip = head + k
-						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
+						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 4, false); err != nil {
 							goto deopt
 						}
 					}
-					b = sbReadSized(memv, lin, u.k)
+					b = memv.Read32(lin)
 				}
 				a := r[u.dst&15]
 				eq = a == b
 				lt = int32(a) < int32(b)
 				below = a < b
-				if op == uCmpRMJ {
-					k++
-					u = &uops[k]
-					goto cond
-				}
-
-			case uCmpM:
-				ea := r[u.base&15] + r[u.idx&15]*u.scale + u.imm
-				s := u.seg & 7
-				var a uint32
-				if d := ea - w.hiDel[s]; d < w.hiLen[s] && u.k == 2 {
-					a = binary.LittleEndian.Uint32(hiw[d:])
-				} else if ea < w.loR[s] && u.k == 2 {
-					if w.ldt[s] {
-						hw++
-					}
-					a = binary.LittleEndian.Uint32(low[w.base[s]+ea:])
-				} else {
-					lin, ldt, qok := mmu.QuickRef(x86seg.SegReg(u.seg), ea, int(u.k), false)
-					if ldt {
-						hw++
-					}
-					if !qok || !plain {
-						m.ip = head + k
-						if lin, err = m.translate(x86seg.SegReg(u.seg), ea, 1<<u.k, false); err != nil {
-							goto deopt
-						}
-					}
-					a = sbReadSized(memv, lin, u.k)
-				}
-				b := r[u.src&15] + u.imm2
-				eq = a == b
-				lt = int32(a) < int32(b)
-				below = a < b
-
-			case uTest:
-				v := r[u.dst&15] & (r[u.src&15] + u.imm2)
-				eq = v == 0
-				lt = int32(v) < 0
-				below = false
+				k++
+				u = &uops[k]
+				goto cond
 
 			case uJmp:
 				taken = true
 				goto branch
-			case uJE:
-				taken = eq
-				goto branch
-			case uJNE:
-				taken = !eq
-				goto branch
-			case uJL:
-				taken = lt
-				goto branch
-			case uJLE:
-				taken = lt || eq
-				goto branch
-			case uJG:
-				taken = !lt && !eq
-				goto branch
-			case uJGE:
-				taken = !lt
-				goto branch
-			case uJB:
-				taken = below
-				goto branch
-			case uJAE:
-				taken = !below
-				goto branch
-			case uJA:
-				taken = !below && !eq
-				goto branch
-			case uJBE:
-				taken = below || eq
-				goto branch
+
+			case uJE, uJNE, uJL, uJLE, uJG, uJGE, uJB, uJAE, uJA, uJBE:
+				goto cond
 
 			case uPush, uCall:
 				// Matches Machine.push: the value is read first, and ESP
@@ -1604,30 +1437,6 @@ deopt: // fault at step k; m.ip set at the fault site, err holds the fault
 	sb.flush(m, passes, k+1)
 	m.sbDeopts++
 	return err
-}
-
-// sbReadSized and sbWriteSized are the sized memory accessors for the
-// less-common micro-ops that keep their access size as data (ALU and
-// CMP memory operands); loads and stores get dedicated sized kinds.
-func sbReadSized(mv *mem.Memory, phys uint32, k uint8) uint32 {
-	switch k {
-	case 0:
-		return uint32(mv.Read8(phys))
-	case 1:
-		return uint32(mv.Read16(phys))
-	}
-	return mv.Read32(phys)
-}
-
-func sbWriteSized(mv *mem.Memory, phys uint32, k uint8, v uint32) {
-	switch k {
-	case 0:
-		mv.Write8(phys, uint8(v))
-	case 1:
-		mv.Write16(phys, uint16(v))
-	default:
-		mv.Write32(phys, v)
-	}
 }
 
 // DumpSuperblocks renders the program's compiled superblocks — the

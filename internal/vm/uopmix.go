@@ -49,7 +49,7 @@ func (m *Machine) publishMix() {
 // UopMix is the process-wide tier-2 dispatch mix (all zero unless the
 // build is tagged sbstats).
 type UopMix struct {
-	Dispatched map[string]uint64 // switch passes per micro-op kind
+	Dispatched map[string]uint64 // switch passes per micro-op kind, every kind listed
 	Fired      map[string]uint64 // fast paths taken per superop, every superop listed
 	Total      uint64            // all switch passes
 }
@@ -60,10 +60,8 @@ func ReadUopMix() UopMix {
 	defer mixTotal.Unlock()
 	x := UopMix{Dispatched: map[string]uint64{}, Fired: map[string]uint64{}}
 	for kind, c := range mixTotal.dispatched {
-		if c > 0 {
-			x.Dispatched[uopNames[kind]] = c
-			x.Total += c
-		}
+		x.Dispatched[uopNames[kind]] = c
+		x.Total += c
 		if isSuperop(uint8(kind)) {
 			x.Fired[uopNames[kind]] = mixTotal.fired[kind]
 		}
