@@ -173,7 +173,7 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 	}
 	p.Entry = entry
 	p.Mode = cfg.Mode.String()
-	p.Data = c.data
+	p.SetData(c.data)
 	p.DataBase = DataBase
 	heap := (DataBase + uint32(len(c.data)) + 0xfff) &^ 0xfff
 	p.HeapBase = heap + 0x1000

@@ -283,12 +283,17 @@ type Artifact struct {
 
 // programDigest is the content digest of one compiled program: SHA-256
 // of its encoding and of its site table's, as EncodeArtifact writes
-// them. It is computed once per compiled or decoded program —
-// DecodeArtifact from the bytes it decoded, a built artifact on first
-// use — and shared by the artifact's views, which never re-encode.
+// them. It is computed on first use, once per compiled or decoded
+// program, and shared by the artifact's views, which never re-encode.
 type programDigest struct {
 	once        sync.Once
 	code, sites [sha256.Size]byte
+	// enc, until the digest is computed, is the program's encoding
+	// followed by its site table's, which starts split bytes in: the
+	// bytes DecodeArtifact decoded, so that a decoded program is hashed
+	// only if something asks for its run key.
+	enc   []byte
+	split int
 }
 
 // ParseMode resolves a strategy name, as a flag or a wire request

@@ -18,8 +18,10 @@ import (
 // encodings of the small workload kernels (range and stencil) under
 // every strategy, with and without the pass pipeline, plus hand-written
 // blobs of global arrays and of site tables, valid and not (an index out
-// of range, unsorted sites, an unknown kind); small seeds keep the
-// fuzzer's mutations and minimisation fast.
+// of range, unsorted sites, an unknown kind), and the one-instruction
+// blobs of instrSeeds, which reach every branch of the instruction
+// decoder; small seeds keep the fuzzer's mutations and minimisation
+// fast.
 func FuzzDecodeArtifact(f *testing.F) {
 	ws := append(workload.RangeKernels(), workload.StencilKernels()...)
 	for _, w := range ws {
@@ -44,6 +46,12 @@ func FuzzDecodeArtifact(f *testing.F) {
 	f.Add(valid)
 	for _, name := range []string{"index out of range", "unsorted sites", "unknown kind"} {
 		f.Add(bad[name])
+	}
+	instrValid, instrBad := instrSeeds()
+	for _, seeds := range []map[string][]byte{instrValid, instrBad} {
+		for _, name := range sortedKeys(seeds) {
+			f.Add(seeds[name])
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		art, err := DecodeArtifact(data)

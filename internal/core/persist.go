@@ -7,7 +7,8 @@
 // nil: a decoded value is exactly the one that was encoded, nil and
 // empty included. Map keys are written sorted, so one artifact always
 // encodes to the same bytes. The initial data image, mostly zeros, is
-// written as its length and its maximal runs of nonzero bytes.
+// written as its length and its maximal runs of nonzero bytes — the
+// runs vm.Program.Data holds.
 //
 // The format is canonical: the decoder accepts only what the encoder
 // writes (minimal varints, defined flag bits, strictly sorted keys,
@@ -16,9 +17,16 @@
 // bytes. Every count and length is checked against the input that
 // remains — or, for the data image, against maxDataImage — before
 // anything is allocated, so a hostile blob costs an error, never a
-// panic or an unbounded allocation. The store's own
-// content hash protects the bytes at rest; the serving cache's disk
-// tier treats a decode error as a miss and removes the entry.
+// panic or an unbounded allocation. The store's checksum protects the
+// bytes at rest; the serving cache's disk tier treats a decode error
+// as a miss and removes the entry.
+//
+// Decoding is one pass and copies the blob once: DecodeArtifact turns
+// it into one string, of which every decoded name, symbol and label is
+// a substring. The artifact keeps and aliases its input — its data
+// runs are slices of it, and its run key hashes the program's bytes
+// there on first use — so a caller must not modify a blob it has
+// decoded.
 //
 // Persistence is strictly host-side: a decoded artifact produces
 // machines (and therefore tables, counters and faults) byte-identical
@@ -126,9 +134,11 @@ func EncodeArtifact(a *Artifact) (data []byte, ok bool, err error) {
 // with no run options (see Artifact.WithRun). The checking strategy is
 // re-resolved against this process's registry, so a blob naming an
 // unregistered strategy fails (and the caller treats the failure as a
-// cache miss).
+// cache miss). The artifact keeps and aliases data — its data runs are
+// slices of it, and its run key hashes it on first use — so the caller
+// must not modify data afterwards.
 func DecodeArtifact(data []byte) (*Artifact, error) {
-	d := &decoder{data: data}
+	d := newDecoder(data)
 	d.header(tagArtifact)
 	mode := Mode(d.str())
 	opts := d.options()
@@ -153,11 +163,7 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	if canon, err := normalizeOptions(info, opts); err != nil || canon.SegRegs != opts.SegRegs || !slices.Equal(canon.Passes, opts.Passes) {
 		return nil, fmt.Errorf("core: decode artifact: options %+v are not canonical under %s", opts, mode)
 	}
-	dg := &programDigest{
-		code:  sha256.Sum256(data[progStart:sitesStart]),
-		sites: sha256.Sum256(data[sitesStart:]),
-	}
-	dg.once.Do(func() {})
+	dg := &programDigest{enc: data[progStart:], split: sitesStart - progStart}
 	return &Artifact{Mode: mode, Program: prog, vmMode: info.Mode, opts: opts, digest: dg}, nil
 }
 
@@ -188,7 +194,7 @@ func BuildKey(source string, mode Mode, opts Options) string {
 // and 3 whose loops fit in two registers, a bound-instruction build
 // that emits no software check, sources that differ only in comments.
 // The program's digest is computed once and shared by its views; a
-// decoded artifact takes it from the bytes it decoded.
+// decoded artifact hashes the bytes it decoded, on its first run key.
 func (a *Artifact) RunKey() string {
 	a.runKeyOnce.Do(func() {
 		d := a.digest.of(a.Program)
@@ -213,20 +219,25 @@ func (a *Artifact) RunKey() string {
 	return a.runKey
 }
 
-// of returns the digest of p, encoding and hashing it on first use. A
-// program the format cannot hold (codegen emits none) gets random
-// digests: its runs then share nothing, which is slow but never wrong.
+// of returns the digest of p, hashing it on first use: the encoding a
+// decoded artifact kept, or else p encoded now. A program the format
+// cannot hold (codegen emits none) gets random digests: its runs then
+// share nothing, which is slow but never wrong.
 func (d *programDigest) of(p *vm.Program) *programDigest {
 	d.once.Do(func() {
-		e := &encoder{buf: make([]byte, 0, 256+12*len(p.Instrs))}
-		progErr := e.program(p)
-		n := len(e.buf)
-		if progErr != nil || e.sites(p.Sites) != nil {
-			rand.Read(d.code[:])
-			rand.Read(d.sites[:])
-			return
+		if d.enc == nil {
+			e := &encoder{buf: make([]byte, 0, 256+12*len(p.Instrs))}
+			progErr := e.program(p)
+			n := len(e.buf)
+			if progErr != nil || e.sites(p.Sites) != nil {
+				rand.Read(d.code[:])
+				rand.Read(d.sites[:])
+				return
+			}
+			d.enc, d.split = e.buf, n
 		}
-		d.code, d.sites = sha256.Sum256(e.buf[:n]), sha256.Sum256(e.buf[n:])
+		d.code, d.sites = sha256.Sum256(d.enc[:d.split]), sha256.Sum256(d.enc[d.split:])
+		d.enc = nil
 	})
 	return d
 }
@@ -274,7 +285,7 @@ func EncodeRunOutcome(res *RunResult, runErr error) (data []byte, ok bool) {
 // cause chain comes back as its rendered text — Fault.Error() only ever
 // appends Cause.Error(), so the fault formats byte-identically.
 func DecodeRunOutcome(data []byte) (res *RunResult, runErr error, err error) {
-	d := &decoder{data: data}
+	d := newDecoder(data)
 	d.header(tagRun)
 	flags := d.flags(runAll)
 	if flags&runHasRes == 0 && flags&(runHasResult|runHasViolation) != 0 {
@@ -367,7 +378,7 @@ func (e *encoder) program(p *vm.Program) error {
 		e.uint(uint64(g.Addr))
 		e.uint(uint64(g.Size))
 	}
-	if err := e.data(p.Data); err != nil {
+	if err := e.data(p); err != nil {
 		return err
 	}
 	e.uint(uint64(p.DataBase))
@@ -473,48 +484,32 @@ func (e *encoder) operand(o *vm.Operand) error {
 	return nil
 }
 
-// data writes the data image as its length and its maximal runs of
-// nonzero bytes, each as (gap since the previous run's end, length,
-// bytes).
-func (e *encoder) data(b []byte) error {
-	if len(b) > maxDataImage {
+// data writes p's data image as its length and its runs of nonzero
+// bytes, each as (gap since the previous run's end, length, bytes). The
+// runs must be the maximal ones vm.Program.SetData makes — nonempty,
+// free of zero bytes, in order, apart and inside the image — and a nil
+// run list, which means no image, must come with a zero DataSize.
+func (e *encoder) data(p *vm.Program) error {
+	if p.DataSize > maxDataImage || p.Data == nil && p.DataSize != 0 {
 		return errUnpersistable
 	}
-	e.count(len(b), b == nil)
-	if b == nil {
+	e.count(int(p.DataSize), p.Data == nil)
+	if p.Data == nil {
 		return nil
 	}
-	var runs [][2]int // [start, end) of each nonzero run
-	for i := skipZeros(b, 0); i < len(b); i = skipZeros(b, i) {
-		j := len(b)
-		if k := bytes.IndexByte(b[i:], 0); k >= 0 {
-			j = i + k
+	e.uint(uint64(len(p.Data)))
+	var end uint64
+	for i, r := range p.Data {
+		off, n := uint64(r.Off), uint64(len(r.Bytes))
+		if off < end || i > 0 && off == end || n == 0 || off+n > uint64(p.DataSize) || bytes.IndexByte(r.Bytes, 0) >= 0 {
+			return errUnpersistable
 		}
-		runs = append(runs, [2]int{i, j})
-		i = j
-	}
-	e.uint(uint64(len(runs)))
-	end := 0
-	for _, r := range runs {
-		e.uint(uint64(r[0] - end))
-		e.uint(uint64(r[1] - r[0]))
-		e.buf = append(e.buf, b[r[0]:r[1]]...)
-		end = r[1]
+		e.uint(off - end)
+		e.uint(n)
+		e.buf = append(e.buf, r.Bytes...)
+		end = off + n
 	}
 	return nil
-}
-
-// skipZeros returns the index of the first nonzero byte of b at or
-// after i, or len(b). Data images are almost all zeros, so it steps a
-// word at a time.
-func skipZeros(b []byte, i int) int {
-	for i+8 <= len(b) && binary.LittleEndian.Uint64(b[i:]) == 0 {
-		i += 8
-	}
-	for i < len(b) && b[i] == 0 {
-		i++
-	}
-	return i
 }
 
 func (e *encoder) result(r *vm.Result) {
@@ -551,12 +546,20 @@ func (e *encoder) fault(f *vm.Fault) {
 
 // decoder consumes the format's primitives from data. It advances a
 // cursor through the input rather than re-slicing it, so a read stores
-// an int, not a pointer. The first error sticks: later reads return
-// zero values and consume nothing, so callers check once, at finish.
+// an int, not a pointer. Every string it returns is a substring of s,
+// the input converted once, so a blob costs one string allocation
+// however many names it holds. The first error sticks: later reads
+// return zero values and consume nothing, so callers check once, at
+// finish.
 type decoder struct {
 	data []byte // the whole input; never re-sliced
+	s    string // data as a string
 	pos  int    // index of the next unread byte
 	err  error
+}
+
+func newDecoder(data []byte) *decoder {
+	return &decoder{data: data, s: string(data)}
 }
 
 // rest returns the number of unread input bytes.
@@ -565,6 +568,15 @@ func (d *decoder) rest() int { return len(d.data) - d.pos }
 func (d *decoder) fail(msg string) {
 	if d.err == nil {
 		d.err = errors.New(msg)
+	}
+}
+
+// advance moves the cursor to next, where one of the *At readers below
+// stopped, or records its failure.
+func (d *decoder) advance(next int, msg string) {
+	d.pos = next
+	if msg != "" {
+		d.fail(msg)
 	}
 }
 
@@ -602,43 +614,21 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-// uint reads a minimally encoded uvarint. Most are below 0x80 and so
-// one byte long, which needs neither binary.Uvarint nor the minimality
-// check.
 func (d *decoder) uint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	if d.pos < len(d.data) && d.data[d.pos] < 0x80 {
-		d.pos++
-		return uint64(d.data[d.pos-1])
-	}
-	v, n := binary.Uvarint(d.data[d.pos:])
-	if n <= 0 {
-		d.fail("truncated or oversized varint")
-		return 0
-	}
-	if d.data[d.pos+n-1] == 0 {
-		d.fail("non-minimal varint")
-		return 0
-	}
-	d.pos += n
+	v, next, msg := uvarintAt(d.data, d.pos)
+	d.advance(next, msg)
 	return v
 }
 
 // int reads a zigzag varint, as binary.AppendVarint writes it.
-func (d *decoder) int() int64 {
-	u := d.uint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
+func (d *decoder) int() int64 { return unzigzag(d.uint()) }
 
 func (d *decoder) intN() int {
 	v := d.int()
-	if v < math.MinInt || v > math.MaxInt {
+	if int64(int(v)) != v {
 		d.fail("integer out of range")
 		return 0
 	}
@@ -646,12 +636,12 @@ func (d *decoder) intN() int {
 }
 
 func (d *decoder) i32() int32 {
-	v := d.int()
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		d.fail("integer out of range")
+	if d.err != nil {
 		return 0
 	}
-	return int32(v)
+	v, next, msg := int32At(d.data, d.pos)
+	d.advance(next, msg)
+	return v
 }
 
 func (d *decoder) u32() uint32 {
@@ -677,7 +667,8 @@ func (d *decoder) flags(mask byte) byte {
 	return b
 }
 
-// take returns the next n bytes, which must all be present.
+// take returns the next n bytes, which must all be present, with their
+// capacity cut to n.
 func (d *decoder) take(n uint64) []byte {
 	if d.err != nil {
 		return nil
@@ -686,19 +677,70 @@ func (d *decoder) take(n uint64) []byte {
 		d.fail("length exceeds input")
 		return nil
 	}
-	b := d.data[d.pos : d.pos+int(n)]
+	b := d.data[d.pos : d.pos+int(n) : d.pos+int(n)]
 	d.pos += int(n)
 	return b
 }
 
-// str reads a length-prefixed string. Most instruction symbols and
-// labels are empty: a zero length byte is the whole encoding.
 func (d *decoder) str() string {
-	if d.err == nil && d.pos < len(d.data) && d.data[d.pos] == 0 {
-		d.pos++
+	if d.err != nil {
 		return ""
 	}
-	return string(d.take(d.uint()))
+	v, next, msg := strAt(d.data, d.s, d.pos)
+	d.advance(next, msg)
+	return v
+}
+
+// The *At readers decode one primitive at b[i:] and return it with the
+// index after it. On input the encoder cannot have written they return
+// the zero value, i itself and a non-empty msg.
+
+// uvarintAt reads a minimally encoded uvarint. Most are below 0x80 and
+// so one byte long, which needs neither binary.Uvarint nor the
+// minimality check.
+func uvarintAt(b []byte, i int) (v uint64, next int, msg string) {
+	if i < len(b) && b[i] < 0x80 {
+		return uint64(b[i]), i + 1, ""
+	}
+	v, n := binary.Uvarint(b[i:])
+	if n <= 0 {
+		return 0, i, "truncated or oversized varint"
+	}
+	if b[i+n-1] == 0 {
+		return 0, i, "non-minimal varint"
+	}
+	return v, i + n, ""
+}
+
+// int32At reads a zigzag varint that must fit an int32.
+func int32At(b []byte, i int) (int32, int, string) {
+	u, next, msg := uvarintAt(b, i)
+	v := unzigzag(u)
+	if v != int64(int32(v)) {
+		return 0, i, "integer out of range"
+	}
+	return int32(v), next, msg
+}
+
+// strAt reads a length-prefixed string as a substring of s, which is b
+// as a string.
+func strAt(b []byte, s string, i int) (string, int, string) {
+	n, next, msg := uvarintAt(b, i)
+	if msg != "" {
+		return "", i, msg
+	}
+	if n > uint64(len(b)-next) {
+		return "", i, "length exceeds input"
+	}
+	return s[next : next+int(n)], next + int(n), ""
+}
+
+func unzigzag(u uint64) int64 {
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
 }
 
 // count reads a length written by encoder.count. The n elements, each
@@ -742,8 +784,9 @@ func (d *decoder) program() *vm.Program {
 	p := &vm.Program{Name: d.str()}
 	if n, isNil := d.count(minInstrBytes); !isNil {
 		p.Instrs = make([]vm.Instr, n)
-		for i := range p.Instrs {
-			d.instr(&p.Instrs[i])
+		for i := 0; i < n && d.err == nil; i++ {
+			next, msg := instrAt(d.data, d.s, d.pos, &p.Instrs[i])
+			d.advance(next, msg)
 		}
 	}
 	p.Entry = d.intN()
@@ -765,7 +808,7 @@ func (d *decoder) program() *vm.Program {
 			prev = k
 		}
 	}
-	p.Data = d.dataImage()
+	d.dataImage(p)
 	p.DataBase = d.u32()
 	for _, g := range p.Globals {
 		if !inImage(g, p) {
@@ -794,6 +837,97 @@ func (d *decoder) program() *vm.Program {
 		}
 	}
 	return p
+}
+
+// instrAt reads the instruction encoder.instr wrote at b[i:], operands
+// included, into the zero instruction in; s is b as a string, and Sym
+// and Label are substrings of it. It is one pass over a local cursor
+// that checks the input's length once per group of fields: the four
+// fixed bytes with the shortest target, symbol and label; a register
+// or segment byte; a memory operand's five fixed bytes with the
+// shortest displacement. Most varints are one byte, read in place; a
+// longer one, or a string's bytes, takes a check of its own. Each
+// operand comes out as vm.R, vm.I, vm.SR or vm.M would build it.
+func instrAt(b []byte, s string, i int, in *vm.Instr) (next int, msg string) {
+	if len(b)-i < minInstrBytes {
+		return i, "truncated"
+	}
+	in.Op, in.Size, in.Note = vm.Op(b[i]), b[i+2], vm.Note(b[i+3])
+	kinds := b[i+1]
+	var u uint64
+	if t := b[i+4]; t < 0x80 {
+		u, i = uint64(t), i+5
+	} else if u, i, msg = uvarintAt(b, i+4); msg != "" {
+		return i, msg
+	}
+	if t := unzigzag(u); int64(int(t)) == t {
+		in.Target = int(t)
+	} else {
+		return i, "integer out of range"
+	}
+	if len(b)-i >= 2 && b[i] == 0 && b[i+1] == 0 {
+		i += 2 // most instructions have neither symbol nor label
+	} else {
+		if in.Sym, i, msg = strAt(b, s, i); msg != "" {
+			return i, msg
+		}
+		if in.Label, i, msg = strAt(b, s, i); msg != "" {
+			return i, msg
+		}
+	}
+	for _, o := range [2]*vm.Operand{&in.Dst, &in.Src} {
+		kind := vm.OperandKind(kinds & 0xf)
+		kinds >>= 4
+		switch kind {
+		case vm.KindNone:
+			continue
+		case vm.KindReg, vm.KindSReg:
+			if i >= len(b) {
+				return i, "truncated"
+			}
+			if kind == vm.KindReg {
+				if o.Reg = vm.Reg(b[i]); o.Reg >= vm.NumRegs {
+					return i, "register out of range"
+				}
+			} else if o.SReg = x86seg.SegReg(b[i]); !validSeg(o.SReg) {
+				return i, "segment register out of range"
+			}
+			i++
+		case vm.KindImm:
+			if i < len(b) && b[i] < 0x80 {
+				o.Imm = int32(unzigzag(uint64(b[i])))
+				i++
+			} else if o.Imm, i, msg = int32At(b, i); msg != "" {
+				return i, msg
+			}
+		case vm.KindMem:
+			if len(b)-i < 6 {
+				return i, "truncated"
+			}
+			m := &o.Mem
+			m.Seg, m.Base, m.Index, m.Scale = x86seg.SegReg(b[i]), vm.Reg(b[i+1]), vm.Reg(b[i+2]), b[i+4]
+			switch flags := b[i+3]; {
+			case !validSeg(m.Seg):
+				return i, "segment register out of range"
+			case m.Base >= vm.NumRegs || m.Index >= vm.NumRegs:
+				return i, "register out of range"
+			case flags&^memAll != 0:
+				return i, "unknown flag bits"
+			default:
+				m.HasBase, m.HasIndex = flags&memHasBase != 0, flags&memHasIndex != 0
+			}
+			if b[i+5] < 0x80 {
+				m.Disp = int32(unzigzag(uint64(b[i+5])))
+				i += 6
+			} else if m.Disp, i, msg = int32At(b, i+5); msg != "" {
+				return i, msg
+			}
+		default:
+			return i, "unknown operand kind"
+		}
+		o.Kind = kind
+	}
+	return i, ""
 }
 
 // sites reads encoder.sites' table for a program of the given
@@ -849,85 +983,29 @@ func (d *decoder) key(i int, prev string) string {
 	return k
 }
 
-func (d *decoder) instr(in *vm.Instr) {
-	in.Op = vm.Op(d.byte())
-	kinds := d.byte()
-	in.Size = d.byte()
-	in.Note = vm.Note(d.byte())
-	in.Target = d.intN()
-	in.Sym = d.str()
-	in.Label = d.str()
-	d.operand(&in.Dst, vm.OperandKind(kinds&0xf))
-	d.operand(&in.Src, vm.OperandKind(kinds>>4))
-}
-
-// operand fills the zero operand o with what encoder.operand wrote for
-// kind: the same value as vm.R, vm.I, vm.SR or vm.M, set field by field.
-func (d *decoder) operand(o *vm.Operand, kind vm.OperandKind) {
-	switch kind {
-	case vm.KindNone:
-	case vm.KindReg:
-		o.Kind, o.Reg = kind, d.reg()
-	case vm.KindImm:
-		o.Kind, o.Imm = kind, d.i32()
-	case vm.KindSReg:
-		o.Kind, o.SReg = kind, d.seg()
-	case vm.KindMem:
-		o.Kind = kind
-		m := &o.Mem
-		m.Seg = d.seg()
-		m.Base = d.reg()
-		m.Index = d.reg()
-		flags := d.flags(memAll)
-		m.HasBase = flags&memHasBase != 0
-		m.HasIndex = flags&memHasIndex != 0
-		m.Scale = d.byte()
-		m.Disp = d.i32()
-	default:
-		d.fail("unknown operand kind")
-	}
-}
-
-func (d *decoder) reg() vm.Reg {
-	r := vm.Reg(d.byte())
-	if r >= vm.NumRegs {
-		d.fail("register out of range")
-		return 0
-	}
-	return r
-}
-
-func (d *decoder) seg() x86seg.SegReg {
-	s := x86seg.SegReg(d.byte())
-	if !validSeg(s) {
-		d.fail("segment register out of range")
-		return 0
-	}
-	return s
-}
-
-// dataImage reads encoder.data's runs into a zeroed image. The runs
-// must be the encoder's: nonempty, separated by at least one zero byte,
-// free of zero bytes, and inside the declared length.
-func (d *decoder) dataImage() []byte {
+// dataImage reads encoder.data's image into p's Data and DataSize. The
+// runs must be the encoder's: nonempty, separated by at least one zero
+// byte, free of zero bytes, and inside the declared length. Their bytes
+// are slices of the input; nothing is expanded.
+func (d *decoder) dataImage(p *vm.Program) {
 	c := d.uint()
 	if d.err != nil || c == 0 {
-		return nil
+		return
 	}
 	if c-1 > maxDataImage {
 		d.fail("data image exceeds cap")
-		return nil
+		return
 	}
 	size := c - 1
 	runs := d.uint()
 	// A run is at least a gap byte, a length byte and one data byte.
 	if runs > uint64(d.rest()/3) {
 		d.fail("run count exceeds input")
-		return nil
+		return
 	}
-	img := make([]byte, size)
+	p.Data, p.DataSize = make([]vm.DataRun, runs), uint32(size)
 	var end uint64
-	for i := uint64(0); i < runs && d.err == nil; i++ {
+	for i := range p.Data {
 		gap, n := d.uint(), d.uint()
 		switch {
 		case i > 0 && gap == 0, n == 0:
@@ -937,17 +1015,16 @@ func (d *decoder) dataImage() []byte {
 		}
 		src := d.take(n)
 		if d.err != nil {
-			break
+			return
 		}
 		if bytes.IndexByte(src, 0) >= 0 {
 			d.fail("zero byte inside a data run")
-			break
+			return
 		}
 		end += gap
-		copy(img[end:], src)
+		p.Data[i] = vm.DataRun{Off: uint32(end), Bytes: src}
 		end += n
 	}
-	return img
 }
 
 func (d *decoder) result() *vm.Result {
@@ -1011,7 +1088,7 @@ func bit(on bool, mask byte) byte {
 
 // inImage reports whether a global array lies inside p's data image.
 func inImage(g vm.Global, p *vm.Program) bool {
-	return g.Addr >= p.DataBase && uint64(g.Addr-p.DataBase)+uint64(g.Size) <= uint64(len(p.Data))
+	return g.Addr >= p.DataBase && uint64(g.Addr-p.DataBase)+uint64(g.Size) <= uint64(p.DataSize)
 }
 
 func validSeg(s x86seg.SegReg) bool { return s < x86seg.NumSegRegs }

@@ -398,7 +398,7 @@ func (c *cache) close() error {
 // overhead.
 func artifactSize(art *core.Artifact) int64 {
 	p := art.Program
-	return int64(len(p.Instrs))*96 + int64(len(p.Data)) + 4096
+	return int64(len(p.Instrs))*96 + int64(p.DataSize) + 4096
 }
 
 // runResultSize estimates a memoised run result's retained bytes.

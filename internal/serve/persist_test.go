@@ -15,6 +15,7 @@ import (
 	"cash/internal/core"
 	"cash/internal/store"
 	"cash/internal/vm"
+	"cash/internal/workload"
 )
 
 // violationKernel trips a bound violation under the cash strategy.
@@ -333,5 +334,77 @@ func TestBuildMissReadsDiskOnce(t *testing.T) {
 	}
 	if n := counter("store.disk.misses") - misses; n != 1 {
 		t.Fatalf("disk misses delta = %d, want 1: one build on an empty store reads the disk tier once", n)
+	}
+}
+
+// BenchmarkWarmRestart is one warm restart of the serving engine per
+// iteration. Set-up populates a store: the 26 suite programs (every
+// workload, the range and the stencil kernels) built under every
+// strategy, and the 12 small programs (the network handlers, the range
+// kernels, smooth256 and wave200) run under every strategy. Each
+// iteration then opens a new Engine on the store, requests every build
+// and then every run, and closes it; all of them must come from disk.
+func BenchmarkWarmRestart(b *testing.B) {
+	ctx := context.Background()
+	suite := append(workload.All(), workload.RangeKernels()...)
+	suite = append(suite, workload.StencilKernels()...)
+	small := append(workload.NetworkApps(), workload.RangeKernels()...)
+	small = append(small, workload.Smooth(256, 8), workload.Wave1D(200, 12))
+	type build struct {
+		source string
+		mode   core.Mode
+	}
+	var builds []build
+	index := make(map[string]int) // program/strategy -> builds index
+	for _, w := range suite {
+		for _, name := range core.StrategyNames() {
+			index[w.Name+"/"+name] = len(builds)
+			builds = append(builds, build{w.Source, core.Mode(name)})
+		}
+	}
+	var runs []int // indices into builds
+	for _, w := range small {
+		for _, name := range core.StrategyNames() {
+			i, ok := index[w.Name+"/"+name]
+			if !ok {
+				b.Fatalf("%s is not a suite program", w.Name)
+			}
+			runs = append(runs, i)
+		}
+	}
+	cfg := EngineConfig{StoreDir: b.TempDir(), Parallelism: 1}
+	arts := make([]*core.Artifact, len(builds))
+	pass := func() {
+		eng, err := Open(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, bd := range builds {
+			if arts[i], err = eng.BuildContext(ctx, bd.source, bd.mode, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, i := range runs {
+			if _, err := eng.RunContext(ctx, arts[i]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass() // cold: compiles, runs and writes every entry
+	misses, compiles := counter("store.disk.misses"), counter("serve.build.compiles")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	if n := counter("store.disk.misses") - misses; n != 0 {
+		b.Fatalf("warm restarts missed the store %d times", n)
+	}
+	if n := counter("serve.build.compiles") - compiles; n != 0 {
+		b.Fatalf("warm restarts compiled %d times", n)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // FuzzValidate feeds arbitrary entry files and keys to validate, the
 // check every Get runs on bytes read from disk (header parse, lengths,
-// embedded key, payload hash). It must never panic; an accepted file
+// embedded key, payload checksum). It must never panic; an accepted file
 // must be exactly the entry Put would write for that key and payload;
 // and every entry Put would write must be accepted.
 func FuzzValidate(f *testing.F) {

@@ -120,7 +120,7 @@ func TestCorruptedPayloadIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := d.Get("a:victim"); ok {
-		t.Fatal("hash-mismatched entry must read as a miss")
+		t.Fatal("checksum-mismatched entry must read as a miss")
 	}
 }
 
@@ -136,7 +136,7 @@ func TestReopenDropsInvalidAndTemp(t *testing.T) {
 	if err := d.Put("a:bad", []byte(strings.Repeat("b", 300))); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(d.Path("a:bad"), 40); err != nil {
+	if err := os.Truncate(d.Path("a:bad"), headerSize-1); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate an interrupted write: a leftover temp file.

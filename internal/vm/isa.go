@@ -11,6 +11,8 @@
 package vm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -293,8 +295,9 @@ type Program struct {
 	Instrs   []Instr
 	Entry    int               // instruction index of the entry point
 	Funcs    map[string]int    // function name -> entry instruction
-	Globals  map[string]Global // global array name -> its place in Data
-	Data     []byte            // initial data segment image
+	Globals  map[string]Global // global array name -> its place in the data image
+	Data     []DataRun         // the data image's nonzero runs (SetData); nil for no image
+	DataSize uint32            // length of the initial data image
 	DataBase uint32            // linear address the data image loads at
 	HeapBase uint32            // first heap address (after data)
 	StackTop uint32            // initial ESP
@@ -322,6 +325,56 @@ type Program struct {
 	// sb caches the compiled superblock table (see superblock.go) the
 	// same way, built lazily on the first tier-2 machine.
 	sb sbCache
+}
+
+// DataRun is a maximal run of nonzero bytes in a program's initial data
+// image, Off bytes past DataBase. The image is zero outside its runs.
+type DataRun struct {
+	Off   uint32
+	Bytes []byte
+}
+
+// SetData sets the program's initial data image to img (nil for none):
+// its size and its maximal runs of nonzero bytes, in address order. The
+// runs are copies that share one allocation of just the nonzero bytes,
+// so img is not kept alive.
+func (p *Program) SetData(img []byte) {
+	p.DataSize = uint32(len(img))
+	if img == nil {
+		p.Data = nil
+		return
+	}
+	// Each run first points into img; once buf has stopped growing, it
+	// is re-pointed at its copy there.
+	p.Data = []DataRun{}
+	var buf []byte
+	for i := skipZeros(img, 0); i < len(img); i = skipZeros(img, i) {
+		j := len(img)
+		if k := bytes.IndexByte(img[i:], 0); k >= 0 {
+			j = i + k
+		}
+		p.Data = append(p.Data, DataRun{Off: uint32(i), Bytes: img[i:j]})
+		buf = append(buf, img[i:j]...)
+		i = j
+	}
+	for k, at := 0, 0; k < len(p.Data); k++ {
+		n := len(p.Data[k].Bytes)
+		p.Data[k].Bytes = buf[at : at+n : at+n]
+		at += n
+	}
+}
+
+// skipZeros returns the index of the first nonzero byte of b at or
+// after i, or len(b). Data images are almost all zeros, so it steps a
+// word at a time.
+func skipZeros(b []byte, i int) int {
+	for i+8 <= len(b) && binary.LittleEndian.Uint64(b[i:]) == 0 {
+		i += 8
+	}
+	for i < len(b) && b[i] == 0 {
+		i++
+	}
+	return i
 }
 
 // Global is where a global array lives in the data image: Size bytes

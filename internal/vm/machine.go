@@ -410,7 +410,11 @@ func New(prog *Program, mode Mode, opts ...Option) (*Machine, error) {
 		return nil, err
 	}
 
-	m.memory.WriteBytes(prog.DataBase, prog.Data)
+	// Memory starts zeroed, new or recycled, so only the image's nonzero
+	// runs need writing.
+	for _, r := range prog.Data {
+		m.memory.WriteBytes(prog.DataBase+r.Off, r.Bytes)
+	}
 	m.regs[ESP] = prog.StackTop
 	m.ip = prog.Entry
 	if m.pages != nil {

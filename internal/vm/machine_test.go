@@ -109,7 +109,7 @@ func TestMemoryAndDataImage(t *testing.T) {
 		b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
 		b.Emit(Instr{Op: HLT})
 	})
-	p.Data = []byte{10, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0}
+	p.SetData([]byte{10, 0, 0, 0, 32, 0, 0, 0, 0, 0, 0, 0})
 	res := mustRun(t, p, ModeGCC)
 	want := []int32{42, 42}
 	if len(res.Output) != 2 || res.Output[0] != want[0] || res.Output[1] != want[1] {
@@ -125,7 +125,7 @@ func TestByteAccess(t *testing.T) {
 		b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
 		b.Emit(Instr{Op: HLT})
 	})
-	p.Data = []byte{0xff, 0x7b, 0xff}
+	p.SetData([]byte{0xff, 0x7b, 0xff})
 	res := mustRun(t, p, ModeGCC)
 	if res.Output[0] != 0x7b {
 		t.Fatalf("byte load = %#x, want 0x7b", res.Output[0])
@@ -314,13 +314,13 @@ func TestBoundInstruction(t *testing.T) {
 	}
 	bounds := []byte{100, 0, 0, 0, 200, 0, 0, 0} // [100, 200)
 	p := mk(150)
-	p.Data = bounds
+	p.SetData(bounds)
 	res := mustRun(t, p, ModeGCC)
 	if res.Stats.BoundInstrs != 1 {
 		t.Fatalf("BoundInstrs = %d, want 1", res.Stats.BoundInstrs)
 	}
 	p = mk(200)
-	p.Data = bounds
+	p.SetData(bounds)
 	_, err := run(t, p, ModeGCC)
 	var f *Fault
 	if !errors.As(err, &f) || f.Kind != FaultSoftwareCheck {
@@ -551,7 +551,7 @@ func TestPagingBehindSegmentation(t *testing.T) {
 		b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
 		b.Emit(Instr{Op: HLT})
 	})
-	p.Data = []byte{9, 0, 0, 0}
+	p.SetData([]byte{9, 0, 0, 0})
 	var traced []TraceEntry
 	res := mustRun(t, p, ModeGCC,
 		WithPaging(1<<24),
@@ -770,10 +770,11 @@ func TestTier2GenericShapes(t *testing.T) {
 				b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
 				b.Emit(Instr{Op: HLT})
 			})
-			p.Data = make([]byte, 40)
-			for i := range p.Data {
-				p.Data[i] = byte(200 - 13*i)
+			img := make([]byte, 40)
+			for i := range img {
+				img[i] = byte(200 - 13*i)
 			}
+			p.SetData(img)
 			p.Regions = []Region{region}
 			label := fmt.Sprintf("%s, %d passes", row.name, passes)
 

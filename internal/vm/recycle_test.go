@@ -42,7 +42,7 @@ func tenantProg(t *testing.T) *Program {
 		b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
 		b.Emit(Instr{Op: HLT})
 	})
-	p.Data = make([]byte, 12)
+	p.SetData(make([]byte, 12))
 	return p
 }
 
@@ -80,7 +80,7 @@ func readerProg(t *testing.T) *Program {
 		b.Emit(Instr{Op: HCALL, Src: I(HostPrintInt)})
 		b.Emit(Instr{Op: HLT})
 	})
-	p.Data = []byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	p.SetData([]byte{7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	return p
 }
 
