@@ -12,7 +12,7 @@
 // codegen counters they affect; -dump-ir prints the optimized IR to
 // stderr before running).
 //
-// Hot regions execute through the tier-2 superblock engine by default;
+// Loops execute through the tier-2 superblock engine by default;
 // -step pins the run to the step interpreter (simulated output and
 // counters are identical; only host speed changes). -dump-superblocks
 // prints the compiled traces to stderr. A run that executed superblocks

@@ -187,11 +187,6 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 			p.Globals[g.Name] = vm.Global{Addr: g.Addr, Size: uint32(g.Type.Size())}
 		}
 	}
-	// Superblock hints for tier-2 execution: advisory loop spans in the
-	// exact offsets the EmitTo replay above assigned. Attached for every
-	// build — a machine uses them unless pinned to the step interpreter
-	// (Options.StepOnly).
-	p.Regions = mod.SuperblockHints()
 	if p.Sites, err = c.siteTable(mod, len(p.Instrs)); err != nil {
 		return nil, nil, err
 	}

@@ -151,8 +151,8 @@ type Options struct {
 	// overruns only, at a two-pages-per-allocation space cost.
 	ElectricFence bool
 	// StepOnly pins execution to the step interpreter. By default the
-	// compiler's loop regions run as superblocks (tier 2): fused into
-	// single closures with bulk counter accounting, deopting to the step
+	// program's loops run as superblocks (tier 2): fused into single
+	// closures with bulk counter accounting, deopting to the step
 	// interpreter at precise instruction boundaries on any fault or side
 	// exit. Simulated output, counters and violation verdicts are
 	// identical either way; only host speed changes, so this is the off
@@ -382,7 +382,7 @@ func (a *Artifact) WithRun(opts Options) *Artifact {
 func (a *Artifact) StaticStats() map[string]uint64 { return a.Program.Stats }
 
 // DumpSuperblocks renders the tier-2 superblocks compiled from the
-// program's region hints (compiling them if no machine has yet).
+// program's loops (compiling them if no machine has yet).
 func (a *Artifact) DumpSuperblocks() string { return a.Program.DumpSuperblocks() }
 
 // Disassemble renders the generated code.

@@ -61,8 +61,10 @@ import (
 // execution default to tier 2 (Options.StepOnly replaced Tier2);
 // version 3 replaced gob with the codec in this file; version 4 added
 // Program.Globals; version 5 keeps only the build options and adds the
-// oracle's site table after the program.
-const persistVersion = 5
+// oracle's site table after the program; version 6 drops the tier-2
+// region hints (tier 2 finds a program's loops in its code) and the
+// program's copy of the artifact's mode.
+const persistVersion = 6
 
 // Blob tags: the first byte of every encoded artifact and run outcome.
 const (
@@ -113,10 +115,12 @@ var errUnpersistable = errors.New("core: value cannot be persisted")
 // EncodeArtifact serialises an artifact for the disk store: its mode,
 // its build options and its program with the site table. The run part
 // is not written, so an artifact and its views encode alike and decode
-// to the artifact with no run options. ok is false — with no error —
-// for a program the format cannot hold exactly.
+// to the artifact with no run options. The program's Mode is not
+// written either: it is the artifact's. ok is false — with no error —
+// for a program the format cannot hold exactly, one whose Mode is not
+// the artifact's included.
 func EncodeArtifact(a *Artifact) (data []byte, ok bool, err error) {
-	if a == nil || a.Program == nil {
+	if a == nil || a.Program == nil || a.Program.Mode != a.vmMode.String() {
 		return nil, false, nil
 	}
 	e := &encoder{buf: make([]byte, 0, 256+12*len(a.Program.Instrs))}
@@ -156,6 +160,7 @@ func DecodeArtifact(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
+	prog.Mode = info.Mode.String()
 	// A build records its options as normalizeOptions spells them, so
 	// any other budget or pass list is not an encoding of a build. (The
 	// codec keeps an empty pass list apart from nil, as it does every
@@ -384,17 +389,10 @@ func (e *encoder) program(p *vm.Program) error {
 	e.uint(uint64(p.DataBase))
 	e.uint(uint64(p.HeapBase))
 	e.uint(uint64(p.StackTop))
-	e.str(p.Mode)
 	e.count(len(p.Stats), p.Stats == nil)
 	for _, k := range sortedKeys(p.Stats) {
 		e.str(k)
 		e.uint(p.Stats[k])
-	}
-	e.count(len(p.Regions), p.Regions == nil)
-	for _, r := range p.Regions {
-		e.int(int64(r.Start))
-		e.int(int64(r.End))
-		e.str(r.Name)
 	}
 	return nil
 }
@@ -817,7 +815,6 @@ func (d *decoder) program() *vm.Program {
 	}
 	p.HeapBase = d.u32()
 	p.StackTop = d.u32()
-	p.Mode = d.str()
 	if n, isNil := d.count(2); !isNil {
 		p.Stats = make(map[string]uint64, n)
 		prev := ""
@@ -825,15 +822,6 @@ func (d *decoder) program() *vm.Program {
 			k := d.key(i, prev)
 			p.Stats[k] = d.uint()
 			prev = k
-		}
-	}
-	if n, isNil := d.count(3); !isNil {
-		p.Regions = make([]vm.Region, n)
-		for i := range p.Regions {
-			r := &p.Regions[i]
-			r.Start = d.intN()
-			r.End = d.intN()
-			r.Name = d.str()
 		}
 	}
 	return p

@@ -136,14 +136,14 @@ func TestArtifactCodecKeepsNilAndEmpty(t *testing.T) {
 	}
 	for _, empty := range []bool{false, true} {
 		p := copyProgram(t, art)
-		p.Instrs, p.Funcs, p.Globals, p.Data, p.Stats, p.Regions = nil, nil, nil, nil, nil, nil
+		p.Instrs, p.Funcs, p.Globals, p.Data, p.Stats = nil, nil, nil, nil, nil
 		p.DataSize = 0
 		p.Sites = &vm.SiteTable{}
 		opts := art.opts
 		opts.Passes = nil
 		if empty {
 			p.Instrs, p.Funcs, p.Globals, p.Data = []vm.Instr{}, map[string]int{}, map[string]vm.Global{}, []vm.DataRun{}
-			p.Stats, p.Regions = map[string]uint64{}, []vm.Region{}
+			p.Stats = map[string]uint64{}
 			p.Sites = &vm.SiteTable{Sites: []vm.Site{}, Statics: []vm.Object{}}
 			opts.Passes = []string{}
 		}
@@ -215,12 +215,10 @@ func programBlob(instr func(e *encoder), globals ...blobGlobal) (blob []byte, at
 	}
 	e.count(4, false) // an all-zero data image: no nonzero runs
 	e.uint(0)
-	e.uint(0x1000) // data base
-	e.uint(0x2000) // heap base
-	e.uint(0x3000) // stack top
-	e.str(string(ModeCash))
+	e.uint(0x1000)   // data base
+	e.uint(0x2000)   // heap base
+	e.uint(0x3000)   // stack top
 	e.count(0, true) // nil stats
-	e.count(0, true) // nil regions
 	e.count(0, true) // no sites
 	e.count(0, true) // no static objects
 	return e.buf, at
@@ -564,6 +562,9 @@ func TestArtifactCodecRefusesLossyPrograms(t *testing.T) {
 		"site register out of range": func(p *vm.Program) {
 			p.Sites.Sites[0] = vm.Site{Instr: p.Sites.Sites[0].Instr, Kind: vm.SiteReg, Sub: vm.NumRegs + 1}
 		},
+		"mode other than the artifact's": func(p *vm.Program) {
+			p.Mode = vm.ModeGCC.String()
+		},
 	}
 	for name, mutate := range cases {
 		p := copyProgram(t, art)
@@ -835,7 +836,7 @@ func TestPersistedFieldSets(t *testing.T) {
 		reflect.TypeOf(vm.Program{}): {
 			"Name string", "Instrs []vm.Instr", "Entry int", "Funcs map[string]int",
 			"Globals map[string]vm.Global", "Data []vm.DataRun", "DataSize uint32", "DataBase uint32", "HeapBase uint32", "StackTop uint32",
-			"Mode string", "Stats map[string]uint64", "Regions []vm.Region",
+			"Mode string", "Stats map[string]uint64",
 			"Sites *vm.SiteTable",
 		},
 		reflect.TypeOf(vm.Instr{}): {
@@ -850,7 +851,6 @@ func TestPersistedFieldSets(t *testing.T) {
 			"HasIndex bool", "Scale uint8", "Disp int32",
 		},
 		reflect.TypeOf(vm.Global{}): {"Addr uint32", "Size uint32"},
-		reflect.TypeOf(vm.Region{}): {"Start int", "End int", "Name string"},
 		reflect.TypeOf(vm.Result{}): {
 			"Cycles uint64", "ExitCode int32", "Output []int32", "Stats vm.Stats",
 			"LDTStats ldt.Stats", "SB *vm.SBStats",

@@ -141,59 +141,6 @@ func TestTier2RangeKernels(t *testing.T) {
 	}
 }
 
-// TestTier2EveryHead pins the claim of vm.Program.Regions that regions
-// are purely advisory, on regions codegen never emits. Four region sets
-// put a trace head at every even, then every odd instruction: first
-// each running to the end of the program, then each two instructions
-// long. Long traces always run a compare and its jump together; the
-// two-instruction traces split every compare from its jump on one of
-// the parities, so the compare runs unfused (uGen) and the jump heads
-// the next trace on its own. Every run must equal step execution, and
-// the long sets' runs together must retire at least 99% of their
-// instructions in traces.
-func TestTier2EveryHead(t *testing.T) {
-	var retired, total uint64
-	progs := append(workload.RangeKernels(), workload.NetworkApps()...)
-	progs = append(progs, workload.Smooth(32, 2), workload.Wave1D(24, 3))
-	for _, w := range progs {
-		for _, mode := range []Mode{ModeGCC, ModeBCC, ModeCash, ModeMPX} {
-			for set := 0; set < 4; set++ {
-				long := set < 2
-				art := mustBuildArt(t, w.Source, mode, Options{})
-				p := art.Program
-				p.Regions = nil
-				for i := set % 2; i < len(p.Instrs); i += 2 {
-					end := len(p.Instrs)
-					if !long {
-						end = min(i+2, end)
-					}
-					p.Regions = append(p.Regions, vm.Region{Name: "head", Start: i, End: end})
-				}
-				label := fmt.Sprintf("%s/%v/set %d", w.Name, mode, set)
-				want, werr := runRaw(t, art, vm.WithoutTier2())
-				got, gerr := runRaw(t, art)
-				if fmt.Sprint(werr) != fmt.Sprint(gerr) {
-					t.Fatalf("%s: errors differ\n step:  %v\n tier2: %v", label, werr, gerr)
-				}
-				c := *got
-				c.SB = nil
-				if !reflect.DeepEqual(*want, c) {
-					t.Fatalf("%s: results differ\n step:  %+v\n tier2: %+v", label, *want, c)
-				}
-				if long {
-					total += got.Stats.Instructions
-					if got.SB != nil {
-						retired += got.SB.InstrsRetired
-					}
-				}
-			}
-		}
-	}
-	if retired*100 < total*99 {
-		t.Fatalf("%d of %d instructions retired in long traces, want at least 99%%", retired, total)
-	}
-}
-
 // tier2LoopProgram is small enough to sweep exhaustively but loops
 // enough that most of its execution sits inside compiled superblocks.
 const tier2LoopProgram = `

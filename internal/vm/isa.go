@@ -304,11 +304,6 @@ type Program struct {
 	Mode     string            // producing compiler mode, for listings
 	Stats    map[string]uint64 // static code-gen statistics
 
-	// Regions are the compiler's superblock candidate hints (loop spans,
-	// hottest first) for tier-2 execution. Purely advisory: execution is
-	// identical with or without them.
-	Regions []Region
-
 	// Sites is the overflow oracle's site table (see oracle.go): every
 	// compiled program carries one. A machine reads it only when
 	// WithOracle asks it to run under the oracle.

@@ -119,7 +119,7 @@ type Result struct {
 	Stats    Stats
 	LDTStats ldt.Stats
 	// SB reports superblock activity when the machine ran superblocks
-	// (the default for a program with regions); nil under step
+	// (the default for a program with a compiled trace); nil under step
 	// execution. Host-side observability only — no simulated quantity
 	// depends on it.
 	SB *SBStats
@@ -151,10 +151,10 @@ func WithStepLimit(n uint64) Option {
 }
 
 // WithoutTier2 pins the machine to the step interpreter. By default a
-// machine whose program has regions runs them as superblocks (tier 2):
-// the compiler's hot regions are fused into single closures with bulk
-// counter accounting, deopting to the step interpreter at a precise
-// instruction boundary on any fault or side exit (see superblock.go).
+// machine runs its program's loops as superblocks (tier 2): traces
+// compiled to micro-ops with bulk counter accounting, deopting to the
+// step interpreter at a precise instruction boundary on any fault or
+// side exit (see superblock.go).
 // Simulated output, counters and violation verdicts are identical
 // either way; only host speed changes, so this switch exists for the
 // differential tests that compare the two.
@@ -360,8 +360,10 @@ func New(prog *Program, mode Mode, opts ...Option) (*Machine, error) {
 		m.stepOnly = true
 		m.oracle = newOracle(prog)
 	}
-	if !m.stepOnly && len(prog.Regions) > 0 {
-		m.sbt = prog.superblocks()
+	if !m.stepOnly {
+		if t := prog.superblocks(); len(t.list) > 0 {
+			m.sbt = t
+		}
 	}
 	// Recycle released parts when some match this program's memory
 	// geometry; otherwise allocate fresh. Reset before use makes a

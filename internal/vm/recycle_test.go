@@ -61,7 +61,6 @@ func tier2TenantProg(t *testing.T) *Program {
 		b.Jump(JL, "loop")
 		b.Emit(Instr{Op: HLT})
 	})
-	p.Regions = []Region{{Name: "loop", Start: 1, End: 6}}
 	return p
 }
 

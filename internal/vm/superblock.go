@@ -14,18 +14,20 @@ import (
 // The predecoded engine (predecode.go) still pays per-instruction costs
 // on every step: the dispatch load, the cycle/note accounting, and one
 // or two nested closure calls per operand. Tier 2 removes them for hot
-// code. The compiler's IR layer selects candidate regions over the loop
-// tree (ir.Module.SuperblockHints) and records them on the Program;
-// buildTrace turns each region into a superblock — a single-entry,
-// multi-exit straight-line trace — and compiles every trace instruction
-// into one flat micro-op with the operand shapes resolved at build time.
-// The run loop (superblock.run) interprets the micro-ops with the
-// register file, the compare flags and the hardware-check tally held in
-// host locals, translates memory references through the MMU's
-// precomputed fast path (x86seg.QuickRef), and accumulates
-// Instructions, cycles and note-derived counters in bulk from prefix
-// sums — one reconciliation per superblock exit instead of per
-// instruction.
+// code, and hot code is loops, which tier 2 finds in the code itself:
+// every backward jump closes one, and its region runs from the jump's
+// target through the farthest backward jump to it (findLoops). These
+// are the jumps the code generator notes as loop back-edges, so the
+// program carries no region list. buildTrace turns each region into a
+// superblock — a single-entry, multi-exit straight-line trace — and
+// compiles every trace instruction into one flat micro-op with the
+// operand shapes resolved at build time. The run loop (superblock.run)
+// interprets the micro-ops with the register file, the compare flags
+// and the hardware-check tally held in host locals, translates memory
+// references through the MMU's precomputed fast path
+// (x86seg.QuickRef), and accumulates Instructions, cycles and
+// note-derived counters in bulk from prefix sums — one reconciliation
+// per superblock exit instead of per instruction.
 //
 // The deopt contract: a superblock is entered only when the interpreter
 // is exactly at its head and a whole pass fits under nextStop. Every
@@ -43,15 +45,54 @@ import (
 // fault identities are byte-identical to step execution; the
 // equivalence tests and the differential fuzzer pin this.
 
-// Region is a superblock candidate: a half-open instruction index range
-// the compiler judged hot (a loop's layout span). Regions are hints —
-// execution is correct with any, or no, regions attached. Tier 2 derives
-// more of them itself: at in-region jump targets, and at the callee
-// entry and return continuation of each CALL that ends a compiled trace.
-type Region struct {
+// region is a superblock candidate: a half-open instruction index
+// range. The primary regions are the program's loops (findLoops);
+// buildTable adds secondary ones at in-region jump targets, and at the
+// callee entry and return continuation of each CALL that ends a
+// compiled trace. Execution is correct with any regions at all.
+type region struct {
 	Start int
 	End   int
 	Name  string
+}
+
+// findLoops derives a program's primary regions from its code. Every
+// backward jump (JMP or conditional, target t at or before the jump)
+// closes a loop headed at t, whose region is [t, j+1) for the farthest
+// such jump j. The regions come in ascending head order, each named
+// after its enclosing function and the label at its head.
+func findLoops(p *Program) []region {
+	ends := make([]int, len(p.Instrs))
+	for j := range p.Instrs {
+		in := &p.Instrs[j]
+		if (in.Op == JMP || isCondJump(in.Op)) && in.Target >= 0 && in.Target <= j {
+			ends[in.Target] = j + 1
+		}
+	}
+	var rs []region
+	for t, end := range ends {
+		if end == 0 {
+			continue
+		}
+		name := p.funcAt(t)
+		if l := p.Instrs[t].Label; l != "" {
+			name = strings.TrimPrefix(name+"/"+l, "/")
+		}
+		rs = append(rs, region{Start: t, End: end, Name: name})
+	}
+	return rs
+}
+
+// funcAt names the function whose code holds instruction i: the Funcs
+// entry with the greatest index at or before i ("" for none).
+func (p *Program) funcAt(i int) string {
+	name, at := "", -1
+	for f, e := range p.Funcs {
+		if e <= i && e > at {
+			name, at = f, e
+		}
+	}
+	return name
 }
 
 // Micro-op kinds. Register-or-immediate source operands share one
@@ -205,75 +246,81 @@ type sbTable struct {
 }
 
 // superblocks returns the program's compiled superblock table, building
-// it on first use. Safe for concurrent machines, like compiledProgram.
+// it over the program's loops on first use. Safe for concurrent
+// machines, like compiledProgram.
 func (p *Program) superblocks() *sbTable {
-	p.sb.once.Do(func() {
-		t := &sbTable{heads: make([]*superblock, len(p.Instrs))}
-		add := func(r Region) *superblock {
-			sb := buildTrace(p, r)
-			if sb == nil || t.heads[sb.head] != nil {
-				return nil
-			}
-			t.heads[sb.head] = sb
-			t.list = append(t.list, sb)
-			return sb
-		}
-		type item struct {
-			sb *superblock
-			r  Region
-		}
-		for _, r := range p.Regions {
-			sb := add(r)
-			if sb == nil {
-				continue
-			}
-			// A trace follows the fall-through path, so every taken
-			// in-region branch would exit to the step interpreter for the
-			// rest of the loop body. Compile secondary traces at those
-			// side-exit targets (and at in-region jump joins) so off-trace
-			// paths land back on compiled code. A trace that ends in a
-			// CALL gets traces at the callee's entry (its region spans the
-			// rest of the program: code generators never jump between
-			// functions) and at the return continuation, so a call in a
-			// hot loop stays on compiled code. The worklist closes over
-			// the targets the new traces expose in turn.
-			work := []item{{sb, r}}
-			for len(work) > 0 {
-				cur := work[0]
-				work = work[1:]
-				push := func(r Region) {
-					if s2 := add(r); s2 != nil {
-						work = append(work, item{s2, r})
-					}
-				}
-				if last := &p.Instrs[cur.sb.head+cur.sb.n-1]; last.Op == CALL {
-					ret := cur.sb.head + cur.sb.n
-					push(Region{Name: last.Sym, Start: last.Target, End: len(p.Instrs)})
-					push(Region{Name: fmt.Sprintf("%s+%d", cur.r.Name, ret-cur.r.Start), Start: ret, End: cur.r.End})
-				}
-				for k := 0; k < cur.sb.n; k++ {
-					in := &p.Instrs[cur.sb.head+k]
-					if in.Op != JMP && !isCondJump(in.Op) {
-						continue
-					}
-					tgt := in.Target
-					if tgt <= cur.r.Start || tgt >= cur.r.End || t.heads[tgt] != nil {
-						continue
-					}
-					push(Region{
-						Name:  fmt.Sprintf("%s+%d", cur.r.Name, tgt-cur.r.Start),
-						Start: tgt,
-						End:   cur.r.End,
-					})
-				}
-			}
-		}
-		if len(t.list) > 0 {
-			mSBCompiled.Add(uint64(len(t.list)))
-		}
-		p.sb.t = t
-	})
+	p.sb.once.Do(func() { p.sb.t = buildTable(p, findLoops(p)) })
 	return p.sb.t
+}
+
+// buildTable compiles a trace for each primary region, in order, and
+// the secondary traces each one leads to; the first trace at a head
+// wins.
+func buildTable(p *Program, primary []region) *sbTable {
+	t := &sbTable{heads: make([]*superblock, len(p.Instrs))}
+	add := func(r region) *superblock {
+		sb := buildTrace(p, r)
+		if sb == nil || t.heads[sb.head] != nil {
+			return nil
+		}
+		t.heads[sb.head] = sb
+		t.list = append(t.list, sb)
+		return sb
+	}
+	type item struct {
+		sb *superblock
+		r  region
+	}
+	for _, r := range primary {
+		sb := add(r)
+		if sb == nil {
+			continue
+		}
+		// A trace follows the fall-through path, so every taken
+		// in-region branch would exit to the step interpreter for the
+		// rest of the loop body. Compile secondary traces at those
+		// side-exit targets (and at in-region jump joins) so off-trace
+		// paths land back on compiled code. A trace that ends in a
+		// CALL gets traces at the callee's entry (its region spans the
+		// rest of the program: code generators never jump between
+		// functions) and at the return continuation, so a call in a
+		// hot loop stays on compiled code. The worklist closes over
+		// the targets the new traces expose in turn.
+		work := []item{{sb, r}}
+		for len(work) > 0 {
+			cur := work[0]
+			work = work[1:]
+			push := func(r region) {
+				if s2 := add(r); s2 != nil {
+					work = append(work, item{s2, r})
+				}
+			}
+			if last := &p.Instrs[cur.sb.head+cur.sb.n-1]; last.Op == CALL {
+				ret := cur.sb.head + cur.sb.n
+				push(region{Name: last.Sym, Start: last.Target, End: len(p.Instrs)})
+				push(region{Name: fmt.Sprintf("%s+%d", cur.r.Name, ret-cur.r.Start), Start: ret, End: cur.r.End})
+			}
+			for k := 0; k < cur.sb.n; k++ {
+				in := &p.Instrs[cur.sb.head+k]
+				if in.Op != JMP && !isCondJump(in.Op) {
+					continue
+				}
+				tgt := in.Target
+				if tgt <= cur.r.Start || tgt >= cur.r.End || t.heads[tgt] != nil {
+					continue
+				}
+				push(region{
+					Name:  fmt.Sprintf("%s+%d", cur.r.Name, tgt-cur.r.Start),
+					Start: tgt,
+					End:   cur.r.End,
+				})
+			}
+		}
+	}
+	if len(t.list) > 0 {
+		mSBCompiled.Add(uint64(len(t.list)))
+	}
+	return t
 }
 
 // sbTraceable reports whether an op may appear inside a trace. System
@@ -297,7 +344,7 @@ const sbMinLen = 2
 // jump, a call or a return terminates the trace (it is included; a
 // jump's target decides whether the trace loops), an untraceable op
 // stops before itself.
-func buildTrace(p *Program, r Region) *superblock {
+func buildTrace(p *Program, r region) *superblock {
 	start, end := r.Start, r.End
 	if start < 0 || end > len(p.Instrs) || start >= end {
 		return nil
