@@ -48,8 +48,9 @@ import (
 //     the violation verdict, the documented observable — the same
 //     contract the canonical hoist already has.
 //
-// Candidacy is recorded during lowering (noteAffineRef); chain
-// formation, parsing, planning and the transform all run at pass time.
+// Each checked array reference records its loop chain during lowering
+// (arrayRef, pipeline.go); parsing, planning and the transform all run
+// at pass time.
 
 const (
 	// affineMaxChain caps the loop-chain depth a reference may span.
@@ -67,47 +68,6 @@ const (
 	// affineMaxArray is the largest array the pass will transform for.
 	affineMaxArray = int64(1) << 24
 )
-
-// affineRef is one lowering-time candidate: a checked direct-array
-// reference with a register index, unconditional in every loop of its
-// candidate chain.
-type affineRef struct {
-	d   *minic.VarDecl
-	idx minic.Expr
-	id  int
-	// chain lists the enclosing counted-loop candidates outermost
-	// first; the last element is the loop holding the reference.
-	chain []*hoistCand
-}
-
-// noteAffineRef records a candidate reference during lowering. Gates
-// mirror noteHoistRef: direct array, register index, conditional depth
-// 0 in the innermost candidate — and depth exactly j at stack distance
-// j for every further chain member, so the reference provably executes
-// on every iteration of the whole chain.
-func (c *compiler) noteAffineRef(d *minic.VarDecl, idx minic.Expr, idxConst int32, idxReg bool, id int) {
-	if !c.wantAffine || len(c.hoistCands) == 0 || c.curFn == nil {
-		return
-	}
-	if d == nil || d.Type.Kind != minic.TypeArray {
-		return
-	}
-	if !idxReg || idxConst != 0 || idx == nil {
-		return
-	}
-	var chain []*hoistCand
-	for j := 0; j < len(c.hoistCands) && j < affineMaxChain; j++ {
-		cand := c.hoistCands[len(c.hoistCands)-1-j]
-		if cand.depth != j {
-			break
-		}
-		chain = append([]*hoistCand{cand}, chain...)
-	}
-	if len(chain) == 0 {
-		return
-	}
-	c.curFn.affineRefs = append(c.curFn.affineRefs, &affineRef{d: d, idx: idx, id: id, chain: chain})
-}
 
 // ---------------------------------------------------------------------
 // Parsing: index expression -> ir.Affine over chain/invariant symbols.
@@ -638,9 +598,6 @@ func (affinePass) Name() string { return "affine" }
 func (affinePass) run(c *compiler, m *ir.Module) error {
 	c.stats[StatChecksAffine] += 0 // the key is present whenever the pass ran
 	for _, fs := range c.fns {
-		if len(fs.affineRefs) == 0 {
-			continue
-		}
 		c.affineFunc(fs)
 	}
 	return nil
@@ -652,31 +609,27 @@ type affineGroup struct {
 	ids  []int
 }
 
+// affineFunc takes the references with a register index and a loop
+// chain: the candidates whose index may be affine over the chain.
 func (c *compiler) affineFunc(fs *fnState) {
-	c.fn = fs.fn
-	c.frameOff = fs.frameOff
-
-	g := fs.frag.BuildCFG()
-	dom := g.Dominators()
-	headBlock := make(map[int]*ir.Block)
-	for _, blk := range fs.frag.Blocks {
-		for i := range blk.Instrs {
-			if id := blk.Instrs[i].CheckID; id != 0 && headBlock[id] == nil {
-				headBlock[id] = blk
-			}
+	var cands []arrayRef
+	for _, ref := range fs.refs {
+		if ref.idx != nil && len(ref.chain) > 0 && !c.deadChecks[ref.id] {
+			cands = append(cands, ref) // live: rce or hoist may have removed it
 		}
 	}
-
+	if len(cands) == 0 {
+		return
+	}
+	dom, runs := c.passScope(fs)
 	groups := make(map[string]*affineGroup)
 	var order []string
-	for _, ref := range fs.affineRefs {
-		if c.deadChecks[ref.id] {
-			continue // rce or hoist already removed it
-		}
-		hb := headBlock[ref.id]
-		if hb == nil {
+	for _, ref := range cands {
+		run := runs[ref.id]
+		if run == nil {
 			continue
 		}
+		hb := run.head
 		// Longest workable chain suffix wins: a failed parse or plan
 		// retries with outer members demoted to invariants (which is
 		// how triangular nests and loop-carried products are served).
@@ -770,49 +723,25 @@ func (c *compiler) applyAffine(fs *fnState, gr *affineGroup) {
 	for _, id := range gr.ids {
 		removed[id] = true
 	}
-	for _, blk := range fs.frag.Blocks {
-		kept := blk.Instrs[:0]
-		for _, iin := range blk.Instrs {
-			if iin.CheckID != 0 && removed[iin.CheckID] {
-				continue
-			}
-			kept = append(kept, iin)
-		}
-		blk.Instrs = kept
-	}
-	fs.frag.Compact()
-	for id := range removed {
-		c.deadChecks[id] = true
-	}
-	c.stats[StatSWChecks] -= uint64(len(removed))
-	c.stats[StatChecksAffine] += uint64(len(removed))
-
+	c.deleteChecks(fs, removed, StatChecksAffine)
 	if p.empty {
 		return
 	}
 
 	d := p.d
-	elem := int32(d.Type.Elem.Size())
 	blocks := c.b.Detour(func() {
 		// Zero-trip skips: one per runtime-bound chain member. Passing
 		// them also establishes bound > lo for the positivity and
 		// justification arguments.
 		skip := ""
 		for _, m := range p.eff {
-			cl := m.cl
-			if cl.hiVar == nil {
+			if m.cl.hiVar == nil {
 				continue
 			}
 			if skip == "" {
 				skip = c.lbl("ask")
 			}
-			c.b.Op(vm.MOV, vm.R(vm.EAX), vm.M(c.slotRef(cl.hiVar, 0)))
-			c.b.Op(vm.CMP, vm.R(vm.EAX), vm.I(cl.lo))
-			if cl.incl {
-				c.b.Jump(vm.JL, skip)
-			} else {
-				c.b.Jump(vm.JLE, skip)
-			}
+			c.skipZeroTrip(m.cl, skip)
 		}
 		// Trap guards: each capped variable that exceeds the limit
 		// proves the original execution walks off the array, so the
@@ -840,14 +769,7 @@ func (c *compiler) applyAffine(fs *fnState, gr *affineGroup) {
 				}
 				c.b.Op(vm.ADD, vm.R(vm.EBX), vm.R(vm.EAX))
 			}
-			c.scaleReg(vm.EBX, elem)
-			if d.Storage == minic.StorageGlobal {
-				c.b.Op(vm.ADD, vm.R(vm.EBX), vm.I(int32(d.Addr)))
-			} else {
-				c.b.Op(vm.LEA, vm.R(vm.EAX), vm.M(vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: c.frameOff[d]}))
-				c.b.Op(vm.ADD, vm.R(vm.EBX), vm.R(vm.EAX))
-			}
-			c.emitCheckForDecl(vm.EBX, d)
+			c.checkIndexIn(d, 0, vm.EAX)
 		}
 		endpoint(p.maxConst, p.maxTerms)
 		endpoint(p.minConst, p.minTerms)
@@ -855,9 +777,5 @@ func (c *compiler) applyAffine(fs *fnState, gr *affineGroup) {
 			c.b.Label(skip)
 		}
 	})
-	fs.frag.InsertBefore(p.eff[0].loop.Header, blocks)
-	// The preheader executes inside every loop enclosing the chain.
-	for lp := p.eff[0].loop.Parent; lp != nil; lp = lp.Parent {
-		lp.Blocks = append(lp.Blocks, blocks...)
-	}
+	fs.frag.InsertPreheader(p.eff[0].loop, blocks)
 }

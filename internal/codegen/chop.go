@@ -54,17 +54,19 @@ func (chopPass) run(c *compiler, m *ir.Module) error {
 		return nil
 	}
 	for _, fs := range c.fns {
-		if len(fs.chopRefs) > 0 {
-			c.chopFunc(fs)
+		if refs := c.chopCandidates(fs); len(refs) > 0 {
+			c.chopFunc(fs, refs)
 		}
 	}
 	return nil
 }
 
-// chopRef is the lowering-time shape of one consolidation candidate: a
-// checked direct-array reference whose address is core + delta, where
-// core renders the variable part of the scaled index canonically (empty
-// for constant subscripts) and delta is the constant byte offset.
+// chopRef is one consolidation candidate: a checked direct-array
+// reference whose address is core + delta, where core renders the
+// variable part of the scaled index canonically (empty for constant
+// subscripts) and delta is the constant byte offset. Only direct-array
+// references qualify: their bounds are constants or frame-relative, the
+// two shapes the patcher knows how to widen.
 type chopRef struct {
 	id    int
 	d     *minic.VarDecl
@@ -73,35 +75,27 @@ type chopRef struct {
 	vars  []*minic.VarDecl // scalar variables core reads
 }
 
-// noteChopRef records a candidate during lowering. Only direct-array
-// references qualify: their bounds are constants or frame-relative, the
-// two shapes the patcher knows how to widen.
-func (c *compiler) noteChopRef(d *minic.VarDecl, idx minic.Expr, idxConst int32, idxReg bool, id int) {
-	if !c.wantChop || c.curFn == nil || !c.strat.chopDirectArray() {
-		return
-	}
-	if d == nil || d.Type.Kind != minic.TypeArray {
-		return
-	}
-	ref := &chopRef{id: id, d: d}
-	if idx == nil || !idxReg {
-		// Constant subscript, already scaled into the displacement.
-		ref.delta = int64(idxConst)
-	} else {
-		core, off := peelConstOffset(idx)
-		var vars []*minic.VarDecl
-		s, ok := c.canonExpr(core, &vars)
-		if !ok {
-			return
+// chopCandidates splits the index of each of the function's array
+// references that has a pure one into core and delta, by check id.
+func (c *compiler) chopCandidates(fs *fnState) map[int]*chopRef {
+	refs := make(map[int]*chopRef)
+	for _, r := range fs.refs {
+		ref := &chopRef{id: r.id, d: r.d}
+		if r.idx == nil {
+			// Constant subscript, already scaled into the displacement.
+			ref.delta = int64(r.off)
+		} else {
+			core, off := peelConstOffset(r.idx)
+			s, ok := c.canonExpr(core, &ref.vars)
+			if !ok {
+				continue
+			}
+			ref.core = s
+			ref.delta = off * int64(r.d.Type.Elem.Size())
 		}
-		ref.core = s
-		ref.delta = off * int64(d.Type.Elem.Size())
-		ref.vars = vars
+		refs[r.id] = ref
 	}
-	if c.curFn.chopRefs == nil {
-		c.curFn.chopRefs = make(map[int]*chopRef)
-	}
-	c.curFn.chopRefs[id] = ref
+	return refs
 }
 
 // peelConstOffset strips top-level +/- constant terms off an index
@@ -153,58 +147,9 @@ type chopGroup struct {
 // groups same-(array, core, scalar-version) members within each region,
 // patches each group's head check to the convex hull and deletes the
 // other members.
-func (c *compiler) chopFunc(fs *fnState) {
-	// Frame and global layout, as in rce: what a resolved store can
-	// invalidate and what a resolved access can touch.
-	var frame []slotRange
-	for d, off := range fs.frameOff {
-		frame = append(frame, slotRange{off, off + c.slotSize(d.Type), classOf(d), d})
-		if d.Type.Kind == minic.TypeArray {
-			if ioff, ok := c.localInfo[d]; ok {
-				frame = append(frame, slotRange{ioff, ioff + vm.InfoStructSize, slotInfo, d})
-			}
-		}
-	}
-	for off := range fs.temps {
-		frame = append(frame, slotRange{off, off + 4, slotTemp, nil})
-	}
-	var globals []slotRange
-	for _, g := range c.src.Globals {
-		lo := int32(g.Addr)
-		globals = append(globals, slotRange{lo, lo + c.slotSize(g.Type), classOf(g), g})
-		if ioff, ok := c.gInfo[g]; ok {
-			globals = append(globals, slotRange{int32(ioff), int32(ioff) + vm.InfoStructSize, slotInfo, g})
-		}
-	}
-	resolve := func(m vm.MemRef) *slotRange {
-		var ranges []slotRange
-		switch {
-		case m.HasBase && m.Base == vm.EBP && !m.HasIndex:
-			ranges = frame
-		case !m.HasBase && !m.HasIndex:
-			ranges = globals
-		default:
-			return nil
-		}
-		for i := range ranges {
-			if m.Disp >= ranges[i].lo && m.Disp < ranges[i].hi {
-				return &ranges[i]
-			}
-		}
-		return nil
-	}
-
-	// Collect every live check's instruction sequence. Ids are unique
-	// and a sequence is contiguous in layout (its trap branches end
-	// blocks mid-sequence, but the continuation follows immediately).
-	checkInstrs := make(map[int][]*ir.Instr)
-	for _, blk := range fs.frag.Blocks {
-		for i := range blk.Instrs {
-			if id := blk.Instrs[i].CheckID; id != 0 {
-				checkInstrs[id] = append(checkInstrs[id], &blk.Instrs[i])
-			}
-		}
-	}
+func (c *compiler) chopFunc(fs *fnState, refs map[int]*chopRef) {
+	slots := c.slotResolver(fs)
+	runs := checkRuns(fs.frag)
 
 	// Region scan. A region is a maximal run of layout-order code with
 	// one entry, no observable effects and no other fault sources:
@@ -221,7 +166,6 @@ func (c *compiler) chopFunc(fs *fnState) {
 	exactTag := func(in *ir.Instr) bool { return exactRef(in.Tag) }
 	breakRegion := func() { region++ }
 
-	prevID := 0
 	for _, blk := range fs.frag.Blocks {
 		if len(blk.Labels) > 0 {
 			breakRegion()
@@ -231,12 +175,11 @@ func (c *compiler) chopFunc(fs *fnState) {
 			id := in.CheckID
 			if id != 0 {
 				// Check sequences hold no stores and trap-only branches;
-				// they never break a region. A fresh id at its head may
-				// join a group.
-				if id != prevID {
-					prevID = id
-					ref := fs.chopRefs[id]
-					if ref == nil || c.deadChecks[id] {
+				// they never break a region. A check at its run's head
+				// may join a group.
+				if run := runs[id]; run.instrs[0] == in {
+					ref := refs[id]
+					if ref == nil {
 						continue
 					}
 					var sig strings.Builder
@@ -251,11 +194,10 @@ func (c *compiler) chopFunc(fs *fnState) {
 						groups[key] = g
 						order = append(order, key)
 					}
-					g.members = append(g.members, chopMember{ref: ref, instrs: checkInstrs[id]})
+					g.members = append(g.members, chopMember{ref: ref, instrs: run.instrs})
 				}
 				continue
 			}
-			prevID = 0
 			switch in.Op {
 			case vm.CALL, vm.LCALL, vm.HCALL, vm.INT,
 				vm.RET, vm.HLT, vm.TRAP, vm.IDIV, vm.IMOD:
@@ -281,8 +223,8 @@ func (c *compiler) chopFunc(fs *fnState) {
 				if m.HasBase && m.Base == vm.EBP && !m.HasIndex {
 					return true
 				}
-				if !m.HasBase && !m.HasIndex {
-					return resolve(m) != nil
+				if hit, direct := slots.resolve(m); direct {
+					return hit != nil
 				}
 				return exactTag(in)
 			}
@@ -303,10 +245,7 @@ func (c *compiler) chopFunc(fs *fnState) {
 			// array-interior stores (exact tag on a computed address)
 			// can't change bounds or index variables; anything else
 			// ends the region.
-			dm := in.Dst.Mem
-			if (dm.HasBase && dm.Base == vm.EBP && !dm.HasIndex) ||
-				(!dm.HasBase && !dm.HasIndex) {
-				hit := resolve(dm)
+			if hit, direct := slots.resolve(in.Dst.Mem); direct {
 				if hit == nil {
 					breakRegion()
 					continue
@@ -364,25 +303,7 @@ func (c *compiler) chopFunc(fs *fnState) {
 			victims[m.ref.id] = true
 		}
 	}
-	if len(victims) == 0 {
-		return
-	}
-	for _, blk := range fs.frag.Blocks {
-		kept := blk.Instrs[:0]
-		for _, in := range blk.Instrs {
-			if in.CheckID != 0 && victims[in.CheckID] {
-				continue
-			}
-			kept = append(kept, in)
-		}
-		blk.Instrs = kept
-	}
-	fs.frag.Compact()
-	for id := range victims {
-		c.deadChecks[id] = true
-	}
-	c.stats[StatSWChecks] -= uint64(len(victims))
-	c.stats[StatChecksChop] += uint64(len(victims))
+	c.deleteChecks(fs, victims, StatChecksChop)
 }
 
 // chopPatch widens a direct-array check's window by dLo at the lower

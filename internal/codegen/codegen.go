@@ -15,8 +15,8 @@
 //
 // The back end lowers through the CFG-based IR in internal/ir: each mode
 // is a lowering strategy (strategy.go), optional optimization passes
-// transform the IR (pipeline.go, rce.go, hoist.go), and ir.Module.EmitTo
-// replays the result through a vm.Builder.
+// transform the IR (pipeline.go; rce.go, hoist.go, affine.go, chop.go),
+// and ir.Module.EmitTo replays the result through a vm.Builder.
 package codegen
 
 import (
@@ -135,15 +135,14 @@ type compiler struct {
 	epilogue   string
 	labelSeq   int
 
-	// Pass provenance (pipeline.go, rce.go, hoist.go).
+	// Pass provenance (pipeline.go) and lowering-time candidacy
+	// (hoist.go), read by the passes in rce.go, hoist.go, affine.go and
+	// chop.go.
 	checkSeq   int
 	checks     map[int]*checkRec
 	deadChecks map[int]bool // check ids removed by a pass
 	declID     map[*minic.VarDecl]int
 	addrTaken  map[*minic.VarDecl]bool
-	wantHoist  bool
-	wantAffine bool
-	wantChop   bool
 	hoistCands []*hoistCand
 	fns        []*fnState
 	curFn      *fnState

@@ -21,10 +21,11 @@ import (
 // offending iteration, which preserves the violation verdict (the
 // documented observable) while possibly truncating earlier output.
 //
-// Candidacy is established during lowering (enterHoistLoop /
-// noteHoistRef below); the transform itself runs as the "hoist" pass
-// after lowering (and after rce, which may have already deleted some of
-// the candidate checks).
+// Candidate loops are recognized during lowering (enterHoistLoop
+// below) and every checked array reference records the chain of them it
+// runs in (arrayRef, pipeline.go); the "hoist" pass groups those
+// references per loop after lowering (and after rce, which may have
+// already deleted some of the candidate checks).
 
 // countedLoop is the recognized shape of a hoistable for-loop.
 type countedLoop struct {
@@ -35,16 +36,21 @@ type countedLoop struct {
 	incl    bool           // "<=" comparison
 }
 
-// hoistCand is one candidate loop: the checks eligible for hoisting,
-// grouped by checked array, gathered while its body lowers.
+// last is a constant-bound loop's final induction value.
+func (cl countedLoop) last() int64 {
+	if cl.incl {
+		return int64(cl.hiConst)
+	}
+	return int64(cl.hiConst) - 1
+}
+
+// hoistCand is one counted candidate loop, shared by the hoist and
+// affine passes.
 type hoistCand struct {
 	cl    countedLoop
 	loop  *ir.Loop
 	s     *minic.ForStmt // source statement (affine pass invariance scan)
 	depth int            // conditional-nesting depth during lowering; refs qualify at 0
-	// order/groups: per-array check ids, in first-reference order.
-	order  []*minic.VarDecl
-	groups map[*minic.VarDecl][]int
 }
 
 // ---------------------------------------------------------------------
@@ -195,60 +201,29 @@ func (c *compiler) loopBodySafe(s minic.Stmt, v, hiVar *minic.VarDecl) bool {
 	return safe
 }
 
-// enterHoistLoop opens a hoisting candidate when the For statement has
-// the counted shape; called after the loop condition lowers (references
-// in the condition belong to enclosing candidates). Both the canonical
-// hoist and the affine pass consume candidates.
+// enterHoistLoop opens a candidate when passes will run and the For
+// statement has the counted shape; called after the loop condition
+// lowers (references in the condition belong to enclosing candidates).
 func (c *compiler) enterHoistLoop(s *minic.ForStmt, lp *ir.Loop) *hoistCand {
-	if !c.wantHoist && !c.wantAffine {
+	if len(c.cfg.Passes) == 0 {
 		return nil
 	}
 	cl, ok := c.matchCountedLoop(s)
 	if !ok {
 		return nil
 	}
-	cand := &hoistCand{cl: cl, loop: lp, s: s, groups: make(map[*minic.VarDecl][]int)}
+	cand := &hoistCand{cl: cl, loop: lp, s: s}
 	c.hoistCands = append(c.hoistCands, cand)
 	return cand
 }
 
-// leaveHoistLoop closes the candidate and records it for the pass when
-// it captured any checks.
+// leaveHoistLoop closes the candidate and records it for the passes.
 func (c *compiler) leaveHoistLoop(cand *hoistCand) {
 	if cand == nil {
 		return
 	}
 	c.hoistCands = c.hoistCands[:len(c.hoistCands)-1]
-	if len(cand.groups) > 0 && c.curFn != nil {
-		c.curFn.hoists = append(c.curFn.hoists, cand)
-	}
-}
-
-// noteHoistRef, called for every checked declared-object reference,
-// records the check when it qualifies: direct array indexed exactly by
-// the innermost candidate's induction variable, at conditional depth 0.
-func (c *compiler) noteHoistRef(d *minic.VarDecl, idx minic.Expr, idxConst int32, idxReg bool, id int) {
-	if !c.wantHoist || len(c.hoistCands) == 0 {
-		return
-	}
-	top := c.hoistCands[len(c.hoistCands)-1]
-	if top.depth != 0 {
-		return
-	}
-	if d == nil || d.Type.Kind != minic.TypeArray {
-		return
-	}
-	if !idxReg || idxConst != 0 {
-		return
-	}
-	vr, ok := idx.(*minic.VarRef)
-	if !ok || vr.Decl != top.cl.v {
-		return
-	}
-	if _, seen := top.groups[d]; !seen {
-		top.order = append(top.order, d)
-	}
-	top.groups[d] = append(top.groups[d], id)
+	c.curFn.counted = append(c.curFn.counted, cand)
 }
 
 // ---------------------------------------------------------------------
@@ -261,34 +236,49 @@ func (hoistPass) Name() string { return "hoist" }
 func (hoistPass) run(c *compiler, m *ir.Module) error {
 	c.stats[StatChecksHoisted] += 0 // the key is present whenever the pass ran
 	for _, fs := range c.fns {
-		if len(fs.hoists) == 0 {
-			continue
-		}
 		c.hoistFunc(fs)
 	}
 	return nil
 }
 
-func (c *compiler) hoistFunc(fs *fnState) {
-	// The preheader emission helpers address the function's frame.
-	c.fn = fs.fn
-	c.frameOff = fs.frameOff
+// hoistGroup is one array's references in a candidate loop.
+type hoistGroup struct {
+	d   *minic.VarDecl
+	ids []int
+}
 
-	// Pre-transform dominators and check head blocks: a check may only
-	// hoist if its block dominates the loop latch (it executes on every
-	// iteration) — the CFG-level restatement of the depth-0 tracking.
-	g := fs.frag.BuildCFG()
-	dom := g.Dominators()
-	headBlock := make(map[int]*ir.Block)
-	for _, blk := range fs.frag.Blocks {
-		for i := range blk.Instrs {
-			if id := blk.Instrs[i].CheckID; id != 0 && headBlock[id] == nil {
-				headBlock[id] = blk
-			}
+func (c *compiler) hoistFunc(fs *fnState) {
+	// A reference qualifies when it is indexed exactly by the induction
+	// variable of the innermost loop it runs unconditionally in; groups
+	// keep first-reference order.
+	groups := make(map[*hoistCand][]hoistGroup)
+	for _, r := range fs.refs {
+		if len(r.chain) == 0 {
+			continue
 		}
+		cand := r.chain[len(r.chain)-1]
+		if vr, ok := r.idx.(*minic.VarRef); !ok || vr.Decl != cand.cl.v {
+			continue
+		}
+		gs := groups[cand]
+		k := 0
+		for k < len(gs) && gs[k].d != r.d {
+			k++
+		}
+		if k == len(gs) {
+			gs = append(gs, hoistGroup{d: r.d})
+		}
+		gs[k].ids = append(gs[k].ids, r.id)
+		groups[cand] = gs
 	}
-	for _, cand := range fs.hoists {
-		c.applyHoist(fs, cand, dom, headBlock)
+	if len(groups) == 0 {
+		return
+	}
+	dom, runs := c.passScope(fs)
+	for _, cand := range fs.counted {
+		if gs := groups[cand]; len(gs) > 0 {
+			c.applyHoist(fs, cand, gs, dom, runs)
+		}
 	}
 }
 
@@ -315,14 +305,15 @@ func (c *compiler) hoistEndpointsOK(d *minic.VarDecl, cl countedLoop) bool {
 	if cl.hiVar != nil {
 		return true // runtime overflow guard covers the high endpoint
 	}
-	last := int64(cl.hiConst)
-	if !cl.incl {
-		last--
-	}
-	return fits(last * elem)
+	return fits(cl.last() * elem)
 }
 
-func (c *compiler) applyHoist(fs *fnState, cand *hoistCand, dom map[*ir.Block]map[*ir.Block]bool, headBlock map[int]*ir.Block) {
+// applyHoist replaces the loop's qualifying checks with the preheader
+// range checks. A check may only hoist if its block dominates the loop
+// latch (it executes on every iteration): the CFG-level restatement of
+// the depth-0 tracking. dom and runs are taken before the function's
+// first transform.
+func (c *compiler) applyHoist(fs *fnState, cand *hoistCand, candGroups []hoistGroup, dom map[*ir.Block]map[*ir.Block]bool, runs map[int]*checkRun) {
 	latchDom := dom[cand.loop.Latch]
 	if latchDom == nil {
 		return // latch unreachable; leave the loop alone
@@ -331,68 +322,27 @@ func (c *compiler) applyHoist(fs *fnState, cand *hoistCand, dom map[*ir.Block]ma
 
 	// A constant-bound loop that runs zero times: its body checks are
 	// dead code — delete them with no preheader.
-	emptyConst := false
-	if cl.hiVar == nil {
-		last := int64(cl.hiConst)
-		if !cl.incl {
-			last--
-		}
-		emptyConst = last < int64(cl.lo)
-	}
+	emptyConst := cl.hiVar == nil && cl.last() < int64(cl.lo)
 
-	type group struct {
-		d   *minic.VarDecl
-		ids []int
-	}
-	var groups []group
-	for _, d := range cand.order {
-		var ids []int
-		for _, id := range cand.groups[d] {
-			if c.deadChecks[id] {
-				continue
-			}
-			hb := headBlock[id]
-			if hb == nil || !latchDom[hb] {
-				continue
-			}
-			ids = append(ids, id)
-		}
-		if len(ids) == 0 {
-			continue
-		}
-		if !emptyConst && !c.hoistEndpointsOK(d, cl) {
-			continue
-		}
-		groups = append(groups, group{d, ids})
-	}
-	if len(groups) == 0 {
-		return
-	}
-
+	var groups []*minic.VarDecl
 	removed := make(map[int]bool)
-	for _, gr := range groups {
+	for _, gr := range candGroups {
+		var ids []int
 		for _, id := range gr.ids {
+			if r := runs[id]; r != nil && latchDom[r.head] { // nil: rce removed it
+				ids = append(ids, id)
+			}
+		}
+		if len(ids) == 0 || (!emptyConst && !c.hoistEndpointsOK(gr.d, cl)) {
+			continue
+		}
+		groups = append(groups, gr.d)
+		for _, id := range ids {
 			removed[id] = true
 		}
 	}
-	for _, blk := range fs.frag.Blocks {
-		kept := blk.Instrs[:0]
-		for _, iin := range blk.Instrs {
-			if iin.CheckID != 0 && removed[iin.CheckID] {
-				continue
-			}
-			kept = append(kept, iin)
-		}
-		blk.Instrs = kept
-	}
-	fs.frag.Compact()
-	for id := range removed {
-		c.deadChecks[id] = true
-	}
-	c.stats[StatSWChecks] -= uint64(len(removed))
-	c.stats[StatChecksHoisted] += uint64(len(removed))
-
-	if emptyConst {
+	c.deleteChecks(fs, removed, StatChecksHoisted)
+	if len(groups) == 0 || emptyConst {
 		return
 	}
 
@@ -401,94 +351,94 @@ func (c *compiler) applyHoist(fs *fnState, cand *hoistCand, dom map[*ir.Block]ma
 	// TestHoistNarrowingAudit pins the assumption.
 	elemOf := func(d *minic.VarDecl) int32 { return int32(d.Type.Elem.Size()) }
 	blocks := c.b.Detour(func() {
-		if cl.hiVar != nil {
-			skip := c.lbl("hsk")
-			c.b.Op(vm.MOV, vm.R(vm.EAX), vm.M(c.slotRef(cl.hiVar, 0)))
-			c.b.Op(vm.CMP, vm.R(vm.EAX), vm.I(cl.lo))
-			if cl.incl {
-				c.b.Jump(vm.JL, skip) // v <= H runs zero times iff H < lo
-			} else {
-				c.b.Jump(vm.JLE, skip) // v < H runs zero times iff H <= lo
+		if cl.hiVar == nil {
+			// Both endpoints fold base + scaled index in int64;
+			// hoistEndpointsOK proved each sum fits int32, so no 32-bit
+			// intermediate can wrap.
+			for _, d := range groups {
+				c.checkArrayAt(d, cl.last()*int64(elemOf(d)))
+				c.checkArrayAt(d, int64(cl.lo)*int64(elemOf(d)))
 			}
-			// Overflow guard: a final index at or past 2^30/elem is
-			// always out of bounds, and the loop's unconditional
-			// reference was going to reach the (much smaller) true bound
-			// and trap — so trap now rather than let the scaled address
-			// computation wrap.
-			// Narrowing audit: 2^30/elem with elem in {1,4} stays well
-			// inside int32, and H itself is compared as a signed word,
-			// so neither the division nor the compare can wrap.
-			guard := int32(1 << 30)
-			for _, gr := range groups {
-				if g := (int32(1) << 30) / elemOf(gr.d); g < guard {
-					guard = g
-				}
-			}
-			c.b.Op(vm.CMP, vm.R(vm.EAX), vm.I(guard))
-			c.b.Jump(vm.JG, "__bounds_trap")
-			for _, gr := range groups {
-				d := gr.d
-				elem := elemOf(d)
-				// Highest referenced address: base + (H-1)*elem
-				// (base + H*elem for "<="). EAX holds H throughout: the
-				// check sequences clobber only ESI/EDI.
-				adj := -elem
-				if cl.incl {
-					adj = 0
-				}
-				c.b.Op(vm.MOV, vm.R(vm.EBX), vm.R(vm.EAX))
-				c.scaleReg(vm.EBX, elem)
-				if d.Storage == minic.StorageGlobal {
-					c.b.Op(vm.ADD, vm.R(vm.EBX), vm.I(int32(d.Addr)+adj))
-				} else {
-					c.b.Op(vm.LEA, vm.R(vm.ECX), vm.M(vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: c.frameOff[d] + adj}))
-					c.b.Op(vm.ADD, vm.R(vm.EBX), vm.R(vm.ECX))
-				}
-				c.emitCheckForDecl(vm.EBX, d)
-				// Lowest referenced address: base + lo*elem, folded in
-				// int64 (hoistEndpointsOK proved it fits int32).
-				loOff := int64(cl.lo) * int64(elem)
-				if d.Storage == minic.StorageGlobal {
-					c.b.Op(vm.MOV, vm.R(vm.EBX), vm.I(int32(int64(int32(d.Addr))+loOff)))
-				} else {
-					c.b.Op(vm.LEA, vm.R(vm.EBX), vm.M(vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: int32(int64(c.frameOff[d]) + loOff)}))
-				}
-				c.emitCheckForDecl(vm.EBX, d)
-			}
-			c.b.Label(skip)
-		} else {
-			last := cl.hiConst
-			if !cl.incl {
-				last--
-			}
-			for _, gr := range groups {
-				d := gr.d
-				// Both endpoints fold base + scaled index in int64;
-				// hoistEndpointsOK proved each sum fits int32, so no
-				// 32-bit intermediate can wrap.
-				elem := int64(elemOf(d))
-				hiOff := int64(last) * elem
-				loOff := int64(cl.lo) * elem
-				if d.Storage == minic.StorageGlobal {
-					base := int64(int32(d.Addr))
-					c.b.Op(vm.MOV, vm.R(vm.EBX), vm.I(int32(base+hiOff)))
-					c.emitCheckForDecl(vm.EBX, d)
-					c.b.Op(vm.MOV, vm.R(vm.EBX), vm.I(int32(base+loOff)))
-					c.emitCheckForDecl(vm.EBX, d)
-				} else {
-					base := int64(c.frameOff[d])
-					c.b.Op(vm.LEA, vm.R(vm.EBX), vm.M(vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: int32(base + hiOff)}))
-					c.emitCheckForDecl(vm.EBX, d)
-					c.b.Op(vm.LEA, vm.R(vm.EBX), vm.M(vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: int32(base + loOff)}))
-					c.emitCheckForDecl(vm.EBX, d)
-				}
+			return
+		}
+		skip := c.lbl("hsk")
+		c.skipZeroTrip(cl, skip)
+		// Overflow guard: a final index at or past 2^30/elem is always
+		// out of bounds, and the loop's unconditional reference was
+		// going to reach the (much smaller) true bound and trap — so
+		// trap now rather than let the scaled address computation wrap.
+		// Narrowing audit: 2^30/elem with elem in {1,4} stays well
+		// inside int32, and H itself is compared as a signed word, so
+		// neither the division nor the compare can wrap.
+		guard := int32(1 << 30)
+		for _, d := range groups {
+			if g := (int32(1) << 30) / elemOf(d); g < guard {
+				guard = g
 			}
 		}
+		c.b.Op(vm.CMP, vm.R(vm.EAX), vm.I(guard))
+		c.b.Jump(vm.JG, "__bounds_trap")
+		for _, d := range groups {
+			// Highest referenced address: base + (H-1)*elem (base +
+			// H*elem for "<="). EAX holds H throughout: the check
+			// sequences clobber only ESI/EDI, and the frame base goes
+			// through ECX.
+			adj := -elemOf(d)
+			if cl.incl {
+				adj = 0
+			}
+			c.b.Op(vm.MOV, vm.R(vm.EBX), vm.R(vm.EAX))
+			c.checkIndexIn(d, adj, vm.ECX)
+			// Lowest referenced address: base + lo*elem, folded in
+			// int64 (hoistEndpointsOK proved it fits int32).
+			c.checkArrayAt(d, int64(cl.lo)*int64(elemOf(d)))
+		}
+		c.b.Label(skip)
 	})
-	fs.frag.InsertBefore(cand.loop.Header, blocks)
-	// The preheader executes inside every enclosing loop of the
-	// candidate (but not inside the candidate itself).
-	for p := cand.loop.Parent; p != nil; p = p.Parent {
-		p.Blocks = append(p.Blocks, blocks...)
+	fs.frag.InsertPreheader(cand.loop, blocks)
+}
+
+// skipZeroTrip jumps to skip when the runtime-bounded loop cl runs zero
+// times (H <= lo for "<", H < lo for "<="), leaving H in EAX.
+func (c *compiler) skipZeroTrip(cl countedLoop, skip string) {
+	c.b.Op(vm.MOV, vm.R(vm.EAX), vm.M(c.slotRef(cl.hiVar, 0)))
+	c.b.Op(vm.CMP, vm.R(vm.EAX), vm.I(cl.lo))
+	if cl.incl {
+		c.b.Jump(vm.JL, skip)
+	} else {
+		c.b.Jump(vm.JLE, skip)
 	}
+}
+
+// checkArrayAt emits the check of d's address plus off bytes, folded in
+// int64; the caller proved the sum fits int32.
+func (c *compiler) checkArrayAt(d *minic.VarDecl, off int64) {
+	if d.Storage == minic.StorageGlobal {
+		c.b.Op(vm.MOV, vm.R(vm.EBX), vm.I(int32(int64(int32(d.Addr))+off)))
+	} else {
+		c.b.Op(vm.LEA, vm.R(vm.EBX), vm.M(vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: int32(int64(c.frameOff[d]) + off)}))
+	}
+	c.emitCheckForDecl(vm.EBX, d)
+}
+
+// checkIndexIn emits the check of the element of d whose index is in
+// EBX, adj bytes further on; a frame array's base goes through scratch.
+func (c *compiler) checkIndexIn(d *minic.VarDecl, adj int32, scratch vm.Reg) {
+	c.scaleReg(vm.EBX, int32(d.Type.Elem.Size()))
+	if d.Storage == minic.StorageGlobal {
+		c.b.Op(vm.ADD, vm.R(vm.EBX), vm.I(int32(d.Addr)+adj))
+	} else {
+		c.b.Op(vm.LEA, vm.R(scratch), vm.M(vm.MemRef{Seg: c.stackSeg, Base: vm.EBP, HasBase: true, Disp: c.frameOff[d] + adj}))
+		c.b.Op(vm.ADD, vm.R(vm.EBX), vm.R(scratch))
+	}
+	c.emitCheckForDecl(vm.EBX, d)
+}
+
+// passScope points the emission helpers at the function's frame and
+// returns its dominators and check runs, as they stand before the
+// pass's first transform of it.
+func (c *compiler) passScope(fs *fnState) (map[*ir.Block]map[*ir.Block]bool, map[int]*checkRun) {
+	c.fn = fs.fn
+	c.frameOff = fs.frameOff
+	return fs.frag.BuildCFG().Dominators(), checkRuns(fs.frag)
 }

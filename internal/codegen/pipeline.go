@@ -12,7 +12,8 @@ import (
 // The back end is a three-stage pipeline:
 //
 //	lower     AST -> ir.Module     (strategy-parameterised, strategy.go)
-//	passes    ir.Module -> ir.Module (optional, rce.go / hoist.go)
+//	passes    ir.Module -> ir.Module (optional: rce.go, hoist.go,
+//	          affine.go, chop.go, over the shared pieces below)
 //	emit      ir.Module -> vm.Program (ir.Module.EmitTo replay)
 //
 // ir.Verify runs after lowering and after every pass. With no passes
@@ -20,8 +21,8 @@ import (
 // direct-emission back end, which the golden tests pin.
 
 // Pass is one optional IR-to-IR optimization pass. Passes run in the
-// fixed registry order (rce before hoist before affine) regardless of
-// the order names appear in Config.Passes.
+// fixed registry order (rce, hoist, affine, chop) regardless of the
+// order names appear in Config.Passes.
 type Pass interface {
 	Name() string
 	run(c *compiler, m *ir.Module) error
@@ -111,17 +112,6 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 			stackSeg = x86seg.DS
 		}
 	}
-	wantHoist, wantAffine, wantChop := false, false, false
-	for _, p := range passes {
-		switch p.Name() {
-		case "hoist":
-			wantHoist = true
-		case "affine":
-			wantAffine = true
-		case "chop":
-			wantChop = true
-		}
-	}
 	c := &compiler{
 		cfg:        cfg,
 		strat:      strategies[cfg.Mode],
@@ -135,9 +125,6 @@ func CompileIR(prog *minic.Program, cfg Config) (*vm.Program, *ir.Module, error)
 		checks:     make(map[int]*checkRec),
 		deadChecks: make(map[int]bool),
 		declID:     make(map[*minic.VarDecl]int),
-		wantHoist:  wantHoist,
-		wantAffine: wantAffine,
-		wantChop:   wantChop,
 		stats:      make(map[string]uint64),
 	}
 	if err := c.layoutGlobals(); err != nil {
@@ -218,23 +205,27 @@ func (c *compiler) newCheck() int {
 
 // checkedDeclRef emits the mode's software check for a declared-object
 // reference whose address is in addr, recording provenance for the
-// passes: check id, redundancy key, and hoist candidacy.
+// passes: check id, redundancy key and, for a direct array, its
+// arrayRef.
 func (c *compiler) checkedDeclRef(addr vm.Reg, d *minic.VarDecl, idx minic.Expr, idxConst int32, idxReg bool) {
 	id := c.newCheck()
 	rec := &checkRec{id: id, decl: d}
 	rec.key, rec.vars = c.indexKey(d, idx, idxConst, idxReg)
 	c.checks[id] = rec
-	c.noteHoistRef(d, idx, idxConst, idxReg, id)
-	c.noteAffineRef(d, idx, idxConst, idxReg, id)
-	c.noteChopRef(d, idx, idxConst, idxReg, id)
+	if d.Type.Kind == minic.TypeArray {
+		if !idxReg {
+			idx = nil
+		}
+		c.curFn.refs = append(c.curFn.refs, arrayRef{id: id, d: d, idx: idx, off: idxConst, chain: c.unconditionalChain()})
+	}
 	prev := c.b.SetCheck(id)
 	c.strat.emitCheckForDecl(c, addr, d)
 	c.b.SetCheck(prev)
 }
 
 // emitCheckForDecl emits the mode's software check without provenance
-// beyond an anonymous id (used by the hoist pass for its synthesized
-// range checks).
+// beyond an anonymous id (used by the hoist and affine passes for their
+// synthesized preheader checks).
 func (c *compiler) emitCheckForDecl(addr vm.Reg, d *minic.VarDecl) {
 	id := c.newCheck()
 	c.checks[id] = &checkRec{id: id, decl: d}
@@ -370,11 +361,174 @@ type fnState struct {
 	frag     *ir.Fragment
 	frameOff map[*minic.VarDecl]int32
 	temps    map[int32]bool // EBP offsets of compiler-internal hoist slots
-	hoists   []*hoistCand
-	// affineRefs are the candidate computed-index references recorded
-	// for the affine pass (affine.go), in lowering order.
-	affineRefs []*affineRef
-	// chopRefs maps check ids to the direct-array reference shapes the
-	// chop pass can consolidate (chop.go).
-	chopRefs map[int]*chopRef
+	// refs are the checked direct-array references, in lowering order.
+	refs []arrayRef
+	// counted are the counted-loop candidates in the order their
+	// lowering finished: inner loops before the loops enclosing them.
+	counted []*hoistCand
+}
+
+// ---------------------------------------------------------------------
+// The pieces the passes share: the array references they reason about,
+// where each check's instructions are, what a frame or global operand
+// touches, and the one routine that removes checks.
+
+// arrayRef is one checked direct-array reference. hoist groups the
+// references indexed by the innermost chain loop's induction variable,
+// affine takes every reference with a register index and a chain, and
+// chop splits the index into a variable core and a constant delta.
+type arrayRef struct {
+	id  int
+	d   *minic.VarDecl
+	idx minic.Expr // register index; nil for a constant subscript
+	off int32      // the constant subscript's byte offset (idx == nil)
+	// chain lists the counted-loop candidates the reference runs in on
+	// every iteration, outermost first; the last holds the reference.
+	chain []*hoistCand
+}
+
+// unconditionalChain returns the active counted-loop candidates whose
+// every iteration runs the code being lowered, outermost first: the
+// innermost at conditional depth 0, and each further one at depth j for
+// stack distance j (the nest between them is perfect), at most
+// affineMaxChain loops.
+func (c *compiler) unconditionalChain() []*hoistCand {
+	top := len(c.hoistCands)
+	n := 0
+	for n < top && n < affineMaxChain && c.hoistCands[top-1-n].depth == n {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	return append([]*hoistCand(nil), c.hoistCands[top-n:]...)
+}
+
+// checkRun is one check's instruction sequence in layout order. The
+// sequence is contiguous in layout but can span blocks: its trap jumps
+// end blocks mid-check.
+type checkRun struct {
+	head   *ir.Block // the block holding the first instruction
+	instrs []*ir.Instr
+}
+
+// checkRuns indexes the fragment's live checks by id.
+func checkRuns(frag *ir.Fragment) map[int]*checkRun {
+	runs := make(map[int]*checkRun)
+	for _, blk := range frag.Blocks {
+		for i := range blk.Instrs {
+			id := blk.Instrs[i].CheckID
+			if id == 0 {
+				continue
+			}
+			r := runs[id]
+			if r == nil {
+				r = &checkRun{head: blk}
+				runs[id] = r
+			}
+			r.instrs = append(r.instrs, &blk.Instrs[i])
+		}
+	}
+	return runs
+}
+
+// Slot classification: what a resolved store can invalidate.
+type slotClass int
+
+const (
+	slotScalar  slotClass = iota + 1 // int/char variable: kills keys reading it
+	slotPointer                      // pointer variable (value+metadata): kills its object's keys
+	slotArray                        // array storage: checked interior, kills nothing
+	slotInfo                         // Cash info structure: kills its object's keys
+	slotTemp                         // compiler-internal hoisting slot: kills nothing
+)
+
+type slotRange struct {
+	lo, hi int32 // [lo, hi)
+	class  slotClass
+	decl   *minic.VarDecl
+}
+
+func classOf(d *minic.VarDecl) slotClass {
+	switch d.Type.Kind {
+	case minic.TypeArray:
+		return slotArray
+	case minic.TypePointer:
+		return slotPointer
+	default:
+		return slotScalar
+	}
+}
+
+// slotResolver is one function's frame layout (variable slots, info
+// structures, hoisting temps) and the module's global layout.
+type slotResolver struct {
+	frame, globals []slotRange
+}
+
+func (c *compiler) slotResolver(fs *fnState) *slotResolver {
+	r := &slotResolver{}
+	for d, off := range fs.frameOff {
+		r.frame = append(r.frame, slotRange{off, off + c.slotSize(d.Type), classOf(d), d})
+		if d.Type.Kind == minic.TypeArray {
+			if ioff, ok := c.localInfo[d]; ok {
+				r.frame = append(r.frame, slotRange{ioff, ioff + vm.InfoStructSize, slotInfo, d})
+			}
+		}
+	}
+	for off := range fs.temps {
+		r.frame = append(r.frame, slotRange{off, off + 4, slotTemp, nil})
+	}
+	for _, g := range c.src.Globals {
+		lo := int32(g.Addr)
+		r.globals = append(r.globals, slotRange{lo, lo + c.slotSize(g.Type), classOf(g), g})
+		if ioff, ok := c.gInfo[g]; ok {
+			r.globals = append(r.globals, slotRange{int32(ioff), int32(ioff) + vm.InfoStructSize, slotInfo, g})
+		}
+	}
+	return r
+}
+
+// resolve finds the slot a frame (EBP plus displacement) or absolute
+// operand lands in. direct is false for a computed address; a direct
+// operand no slot covers returns a nil slot.
+func (r *slotResolver) resolve(m vm.MemRef) (slot *slotRange, direct bool) {
+	ranges := r.globals
+	switch {
+	case m.HasBase && m.Base == vm.EBP && !m.HasIndex:
+		ranges = r.frame
+	case m.HasBase || m.HasIndex:
+		return nil, false
+	}
+	for i := range ranges {
+		if m.Disp >= ranges[i].lo && m.Disp < ranges[i].hi {
+			return &ranges[i], true
+		}
+	}
+	return nil, true
+}
+
+// deleteChecks removes every instruction of the given checks from the
+// function, marks them dead for later passes and moves them from the
+// software-check count to the removing pass's counter stat. It is the
+// only code that removes a check.
+func (c *compiler) deleteChecks(fs *fnState, ids map[int]bool, stat string) {
+	if len(ids) == 0 {
+		return
+	}
+	for _, blk := range fs.frag.Blocks {
+		kept := blk.Instrs[:0]
+		for _, in := range blk.Instrs {
+			if in.CheckID == 0 || !ids[in.CheckID] {
+				kept = append(kept, in)
+			}
+		}
+		blk.Instrs = kept
+	}
+	fs.frag.Compact()
+	for id := range ids {
+		c.deadChecks[id] = true
+	}
+	c.stats[StatSWChecks] -= uint64(len(ids))
+	c.stats[stat] += uint64(len(ids))
 }

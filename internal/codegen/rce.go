@@ -39,58 +39,9 @@ func (rcePass) run(c *compiler, m *ir.Module) error {
 	return nil
 }
 
-// Slot classification: what a resolved store can invalidate.
-type slotClass int
-
-const (
-	slotScalar  slotClass = iota + 1 // int/char variable: kills keys reading it
-	slotPointer                      // pointer variable (value+metadata): kills its object's keys
-	slotArray                        // array storage: checked interior, kills nothing
-	slotInfo                         // Cash info structure: kills its object's keys
-	slotTemp                         // compiler-internal hoisting slot: kills nothing
-)
-
-type slotRange struct {
-	lo, hi int32 // [lo, hi)
-	class  slotClass
-	decl   *minic.VarDecl
-}
-
-func classOf(d *minic.VarDecl) slotClass {
-	switch d.Type.Kind {
-	case minic.TypeArray:
-		return slotArray
-	case minic.TypePointer:
-		return slotPointer
-	default:
-		return slotScalar
-	}
-}
-
 // rceFunc runs the analysis and deletes redundant checks in one function.
 func (c *compiler) rceFunc(fs *fnState, keyVars map[string][]*minic.VarDecl, keyObj map[string]*minic.VarDecl) {
-	// Frame layout: variable slots, info structures, hoisting temps.
-	var frame []slotRange
-	for d, off := range fs.frameOff {
-		frame = append(frame, slotRange{off, off + c.slotSize(d.Type), classOf(d), d})
-		if d.Type.Kind == minic.TypeArray {
-			if ioff, ok := c.localInfo[d]; ok {
-				frame = append(frame, slotRange{ioff, ioff + vm.InfoStructSize, slotInfo, d})
-			}
-		}
-	}
-	for off := range fs.temps {
-		frame = append(frame, slotRange{off, off + 4, slotTemp, nil})
-	}
-	// Global layout.
-	var globals []slotRange
-	for _, g := range c.src.Globals {
-		lo := int32(g.Addr)
-		globals = append(globals, slotRange{lo, lo + c.slotSize(g.Type), classOf(g), g})
-		if ioff, ok := c.gInfo[g]; ok {
-			globals = append(globals, slotRange{int32(ioff), int32(ioff) + vm.InfoStructSize, slotInfo, g})
-		}
-	}
+	slots := c.slotResolver(fs)
 
 	kill := func(avail map[string]bool, in *ir.Instr) {
 		switch in.Op {
@@ -104,31 +55,12 @@ func (c *compiler) rceFunc(fs *fnState, keyVars map[string][]*minic.VarDecl, key
 		if in.Dst.Kind != vm.KindMem || in.Op == vm.CMP || in.Op == vm.BOUND {
 			return
 		}
-		m := in.Dst.Mem
-		var ranges []slotRange
-		switch {
-		case m.HasBase && m.Base == vm.EBP && !m.HasIndex:
-			ranges = frame
-		case !m.HasBase && !m.HasIndex:
-			ranges = globals
-		default:
+		hit, direct := slots.resolve(in.Dst.Mem)
+		if !direct && exactRef(in.Tag) {
 			// Store through a computed address: sound only when the
 			// lowering tagged it as checked against a declared array's
 			// true storage, which cannot overlap scalar or pointer slots.
-			if exactRef(in.Tag) {
-				return
-			}
-			for k := range avail {
-				delete(avail, k)
-			}
 			return
-		}
-		var hit *slotRange
-		for i := range ranges {
-			if m.Disp >= ranges[i].lo && m.Disp < ranges[i].hi {
-				hit = &ranges[i]
-				break
-			}
 		}
 		if hit == nil {
 			for k := range avail {
@@ -163,29 +95,10 @@ func (c *compiler) rceFunc(fs *fnState, keyVars map[string][]*minic.VarDecl, key
 		return
 	}
 
-	// True head of each check sequence. A sequence can span blocks (its
-	// trap jumps end blocks mid-check), so the head must be identified
-	// over the whole layout: a continuation at a block start is not a
-	// fresh check, or it would see its own gen as availability.
-	type instrPos struct {
-		blk *ir.Block
-		idx int
-	}
-	heads := make(map[int]instrPos)
-	prevID := 0
-	for _, blk := range blocks {
-		for i := range blk.Instrs {
-			id := blk.Instrs[i].CheckID
-			if id == 0 {
-				prevID = 0
-				continue
-			}
-			if id != prevID {
-				heads[id] = instrPos{blk, i}
-				prevID = id
-			}
-		}
-	}
+	// A check generates its key at its run's first instruction: a run
+	// continuing at a block start is not a fresh check, or it would see
+	// its own gen as availability.
+	runs := checkRuns(fs.frag)
 
 	// transfer applies one block's effect to avail (mutating it) and, when
 	// victims is non-nil, records checks whose key is already available.
@@ -193,7 +106,7 @@ func (c *compiler) rceFunc(fs *fnState, keyVars map[string][]*minic.VarDecl, key
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
 			if id := in.CheckID; id != 0 {
-				if heads[id] == (instrPos{blk, i}) {
+				if runs[id].instrs[0] == in {
 					if rec := c.checks[id]; rec != nil && rec.key != "" {
 						if victims != nil && avail[rec.key] {
 							victims[id] = true
@@ -224,7 +137,7 @@ func (c *compiler) rceFunc(fs *fnState, keyVars map[string][]*minic.VarDecl, key
 	// Universe of keys generated in this fragment (optimistic start for
 	// the must-analysis, so loop-carried availability converges properly).
 	universe := make(map[string]bool)
-	for id := range heads {
+	for id := range runs {
 		if rec := c.checks[id]; rec != nil && rec.key != "" {
 			universe[rec.key] = true
 		}
@@ -300,23 +213,5 @@ func (c *compiler) rceFunc(fs *fnState, keyVars map[string][]*minic.VarDecl, key
 		}
 		transfer(b, copySet(in[b]), victims)
 	}
-	if len(victims) == 0 {
-		return
-	}
-	for _, blk := range blocks {
-		kept := blk.Instrs[:0]
-		for _, iin := range blk.Instrs {
-			if iin.CheckID != 0 && victims[iin.CheckID] {
-				continue
-			}
-			kept = append(kept, iin)
-		}
-		blk.Instrs = kept
-	}
-	fs.frag.Compact()
-	for id := range victims {
-		c.deadChecks[id] = true
-	}
-	c.stats[StatSWChecks] -= uint64(len(victims))
-	c.stats[StatChecksElim] += uint64(len(victims))
+	c.deleteChecks(fs, victims, StatChecksElim)
 }

@@ -22,7 +22,9 @@ func (c *compiler) genFunc(fn *minic.FuncDecl) error {
 	c.loops = nil
 	c.inLoop = 0
 	c.hoistCands = nil
-	if c.wantHoist || c.wantAffine {
+	c.addrTaken = nil
+	if len(c.cfg.Passes) > 0 {
+		// Read only by the counted-loop matcher and affine.
 		c.addrTaken = make(map[*minic.VarDecl]bool)
 		c.scanAddrTaken(fn.Body)
 	}

@@ -142,6 +142,16 @@ func (f *Fragment) InsertBefore(marker *Block, blocks []*Block) bool {
 	return false
 }
 
+// InsertPreheader splices blocks into the layout immediately before
+// the loop's header and makes them members of every loop enclosing it:
+// they run once per entry to the loop, inside its parents.
+func (f *Fragment) InsertPreheader(l *Loop, blocks []*Block) {
+	f.InsertBefore(l.Header, blocks)
+	for p := l.Parent; p != nil; p = p.Parent {
+		p.Blocks = append(p.Blocks, blocks...)
+	}
+}
+
 // Compact removes blocks that have neither instructions nor labels
 // (left behind when a pass deletes a block's whole contents), from the
 // layout and from every loop.

@@ -274,6 +274,41 @@ func TestInsertBeforeAndCompact(t *testing.T) {
 	}
 }
 
+func TestInsertPreheaderJoinsEnclosingLoops(t *testing.T) {
+	b := NewBuilder()
+	b.BeginFragment("f")
+	outer := b.BeginLoop()
+	b.Label("oh")
+	b.SetLoopHeader(outer)
+	b.Op(vm.MOV, vm.R(vm.EAX), vm.I(0))
+	inner := b.BeginLoop()
+	b.Label("ih")
+	b.SetLoopHeader(inner)
+	b.Op(vm.ADD, vm.R(vm.EAX), vm.I(1))
+	b.Op(vm.CMP, vm.R(vm.EAX), vm.I(3))
+	b.Jump(vm.JL, "ih")
+	b.EndLoop()
+	b.Jump(vm.JMP, "oh")
+	b.EndLoop()
+	b.Emit(vm.Instr{Op: vm.HLT})
+	m := b.Module()
+	f := m.Frags[0]
+
+	pre := &Block{Instrs: []Instr{{Instr: vm.Instr{Op: vm.MOV, Dst: vm.R(vm.EBX), Src: vm.I(7)}}}}
+	f.InsertPreheader(inner, []*Block{pre})
+	if err := Verify(m); err != nil {
+		t.Fatalf("verify after insert: %v", err)
+	}
+	for i, blk := range f.Blocks {
+		if blk == pre && (i+1 >= len(f.Blocks) || f.Blocks[i+1] != inner.Header) {
+			t.Fatalf("preheader at %d is not right before the inner header", i)
+		}
+	}
+	if !outer.Contains(pre) || inner.Contains(pre) {
+		t.Fatalf("preheader membership: outer %v inner %v, want true false", outer.Contains(pre), inner.Contains(pre))
+	}
+}
+
 func TestEmitToResolvesSegments(t *testing.T) {
 	// Memory operands with segment overrides survive the replay.
 	b := NewBuilder()
